@@ -24,9 +24,13 @@ from .lattice import (
     TOL,
     ConstructionALattice,
     Lattice,
-    enumerate_codebook,
+    codebook_points,
     is_sublattice,
 )
+
+
+# Trials per batch of simulate_p2p; each batch has its own random stream.
+CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,9 @@ class AwgnParams:
     N: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.P) and math.isfinite(self.N)):
+            raise ValueError(f"P and N must be finite, got P={self.P!r}, "
+                             f"N={self.N!r}")
         if self.P <= 0 or self.N <= 0:
             raise ValueError("P and N must be positive")
 
@@ -53,37 +60,44 @@ class ListDecodeResult:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent per-trial stream derived from (seed, trial index)."""
+    """Independent stream derived from (seed, index): one per trial, block
+    or batch of trials."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                         spawn_key=(trial,)))
 
 
+# The three maps below take one vector (n,) or a batch of rows (m, n).
+
 def encode_dithered(t: np.ndarray, U: np.ndarray, coarse: Lattice) -> np.ndarray:
     """X = (t - U) mod Lambda. Requires t to lie in the coarse cell."""
     t = np.asarray(t, dtype=float)
-    if not np.allclose(coarse.nearest(t), 0.0, atol=TOL):
+    if not np.allclose(coarse.nearest_many(t), 0.0, atol=TOL):
         raise NotACodeword("t does not lie in the coarse fundamental region")
-    return coarse.mod(t - U)
+    return _mod(coarse, t - U)
 
 
 def receiver_front_end(Y: np.ndarray, U: np.ndarray, P: float, N: float,
                        coarse: Lattice) -> np.ndarray:
     """Y' = (alpha Y + U) mod Lambda with the MMSE coefficient."""
     alpha = P / (P + N)
-    return coarse.mod(alpha * np.asarray(Y, dtype=float) + U)
+    return _mod(coarse, alpha * np.asarray(Y, dtype=float) + U)
 
 
 def effective_noise(X: np.ndarray, Z: np.ndarray, P: float, N: float,
                     coarse: Lattice) -> np.ndarray:
     """Z' = (-(1-alpha) X + alpha Z) mod Lambda."""
     alpha = P / (P + N)
-    return coarse.mod(-(1.0 - alpha) * X + alpha * Z)
+    return _mod(coarse, -(1.0 - alpha) * X + alpha * Z)
 
 
-def _point_in_set(t: np.ndarray, points: np.ndarray) -> bool:
-    if len(points) == 0:
-        return False
-    return bool(np.any(np.all(np.abs(points - t[None, :]) <= 1e-6, axis=1)))
+def _mod(lattice: Lattice, x: np.ndarray) -> np.ndarray:
+    return lattice.mod_many(x) if x.ndim == 2 else lattice.mod(x)
+
+
+def _rows_in_lists(T: np.ndarray, lists: np.ndarray) -> np.ndarray:
+    """Whether each row of T (m, n) is a point of its list (m, size, n)."""
+    return np.any(np.all(np.abs(lists - T[:, None, :]) <= 1e-6, axis=2),
+                  axis=1)
 
 
 class NestedListDecoder:
@@ -100,18 +114,27 @@ class NestedListDecoder:
         self.coarse = coarse
         self.mid = mid
         self.fine = fine
-        self.reps = np.array([e.t for e in enumerate_codebook(mid, fine)])
+        self.reps = codebook_points(mid, fine)
         self.list_size = int(round(mid.volume / fine.volume))
+
+    def decode_many(self, Y_prime: np.ndarray) -> np.ndarray:
+        """Lists for a batch of observations (m, n), as an (m, size, n)
+        array: row i holds the fine points in (Y_prime[i] + V_s), reduced
+        mod the coarse lattice."""
+        shifts = np.asarray(Y_prime, dtype=float)[:, None, :] - self.reps
+        n = shifts.shape[2]
+        anchors = self.reps + self.mid.nearest_many(
+            shifts.reshape(-1, n)).reshape(shifts.shape)
+        return self.coarse.mod_many(anchors.reshape(-1, n)).reshape(shifts.shape)
 
     def decode(self, y_prime: np.ndarray,
                truth: Optional[np.ndarray] = None) -> ListDecodeResult:
         """All fine points in (y_prime + V_s), reduced mod the coarse lattice."""
-        y_prime = np.asarray(y_prime, dtype=float)
-        anchors = self.reps + self.mid.nearest_many(y_prime[None, :] - self.reps)
-        members = self.coarse.mod_many(anchors)
-        contains = _point_in_set(np.asarray(truth, dtype=float), members) \
+        members = self.decode_many(np.asarray(y_prime, dtype=float)[None, :])
+        contains = bool(_rows_in_lists(np.asarray(truth, dtype=float)[None, :],
+                                       members)[0]) \
             if truth is not None else None
-        return ListDecodeResult(points=members, size=len(members),
+        return ListDecodeResult(points=members[0], size=members.shape[1],
                                 contains_truth=contains)
 
 
@@ -156,7 +179,8 @@ def list_decode_q_form(y_prime: np.ndarray, coarse: ConstructionALattice,
     keep = np.all(np.abs(q) <= TOL, axis=1)
     members = coarse.mod_many(cand[keep])
     members = np.unique(np.round(members, 9), axis=0)
-    contains = _point_in_set(np.asarray(truth, dtype=float), members) \
+    contains = bool(_rows_in_lists(np.asarray(truth, dtype=float)[None, :],
+                                   members[None])[0]) \
         if truth is not None else None
     return ListDecodeResult(points=members, size=len(members),
                             contains_truth=contains)
@@ -197,38 +221,49 @@ def simulate_p2p(chain, awgn: AwgnParams, trials: int, seed: int,
                  keep_log: bool = False) -> P2PStats:
     """Dithered transmission + list decoding over AWGN, Monte Carlo.
 
-    ``chain`` is a 3-lattice LatticeChain (coarse, list, fine). Per trial
-    the membership event (t not in L) is cross-checked against the direct
-    effective-noise event (Z' not in V_s); a mismatch is a bug and raises.
+    ``chain`` is a 3-lattice LatticeChain (coarse, list, fine). Trials run
+    in batches of CHUNK, each step one kernel call over the batch. Batch b
+    draws CHUNK messages, dithers and noise, in that order, from
+    ``trial_rng(seed, b)`` and uses as many as it has trials, so trial i
+    sees the same draws whatever the trial count. The dither is the coarse
+    reduction of a uniform draw from the cube [-gamma p/2, gamma p/2)^n,
+    exactly uniform on the coarse cell because gamma p Z^n is a sublattice.
+    Per trial the membership event (t not in L) is cross-checked against
+    the direct effective-noise event (Z' not in V_s); a mismatch is a bug
+    and raises.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     coarse, mid, fine = chain[0], chain[1], chain[2]
     decoder = NestedListDecoder(coarse, mid, fine)
-    codebook = enumerate_codebook(coarse, fine)
+    codebook = codebook_points(coarse, fine)
+    n = coarse.n
+    half = coarse.gamma * coarse.p / 2.0
     errors = 0
     size_total = 0
     log = []
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        w = int(rng.integers(0, len(codebook)))
-        t = codebook[w].t
-        U = coarse.sample_voronoi(rng)
-        Z = rng.normal(0.0, math.sqrt(awgn.N), size=coarse.n)
+    for batch, first in enumerate(range(0, trials, CHUNK)):
+        m = min(CHUNK, trials - first)
+        rng = trial_rng(seed, batch)
+        # Full-batch draws, so a short last batch sees the same prefix.
+        w = rng.integers(0, len(codebook), size=CHUNK)[:m]
+        U = coarse.mod_many(rng.uniform(-half, half, size=(CHUNK, n))[:m])
+        Z = rng.normal(0.0, math.sqrt(awgn.N), size=(CHUNK, n))[:m]
+        t = codebook[w]
         X = encode_dithered(t, U, coarse)
-        Y = X + Z
-        y_prime = receiver_front_end(Y, U, awgn.P, awgn.N, coarse)
-        result = decoder.decode(y_prime, truth=t)
+        y_prime = receiver_front_end(X + Z, U, awgn.P, awgn.N, coarse)
+        lists = decoder.decode_many(y_prime)
         z_eff = effective_noise(X, Z, awgn.P, awgn.N, coarse)
-        z_outside = not np.allclose(mid.nearest(z_eff), 0.0, atol=TOL)
-        miss = not result.contains_truth
-        if miss != z_outside:
+        z_outside = np.any(np.abs(mid.nearest_many(z_eff)) > TOL, axis=1)
+        miss = ~_rows_in_lists(t, lists)
+        if np.any(miss != z_outside):
             raise AssertionError(
                 "error-event identity violated: (t not in L) != (Z' not in V_s)")
-        errors += miss
-        size_total += result.size
+        errors += int(np.count_nonzero(miss))
+        size_total += m * lists.shape[1]
         if keep_log:
-            log.append((trial, w + 1, result.size, int(miss)))
+            log.extend(zip(range(first, first + m), (w + 1).tolist(),
+                           [lists.shape[1]] * m, miss.astype(int).tolist()))
     pe = errors / trials
     ci = 1.96 * math.sqrt(max(pe * (1 - pe), 1e-300) / trials)
     return P2PStats(trials=trials, pe_hat=pe, pe_ci95=ci,

@@ -363,6 +363,8 @@ def main(argv=None) -> int:
         sec = _Section(cfg, args.subcommand)
         if args.trials < 0:
             raise ConfigInvalid("--trials must be nonnegative")
+        if args.seed < 0:
+            raise ConfigInvalid("--seed must be nonnegative")
         return _COMMANDS[args.subcommand](sec, args)
     except (ConfigInvalid, InvalidRanks, NotPrime) as exc:
         print(f"config error: {exc}", file=sys.stderr)

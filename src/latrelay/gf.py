@@ -111,17 +111,25 @@ def quotient_coset_reps(rows_coarse: np.ndarray, rows_fine: np.ndarray, p: int) 
     rows_coarse = np.atleast_2d(np.asarray(rows_coarse, dtype=np.int64))
     rows_fine = np.atleast_2d(np.asarray(rows_fine, dtype=np.int64))
     n = rows_fine.shape[1]
-    kc = rank(rows_coarse, p) if rows_coarse.size else 0
-    kf = rank(rows_fine, p) if rows_fine.size else 0
-    # Extend a basis of the coarse code to a basis of the fine code.
+    # Extend a basis of the coarse code to a basis of the fine code with
+    # the fine rows, in order, that are independent of the rows before
+    # them. Each row is reduced by an echelon basis grown one row at a
+    # time: basis row i is zero at the pivots of rows 0..i-1, so reducing
+    # in insertion order clears every pivot.
+    rows_coarse = rows_coarse.reshape(-1, n)
+    basis: list[np.ndarray] = []
+    pivots: list[int] = []
     extra: list[np.ndarray] = []
-    current = rows_coarse if rows_coarse.size else np.zeros((0, n), dtype=np.int64)
-    for row in rows_fine:
-        if len(extra) == kf - kc:
-            break
-        cand = np.vstack([current, row[None, :]])
-        if rank(cand, p) > rank(current, p):
+    for i, row in enumerate(np.vstack([rows_coarse, rows_fine])):
+        r = row % p
+        for b, c in zip(basis, pivots):
+            r = (r - r[c] * b) % p
+        nonzero = np.flatnonzero(r)
+        if nonzero.size == 0:
+            continue
+        c = int(nonzero[0])
+        basis.append((r * pow(int(r[c]), p - 2, p)) % p)
+        pivots.append(c)
+        if i >= len(rows_coarse):
             extra.append(row)
-            current = cand
-    basis = np.array(extra, dtype=np.int64).reshape(len(extra), n)
-    return all_codewords(basis, p)
+    return all_codewords(np.array(extra, dtype=np.int64).reshape(len(extra), n), p)

@@ -30,6 +30,10 @@ TOL = 1e-9
 # Cap on the number of candidate points any exact enumeration may touch.
 DEFAULT_ENUM_BUDGET = 2_000_000
 
+# Coordinates (rows x cosets x n) one step of the coset scan holds; keeps
+# the batched kernel's working set small whatever the batch size.
+SCAN_ELEMENTS = 16_384
+
 
 def _round_ties_down(y: np.ndarray) -> np.ndarray:
     """Nearest integer, exact halves toward -inf (lexicographic tie rule)."""
@@ -40,6 +44,28 @@ def _lex_smallest(points: np.ndarray) -> np.ndarray:
     """Lexicographically smallest row of ``points`` (m x n)."""
     order = np.lexsort(points[:, ::-1].T)
     return points[order[0]]
+
+
+def _coset_scan(Y: np.ndarray, cw: np.ndarray, p: int) -> np.ndarray:
+    """Nearest point of the unit-scale Construction-A lattice to each row
+    of ``Y`` (m x n), given all codewords ``cw`` (c x n).
+
+    Each coset's closest point ``cw + p z`` comes from rounding; among the
+    cosets within 1e-12 of the shortest distance the lexicographically
+    smallest point wins, as in :meth:`Lattice.nearest`.
+    """
+    # ufunc reductions rather than the array methods: this runs once per
+    # single-vector call, where the methods' Python wrappers show.
+    Y3 = Y[:, None, :]
+    pts = cw + p * _round_ties_down((Y3 - cw) / p)
+    diff = pts - Y3
+    d = np.sqrt(np.add.reduce(diff * diff, axis=2))
+    best = d <= (np.minimum.reduce(d, axis=1) + 1e-12)[:, None]
+    out = pts[np.arange(len(Y)), best.argmax(axis=1)]
+    if np.add.reduce(best, axis=None) > len(Y):
+        for i in np.flatnonzero(np.add.reduce(best, axis=1) > 1):
+            out[i] = _lex_smallest(pts[i][best[i]])
+    return out
 
 
 class Lattice:
@@ -111,7 +137,7 @@ class Lattice:
         return x - self.nearest(x)
 
     def nearest_many(self, X: np.ndarray) -> np.ndarray:
-        """Row-wise nearest points for a batch (m x n). Ties by argmin."""
+        """Row-wise :meth:`nearest` for a batch (m x n)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.array([self.nearest(x) for x in X])
 
@@ -139,7 +165,8 @@ class Lattice:
         h = self.voronoi_box_halfwidth()
         for _ in range(max_attempts):
             u = rng.uniform(-h, h, size=self.n)
-            if np.allclose(self.nearest(u), 0.0, atol=TOL):
+            # np.allclose(Q(u), 0, atol=TOL) without its per-call cost.
+            if (np.abs(self.nearest(u)) <= TOL).all():
                 return u
         raise RejectionBudgetExceeded(
             f"no accept in {max_attempts} attempts (halfwidth {h:g})")
@@ -217,40 +244,35 @@ class ConstructionALattice(Lattice):
         return self._codewords
 
     def nearest(self, x: np.ndarray) -> np.ndarray:
-        """Exact nearest point: per-coset rounding over all p^k cosets."""
-        x = self._check_dim(x)
-        y = x / self.gamma
-        if self.k == 0:
-            return self.gamma * self.p * _round_ties_down(y / self.p)
-        if self.k == self.n:
-            return self.gamma * _round_ties_down(y)
-        cw = self.codewords()
-        z = _round_ties_down((y[None, :] - cw) / self.p)
-        pts = cw + self.p * z
-        d = np.linalg.norm(pts - y[None, :], axis=1)
-        dmin = d.min()
-        best = pts[d <= dmin + 1e-12]
-        return self.gamma * _lex_smallest(best)
+        """Exact nearest point, ties broken lexicographically."""
+        return self._nearest(self._check_dim(x))
 
     def nearest_many(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized per-coset rounding, chunked to bound memory."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """Row-wise :meth:`nearest` for a batch (m x n), bit for bit."""
+        return self._nearest(np.atleast_2d(np.asarray(X, dtype=float)))
+
+    def _nearest(self, X: np.ndarray) -> np.ndarray:
+        """Nearest points to a vector (n,) or to each row of a batch (m, n).
+
+        Rank 0 and rank n round coordinate by coordinate; otherwise every
+        row scans all p^k cosets, in row chunks of at most SCAN_ELEMENTS
+        scanned coordinates.
+        """
         Y = X / self.gamma
         if self.k == 0:
             return self.gamma * self.p * _round_ties_down(Y / self.p)
         if self.k == self.n:
             return self.gamma * _round_ties_down(Y)
+        if Y.ndim == 1:
+            Y = Y[None, :]
         cw = self.codewords()
-        chunk = max(1, 4_000_000 // (cw.shape[0] * self.n))
-        out = np.empty_like(Y)
-        for lo in range(0, Y.shape[0], chunk):
-            yc = Y[lo:lo + chunk]
-            z = _round_ties_down((yc[:, None, :] - cw[None, :, :]) / self.p)
-            pts = cw[None, :, :] + self.p * z
-            d = np.sum((pts - yc[:, None, :]) ** 2, axis=2)
-            idx = np.argmin(d, axis=1)
-            out[lo:lo + chunk] = pts[np.arange(len(yc)), idx]
-        return self.gamma * out
+        chunk = max(1, SCAN_ELEMENTS // cw.size)
+        if len(Y) <= chunk:
+            out = _coset_scan(Y, cw, self.p)
+        else:
+            out = np.concatenate([_coset_scan(Y[lo:lo + chunk], cw, self.p)
+                                  for lo in range(0, len(Y), chunk)])
+        return self.gamma * out.reshape(X.shape)
 
     def contains(self, x: np.ndarray, tol: float = TOL) -> bool:
         x = self._check_dim(x)
@@ -339,21 +361,34 @@ def second_moment(lattice: Lattice, samples: int, seed: int) -> float:
     return total / (samples * lattice.n)
 
 
+def _same_family(a: Lattice, b: Lattice) -> bool:
+    """Both Construction A over the same field and at the same scale."""
+    return (isinstance(a, ConstructionALattice)
+            and isinstance(b, ConstructionALattice)
+            and a.p == b.p
+            and abs(a.gamma - b.gamma) <= TOL * max(1.0, a.gamma))
+
+
 def is_sublattice(coarse: Lattice, fine: Lattice, tol: float = TOL) -> bool:
     """True iff every point of ``coarse`` is a point of ``fine``.
 
     Checked exactly by membership of each coarse basis vector in ``fine``.
+    Two Construction-A lattices of one family share gamma p Z^n, so there
+    it is the membership of the coarse code's rows in the fine code.
     """
     if coarse.n != fine.n:
         raise DimensionMismatch(f"dimensions differ: {coarse.n} vs {fine.n}")
+    if _same_family(coarse, fine):
+        return bool(np.all(gf.in_rowspan_many(fine.rows, coarse.rows,
+                                              fine.p)))
     basis = coarse.gamma * coarse.generator
     return all(fine.contains(basis[:, i], tol=tol) for i in range(coarse.n))
 
 
 def _codebook_construction_a(coarse: ConstructionALattice,
-                             fine: ConstructionALattice) -> list[np.ndarray]:
+                             fine: ConstructionALattice) -> np.ndarray:
     reps = gf.quotient_coset_reps(coarse.rows, fine.rows, coarse.p)
-    return [coarse.mod(coarse.gamma * rep.astype(float)) for rep in reps]
+    return coarse.mod_many(coarse.gamma * reps.astype(float))
 
 
 def _codebook_generic(coarse: Lattice, fine: Lattice,
@@ -375,11 +410,11 @@ def _codebook_generic(coarse: Lattice, fine: Lattice,
     return out
 
 
-def enumerate_codebook(coarse: Lattice, fine: Lattice,
-                       budget: int = DEFAULT_ENUM_BUDGET) -> list[CodebookEntry]:
+def codebook_points(coarse: Lattice, fine: Lattice,
+                    budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
     """Codebook of the nested pair: fine points inside the coarse cell.
 
-    Entries are sorted lexicographically and indexed 1..V/Vc, fixing the
+    Rows are sorted lexicographically; row w-1 is message w, fixing the
     message <-> codeword bijection. Cardinality is checked exactly.
     """
     if not is_sublattice(coarse, fine):
@@ -388,13 +423,7 @@ def enumerate_codebook(coarse: Lattice, fine: Lattice,
     if expected > budget:
         raise EnumerationBudgetExceeded(
             f"codebook size {expected} exceeds budget {budget}")
-    same_family = (
-        isinstance(coarse, ConstructionALattice)
-        and isinstance(fine, ConstructionALattice)
-        and coarse.p == fine.p
-        and abs(coarse.gamma - fine.gamma) <= TOL * max(1.0, coarse.gamma)
-    )
-    if same_family:
+    if _same_family(coarse, fine):
         points = _codebook_construction_a(coarse, fine)
     else:
         points = _codebook_generic(coarse, fine, budget)
@@ -402,5 +431,11 @@ def enumerate_codebook(coarse: Lattice, fine: Lattice,
         raise NotNested(
             f"enumerated {len(points)} codewords, expected V/Vc = {expected}")
     arr = np.array(points)
-    order = np.lexsort(arr[:, ::-1].T)
-    return [CodebookEntry(w=i + 1, t=arr[j]) for i, j in enumerate(order)]
+    return arr[np.lexsort(arr[:, ::-1].T)]
+
+
+def enumerate_codebook(coarse: Lattice, fine: Lattice,
+                       budget: int = DEFAULT_ENUM_BUDGET) -> list[CodebookEntry]:
+    """:func:`codebook_points` as entries indexed 1..V/Vc."""
+    return [CodebookEntry(w=i + 1, t=t)
+            for i, t in enumerate(codebook_points(coarse, fine, budget))]

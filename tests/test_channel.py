@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from latrelay.chain import build_chain, size_list_lattice
 from latrelay.channel import (
+    CHUNK,
     AwgnParams,
     NestedListDecoder,
     effective_noise,
@@ -170,6 +171,14 @@ class TestListDecode:
             assert np.allclose(ch[0].nearest(pt), 0.0, atol=1e-9)
 
 
+class TestAwgnParams:
+    @pytest.mark.parametrize("P,N", [(1.0, math.nan), (1.0, math.inf),
+                                     (math.nan, 1.0), (math.inf, 1.0)])
+    def test_rejects_non_finite(self, P, N):
+        with pytest.raises(ValueError, match="finite"):
+            AwgnParams(P, N)
+
+
 class TestSimulateP2p:
     def test_noiseless_zero_error(self):
         ch = build_chain(3, 2, [0, 1, 2])
@@ -228,3 +237,62 @@ class TestListCoverage:
         ch = build_chain(3, 2, [0, ls.k, 2], gamma=gamma, rows=pair.rows)
         stats = simulate_p2p(ch, AwgnParams(P, N), trials=2000, seed=5)
         assert stats.pe_hat < 0.5
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("n,ranks", [(2, [1, 1, 2]), (4, [1, 2, 3]),
+                                         (8, [1, 4, 6])])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_non_cubic_shaping_keeps_error_identity(self, n, ranks, seed):
+        # The list and the codebook reduce mod the coarse lattice with one
+        # tie rule, so a list member congruent to t has t's coordinates.
+        ch = build_chain(3, n, ranks, gamma=2 / 3 ** 0.5, seed=seed)
+        stats = simulate_p2p(ch, AwgnParams(1.0, 0.01), 200, seed=seed)
+        assert stats.trials == 200
+
+    def test_matches_single_vector_path(self):
+        # Recompute every trial of two batches (one partial) with the
+        # single-vector functions on the engine's draws.
+        P, N, seed, trials = 1.0, 0.25, 7, CHUNK + 44
+        ch = build_chain(3, 4, [1, 2, 3], gamma=2 / 3 ** 0.5, seed=3)
+        coarse, mid, fine = ch[0], ch[1], ch[2]
+        stats = simulate_p2p(ch, AwgnParams(P, N), trials, seed=seed,
+                             keep_log=True)
+        dec = NestedListDecoder(coarse, mid, fine)
+        codebook = enumerate_codebook(coarse, fine)
+        half = coarse.gamma * coarse.p / 2
+        log = []
+        for batch in range(2):
+            m = min(CHUNK, trials - batch * CHUNK)
+            rng = trial_rng(seed, batch)
+            w = rng.integers(0, len(codebook), size=CHUNK)
+            U_raw = rng.uniform(-half, half, size=(CHUNK, 4))
+            Z = rng.normal(0.0, math.sqrt(N), size=(CHUNK, 4))
+            y_primes, lists = [], []
+            for i in range(m):
+                t = codebook[w[i]].t
+                U = coarse.mod(U_raw[i])
+                X = encode_dithered(t, U, coarse)
+                y_prime = receiver_front_end(X + Z[i], U, P, N, coarse)
+                res = dec.decode(y_prime, truth=t)
+                z_eff = effective_noise(X, Z[i], P, N, coarse)
+                outside = not np.allclose(mid.nearest(z_eff), 0.0, atol=1e-9)
+                assert (not res.contains_truth) == outside
+                log.append((batch * CHUNK + i, int(w[i]) + 1, res.size,
+                            int(not res.contains_truth)))
+                y_primes.append(y_prime)
+                lists.append(res.points)
+            assert np.array_equal(dec.decode_many(np.array(y_primes)),
+                                  np.array(lists))
+        assert stats.log == log
+        assert 0 < stats.pe_hat < 1
+
+    def test_log_is_prefix_across_trial_counts(self):
+        ch = build_chain(3, 2, [0, 1, 2], gamma=2 / 3 ** 0.5)
+        short = simulate_p2p(ch, AwgnParams(1.0, 0.5), 300, seed=5,
+                             keep_log=True)
+        long = simulate_p2p(ch, AwgnParams(1.0, 0.5), 600, seed=5,
+                            keep_log=True)
+        assert CHUNK < 300            # both runs cross a batch boundary
+        assert long.log[:300] == short.log
+        assert 0 < sum(rec[3] for rec in short.log) < 300

@@ -67,6 +67,26 @@ class TestP2pSim:
               "--trials", "37", "--quiet"])
         assert _rows(tmp_path / "p2p.csv")[0]["trials"] == "37"
 
+    def _config_error(self, tmp_path, capsys, body, *flags):
+        cfg = _write_cfg(tmp_path, body)
+        code = main(["p2p-sim", "--config", cfg, "--out", str(tmp_path),
+                     "--quiet", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not (tmp_path / "p2p.csv").exists()
+
+    def test_nan_noise_is_config_error(self, tmp_path, capsys):
+        self._config_error(tmp_path, capsys,
+                           self.CFG.replace("N = 1e-12", "N = nan"))
+
+    def test_inf_noise_is_config_error(self, tmp_path, capsys):
+        self._config_error(tmp_path, capsys,
+                           self.CFG.replace("N = 1e-12", "N = inf"))
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        self._config_error(tmp_path, capsys, self.CFG, "--seed", "-1")
+
 
 class TestRelaySim:
     CFG = ("[relay-sim]\nP = 2.0\nPR = 50.0\nNR = 1e-12\nN = 1e-12\n"

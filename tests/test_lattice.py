@@ -71,6 +71,32 @@ class TestNearestPoint:
         assert np.allclose(lat.nearest([0.5, 0.0]), [0.0, 0.0])
         assert np.allclose(lat.nearest([0.5, 0.5]), [0.0, 0.0])
 
+    def test_batch_matches_single_on_half_integer_grid(self):
+        # Many points of this grid are ties between cosets; the batch must
+        # pick the same lexicographically smallest point as a single call.
+        lat = ConstructionALattice(3, [[1, 1]], gamma=1.0, n=2)
+        grid = np.arange(-6, 7) / 2.0
+        pts = np.array(list(itertools.product(grid, grid)))
+        assert len(pts) == 169
+        single = np.array([lat.nearest(y) for y in pts])
+        assert np.array_equal(lat.nearest_many(pts), single)
+        assert np.array_equal(lat.mod_many(pts),
+                              np.array([lat.mod(y) for y in pts]))
+        for y, got in zip(pts, single):
+            assert np.allclose(got, brute_force_nearest(lat, y), atol=1e-9)
+
+    def test_batch_matches_single_random(self):
+        rng = np.random.default_rng(99)
+        lats = [_rand_lattice(rng) for _ in range(20)]
+        lats.append(ConstructionALattice(3, _rand_rows(rng, 3, 8, 4),
+                                         gamma=0.9, n=8))
+        for lat in lats:
+            half = rng.integers(-12, 13, size=(20, lat.n)) / 2.0
+            cont = rng.uniform(-2 * lat.p, 2 * lat.p, size=(20, lat.n))
+            X = lat.gamma * np.vstack([half, cont])
+            single = np.array([lat.nearest(x) for x in X])
+            assert np.array_equal(lat.nearest_many(X), single), lat.to_record()
+
     def test_dimension_mismatch(self, small_lattice):
         with pytest.raises(DimensionMismatch):
             small_lattice.nearest(np.zeros(3))
@@ -111,12 +137,14 @@ class TestModLattice:
            st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_centro_symmetry(self, coords, seed):
-        # Q(x) = 0 implies Q(-x) = 0 away from cell boundaries
+        # Q(r) = 0 implies Q(-r) = 0 unless -r is on the cell boundary,
+        # i.e. -r is as close to Q(-r) as to 0 and the tie rule chose Q(-r).
         rng = np.random.default_rng(seed)
         lat = _rand_lattice(rng, n=2)
         r = lat.mod(np.array(coords))
-        boundary = np.allclose(lat.mod(-r), -r, atol=1e-9)
-        assert boundary or np.linalg.norm(lat.mod(-r) + r) < 1e-6
+        q = lat.nearest(-r)
+        tie = abs(np.linalg.norm(-r - q) - np.linalg.norm(r)) < 1e-9
+        assert tie or np.linalg.norm(q) < 1e-6
 
 
 class TestVolumeAndConstruction:
@@ -185,6 +213,28 @@ class TestIsSublattice:
         coarse = integer_lattice(2, gamma=2.0)
         assert is_sublattice(coarse, fine)
         assert not is_sublattice(fine, coarse)
+
+    def test_code_rows_agree_with_basis_membership(self):
+        # Oracle: every coarse basis vector is a fine point, tested one
+        # vector at a time through ConstructionALattice.contains.
+        rng = np.random.default_rng(41)
+        seen = set()
+        for _ in range(60):
+            p = int(rng.choice([3, 5]))
+            n = int(rng.choice([2, 3, 4]))
+            gamma = float(rng.uniform(0.5, 2.0))
+            rows = _rand_rows(rng, p, n, int(rng.integers(0, n + 1)))
+            fine = ConstructionALattice(p, rows, gamma=gamma, n=n)
+            kc = int(rng.integers(0, n + 1))
+            nested = bool(rng.integers(0, 2)) and kc <= fine.k
+            coarse_rows = rows[:kc] if nested else _rand_rows(rng, p, n, kc)
+            coarse = ConstructionALattice(p, coarse_rows, gamma=gamma, n=n)
+            basis = coarse.gamma * coarse.generator
+            want = all(fine.contains(basis[:, i]) for i in range(n))
+            assert is_sublattice(coarse, fine) == want
+            assert not nested or want
+            seen.add(want)
+        assert seen == {True, False}
 
     def test_prefix_rows_nested_and_oracle(self):
         p, n = 3, 2
