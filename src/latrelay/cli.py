@@ -293,6 +293,9 @@ def cmd_gaps(sec: _Section, args) -> int:
     draws = args.trials if args.trials else sec.get_int("draws", "1000")
     lo = sec.get_float("lo", "0.01")
     hi = sec.get_float("hi", "100.0")
+    if not (math.isfinite(hi) and 0.0 < lo < hi):
+        raise ConfigInvalid(
+            f"[gaps] needs finite 0 < lo < hi, got lo = {lo!r}, hi = {hi!r}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed,
                                                        spawn_key=(0x6A9,)))
     rows = []

@@ -37,7 +37,9 @@ def maximize_unimodal(f: Callable[[float], float], lo: float, hi: float,
     """Coarse grid scan followed by golden-section refinement.
 
     Returns (argmax, max). Assumes f is unimodal on [lo, hi] near the grid
-    optimum; the grid guards against picking the wrong basin.
+    optimum; the grid guards against picking the wrong basin. The package's
+    optimisers are closed forms and no longer call it; it stays while the
+    benchmark's tracer (``perfbench/tracer.py``) binds it by name.
     """
     xs = np.linspace(lo, hi, grid + 1)
     vals = np.asarray(f(xs))   # objectives are numpy-vectorized
@@ -89,6 +91,12 @@ class TwrcParams:
     N2p: Optional[float] = None
 
     def __post_init__(self):
+        values = (self.P1, self.P2, self.PR, self.N1, self.N2, self.NR)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(
+                "powers and noise variances must be finite, got "
+                f"P1={self.P1!r}, P2={self.P2!r}, PR={self.PR!r}, "
+                f"N1={self.N1!r}, N2={self.N2!r}, NR={self.NR!r}")
         if min(self.P1, self.P2, self.N1, self.N2, self.NR) <= 0 or self.PR < 0:
             raise ValueError("powers and noise variances must be positive")
         if self.P1 < self.P2:
@@ -141,19 +149,54 @@ def twrc_region(params: TwrcParams) -> RatePoint:
     return RatePoint(R1=one(p.P1, p.N2), R2=one(p.P2, p.N1))
 
 
+def _cut_crossing(a: float, Pi: float, PR: float, D: float) -> float:
+    """Optimal SNR of max over x in [0, 1] of min(C(f(x)), C(g(x))) with
+    f(x) = a (1 - x^2) falling and g(x) = (Pi + PR + 2 x sqrt(Pi PR)) / D
+    rising; C is increasing, so the optimum is C of the returned value.
+
+    If g(0) >= f(0) the optimum is x = 0 and the value is a. Otherwise it
+    is the crossing f(x) = g(x), the positive root of a x^2 + b x + c
+    with b = 2 sqrt(Pi PR) / D and c = (Pi + PR) / D - a < 0, taken in the
+    cancellation-free form -2c / (b + sqrt(b^2 - 4ac)); the root is at
+    most 1 because f(1) = 0 < g(1). At the root f and g are equal, so the
+    value is g there: f's 1 - x^2 would cancel as x -> 1, g has no
+    cancellation.
+    """
+    c = (Pi + PR) / D - a
+    if c >= 0.0:
+        return a
+    b = 2.0 * math.sqrt(Pi * PR) / D
+    x = -2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c))
+    return (Pi + PR) / D + b * x
+
+
+def best_power_split(Pi: float, PR: float, NR: float, D: float
+                     ) -> tuple[float, float]:
+    """max over alpha in [0, 1] of
+    min(C(alpha Pi / NR), C((Pi + PR + 2 sqrt((1 - alpha) Pi PR)) / D)).
+
+    The first term is the relay's decoding cut, the second the coherent
+    cut to the destination with noise D. Substituting s = sqrt(1 - alpha)
+    turns the first into C(Pi/NR (1 - s^2)) and the second into
+    C((Pi + PR + 2 s sqrt(Pi PR)) / D), which ``_cut_crossing`` solves;
+    alpha = 1 when C(Pi/NR) <= C((Pi + PR)/D). Returns (rate, alpha).
+    """
+    a = Pi / NR
+    snr = _cut_crossing(a, Pi, PR, D)
+    # the relay cut C(alpha a) equals C(snr) at the optimum
+    return capacity_c(snr), snr / a
+
+
 def cutset_degraded(params: TwrcParams) -> RatePoint:
     """Cut-set bound for the physically degraded case, optimized over the
-    source/relay power-split correlation per user."""
+    source/relay power split per user (``best_power_split`` with
+    D = N_other' + NR)."""
     if params.mode != "physical":
         raise ScenarioViolation("cutset_degraded requires physical degradation")
     p = params
 
     def one(Pi: float, Nother_p: float) -> float:
-        def obj(a):
-            coh = Pi + p.PR + 2.0 * np.sqrt(np.maximum((1 - a) * Pi * p.PR, 0.0))
-            return np.minimum(0.5 * np.log2(1.0 + a * Pi / p.NR),
-                              0.5 * np.log2(1.0 + coh / (Nother_p + p.NR)))
-        return maximize_unimodal(obj, 0.0, 1.0)[1]
+        return best_power_split(Pi, p.PR, p.NR, Nother_p + p.NR)[0]
 
     return RatePoint(R1=one(p.P1, p.N2p), R2=one(p.P2, p.N1p))
 
@@ -164,18 +207,15 @@ def cutset_general(params: TwrcParams) -> RatePoint:
     Per user i, with input correlation rho between X_i and X_R:
       broadcast cut:  1/2 log2(1 + Pi (1 - rho^2) (1/NR + 1/N_other))
       MAC cut:        1/2 log2(1 + (Pi + PR + 2 rho sqrt(Pi PR)) / N_other)
-    maximized over rho in [0, 1]. Derivation documented in the README.
+    maximized over rho in [0, 1]: rho = 0 when MAC(0) >= BC(0), else the
+    crossing, a quadratic root (``_cut_crossing``). Derivation documented
+    in the README.
     """
     p = params
 
     def one(Pi: float, Nother: float) -> float:
-        def obj(rho):
-            bc = 0.5 * np.log2(
-                1.0 + Pi * (1.0 - rho * rho) * (1.0 / p.NR + 1.0 / Nother))
-            mac = 0.5 * np.log2(
-                1.0 + (Pi + p.PR + 2.0 * rho * np.sqrt(Pi * p.PR)) / Nother)
-            return np.minimum(bc, mac)
-        return maximize_unimodal(obj, 0.0, 1.0)[1]
+        a = Pi * (1.0 / p.NR + 1.0 / Nother)
+        return capacity_c(_cut_crossing(a, Pi, p.PR, Nother))
 
     return RatePoint(R1=one(p.P1, p.N2), R2=one(p.P2, p.N1))
 
@@ -187,18 +227,15 @@ def sample_twrc_params(scenario: int, rng: np.random.Generator,
     Scenario 1 draws physically degraded parameters (Ni = NR + Nip);
     scenario 2 draws stochastically degraded ones (Ni >= NR).
     """
-    def lu():
-        return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
-
-    Pa, Pb = lu(), lu()
+    # one draw of six, in the order six scalar draws would take them
+    Pa, Pb, PR, NR, x1, x2 = np.exp(
+        rng.uniform(math.log(lo), math.log(hi), 6)).tolist()
     P1, P2 = max(Pa, Pb), min(Pa, Pb)
-    PR = lu()
-    NR = lu()
     if scenario == 1:
         return TwrcParams.physically_degraded(P1=P1, P2=P2, PR=PR, NR=NR,
-                                              N1p=lu(), N2p=lu())
+                                              N1p=x1, N2p=x2)
     if scenario == 2:
-        return TwrcParams(P1=P1, P2=P2, PR=PR, N1=NR + lu(), N2=NR + lu(),
+        return TwrcParams(P1=P1, P2=P2, PR=PR, N1=NR + x1, N2=NR + x2,
                           NR=NR, mode="stochastic")
     raise ScenarioViolation(f"unknown scenario {scenario}")
 

@@ -26,7 +26,7 @@ from .chain import LatticeChain, build_chain, size_list_lattice
 from .channel import trial_rng, unique_decode, NestedListDecoder
 from .errors import ConfigInvalid
 from .lattice import TOL, enumerate_codebook, second_moment
-from .rates import maximize_unimodal
+from .rates import best_power_split
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,8 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
               for _ in range(params.B)] + [1]
 
     relay_w_hat: Optional[int] = None   # relay's decode of previous block
-    pending: Optional[tuple] = None     # (b-1, w, list result, messages set)
+    # block b-1's (index, message, list members, relay_ok, list size)
+    pending: Optional[tuple] = None
     transcript: list[BlockRecord] = []
     msg_errors = relay_errors = bin_errors = 0
 
@@ -281,7 +282,7 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
         resolved_ok = True
         intersect_size = 0
         if pending is not None:
-            b_prev, w_prev, prev_members = pending
+            b_prev, w_prev, prev_members, prev_relay_ok, prev_size = pending
             if s_hat is None:
                 cands = set()
             else:
@@ -292,9 +293,9 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
             if keep_transcript:
                 transcript.append(BlockRecord(
                     b=b_prev, w=w_prev, s=binning.bin_of(w_prev),
-                    relay_ok=relay_ok, bin_ok=bin_ok, list_size=lres.size,
+                    relay_ok=prev_relay_ok, bin_ok=bin_ok, list_size=prev_size,
                     intersect_size=intersect_size, resolved_ok=resolved_ok))
-        pending = (b, w_b, members)
+        pending = (b, w_b, members, relay_ok, lres.size)
 
     return DfRunResult(messages=params.B, message_errors=msg_errors,
                        relay_errors=relay_errors, bin_errors=bin_errors,
@@ -303,17 +304,12 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
 
 def df_capacity(P: float, PR: float, NR: float, N: float
                 ) -> tuple[float, float]:
-    """Decode-and-forward capacity of the degraded relay channel.
+    """Decode-and-forward capacity of the degraded relay channel,
+    max over alpha of min(C(alpha P/NR), C((P + PR + 2 sqrt((1-alpha) P PR))
+    / (N + NR))) (Cover and El Gamal, IEEE Trans. IT 1979), in closed form.
 
     Returns (rate in bits/use, maximizing power split alpha).
     """
     if min(P, NR, N) <= 0 or PR < 0:
         raise ValueError("parameters must be positive (PR may be 0)")
-
-    def obj(a):
-        coh = P + PR + 2.0 * np.sqrt(np.maximum((1 - a) * P * PR, 0.0))
-        return np.minimum(0.5 * np.log2(1.0 + a * P / NR),
-                          0.5 * np.log2(1.0 + coh / (N + NR)))
-
-    alpha, rate = maximize_unimodal(obj, 0.0, 1.0)
-    return rate, alpha
+    return best_power_split(P, PR, NR, N + NR)

@@ -19,6 +19,18 @@ def _rows(path):
         return list(csv.DictReader(fh))
 
 
+def _config_error(tmp_path, capsys, command, output, body, *flags):
+    """The command exits 2 with a one-line config error and writes no
+    output file."""
+    cfg = _write_cfg(tmp_path, body)
+    code = main([command, "--config", cfg, "--out", str(tmp_path),
+                 "--quiet", *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / output).exists()
+
+
 class TestChainInfo:
     CFG = "[chain-info]\np = 3\nn = 2\nranks = 0,1,2\n"
 
@@ -68,13 +80,7 @@ class TestP2pSim:
         assert _rows(tmp_path / "p2p.csv")[0]["trials"] == "37"
 
     def _config_error(self, tmp_path, capsys, body, *flags):
-        cfg = _write_cfg(tmp_path, body)
-        code = main(["p2p-sim", "--config", cfg, "--out", str(tmp_path),
-                     "--quiet", *flags])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("config error:") and "Traceback" not in err
-        assert not (tmp_path / "p2p.csv").exists()
+        _config_error(tmp_path, capsys, "p2p-sim", "p2p.csv", body, *flags)
 
     def test_nan_noise_is_config_error(self, tmp_path, capsys):
         self._config_error(tmp_path, capsys,
@@ -149,6 +155,15 @@ class TestRegions:
         root = ET.parse(tmp_path / "regions.svg").getroot()
         assert root.get("version") == "1.1"
 
+    def test_inf_relay_power_is_config_error(self, tmp_path, capsys):
+        _config_error(tmp_path, capsys, "regions", "regions.csv",
+                      self.CFG.replace("PR = 8.0", "PR = inf"))
+
+    def test_nan_noise_is_config_error(self, tmp_path, capsys):
+        _config_error(tmp_path, capsys, "regions", "regions.csv",
+                      "[regions]\nP1 = 4.0\nP2 = 2.0\nPR = 8.0\n"
+                      "N1 = nan\nN2 = 1.5\nNR = 1.0\n")
+
 
 class TestGaps:
     CFG = "[gaps]\nscenario = 1\ndraws = 150\n"
@@ -172,6 +187,14 @@ class TestGaps:
             (out2 / "gaps.csv").read_bytes()
         assert (out1 / "gaps.svg").read_bytes() == \
             (out2 / "gaps.svg").read_bytes()
+
+    def test_inverted_range_is_config_error(self, tmp_path, capsys):
+        _config_error(tmp_path, capsys, "gaps", "gaps.csv",
+                      self.CFG + "lo = 10\nhi = 1\n")
+
+    def test_zero_lower_end_is_config_error(self, tmp_path, capsys):
+        _config_error(tmp_path, capsys, "gaps", "gaps.csv",
+                      self.CFG + "lo = 0\n")
 
     def test_bad_scenario_config_error(self, tmp_path):
         cfg = _write_cfg(tmp_path, "[gaps]\nscenario = 7\ndraws = 5\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,16 +23,25 @@ from latrelay.rates import (
 from latrelay.relay import df_capacity
 
 
+def crossing(f_dec, g_inc, lo=0.0, hi=1.0):
+    """brentq root of f_dec - g_inc on [lo, hi], to brentq's relative
+    tolerance (the absolute one is set negligible, since optimal power
+    splits can be far smaller than 1e-14)."""
+    return brentq(lambda x: f_dec(x) - g_inc(x), lo, hi, xtol=1e-300)
+
+
 def max_min_crossing(f_dec, g_inc, lo=0.0, hi=1.0):
     """Oracle for max over x of min(f_dec(x), g_inc(x)) with f decreasing
     and g increasing: the optimum sits at an endpoint or at the crossing,
-    which brentq finds to near machine precision."""
+    which brentq finds to near machine precision. At the crossing it
+    returns the rising term, which in these objectives has no 1 - x^2
+    cancellation as x -> 1 (the falling broadcast cut of the general
+    cut-set bound loses up to 5e-12 bits there at ratios of 1e4)."""
     if f_dec(lo) <= g_inc(lo):
         return f_dec(lo)
     if f_dec(hi) >= g_inc(hi):
         return g_inc(hi)
-    x = brentq(lambda x: f_dec(x) - g_inc(x), lo, hi, xtol=1e-14)
-    return f_dec(x)
+    return g_inc(crossing(f_dec, g_inc, lo, hi))
 
 
 def cutset_degraded_oracle(p: TwrcParams) -> RatePoint:
@@ -54,11 +64,18 @@ def cutset_general_oracle(p: TwrcParams) -> RatePoint:
     return RatePoint(one(p.P1, p.N2), one(p.P2, p.N1))
 
 
+def df_terms(P, PR, NR, N):
+    """(falling, rising) terms of the DF max-min over the power split.
+    log1p keeps small rates accurate to their last bits, which the
+    crossing's position depends on when both terms are flat."""
+    C = lambda x: 0.5 * math.log1p(x) / math.log(2)
+    g = lambda a: C(a * P / NR)
+    f = lambda a: C((P + PR + 2 * math.sqrt((1 - a) * P * PR)) / (N + NR))
+    return f, g
+
+
 def df_capacity_oracle(P, PR, NR, N):
-    g = lambda a: 0.5 * math.log2(1 + a * P / NR)
-    f = lambda a: 0.5 * math.log2(
-        1 + (P + PR + 2 * math.sqrt((1 - a) * P * PR)) / (N + NR))
-    return max_min_crossing(f, g)
+    return max_min_crossing(*df_terms(P, PR, NR, N))
 
 
 def _draw(rng, scenario=1):
@@ -191,6 +208,101 @@ class TestDfCapacity:
     def test_symmetric_unit_case(self):
         rate, alpha = df_capacity(1.0, 1.0, 1.0, 1.0)
         assert rate == pytest.approx(0.5, abs=1e-6)
+
+
+class TestClosedForms:
+    """The closed-form optimisers against the brentq oracles within 1e-12
+    bits, on a grid of PR, NR and N' relative to the user's power: ratios
+    1e-4 to 1e4, PR = 0, and both branches (the endpoint optimum and the
+    interior crossing) of each optimiser."""
+
+    RATIOS = (1e-4, 1e-2, 1.0, 1e2, 1e4)
+    TOL = 1e-12
+
+    def grid(self):
+        for Pi in (0.01, 1.0, 100.0):
+            for pr, nr, nop in itertools.product((0.0,) + self.RATIOS,
+                                                 self.RATIOS, self.RATIOS):
+                yield Pi, pr * Pi, nr * Pi, nop * Pi
+
+    def test_degraded(self):
+        branches = set()
+        for Pi, PR, NR, Nop in self.grid():
+            p = TwrcParams.physically_degraded(Pi, Pi, PR, NR, Nop, Nop)
+            got, want = cutset_degraded(p), cutset_degraded_oracle(p)
+            assert abs(got.R1 - want.R1) <= self.TOL, (Pi, PR, NR, Nop)
+            assert got.R2 == got.R1
+            branches.add(Pi / NR <= (Pi + PR) / (Nop + NR))
+        assert branches == {True, False}
+
+    def test_general(self):
+        branches = set()
+        for Pi, PR, NR, Nop in self.grid():
+            p = TwrcParams(Pi, Pi, PR, NR + Nop, NR + Nop, NR,
+                           mode="stochastic")
+            got, want = cutset_general(p), cutset_general_oracle(p)
+            assert abs(got.R1 - want.R1) <= self.TOL, (Pi, PR, NR, Nop)
+            assert got.R2 == got.R1
+            branches.add((Pi + PR) / p.N1 >= Pi * (1 / NR + 1 / p.N1))
+        assert branches == {True, False}
+
+    def test_df_rate_and_alpha(self):
+        branches = set()
+        for P, PR, NR, N in self.grid():
+            rate, alpha = df_capacity(P, PR, NR, N)
+            assert abs(rate - df_capacity_oracle(P, PR, NR, N)) <= self.TOL
+            f, g = df_terms(P, PR, NR, N)
+            endpoint = f(1.0) >= g(1.0)
+            branches.add(endpoint)
+            if endpoint:
+                assert alpha == 1.0, (P, PR, NR, N)
+            else:
+                assert alpha == pytest.approx(crossing(f, g), rel=1e-12,
+                                              abs=0), (P, PR, NR, N)
+        assert branches == {True, False}
+
+    def test_branch_boundary(self):
+        # Exactly on the boundary both branches give the endpoint value.
+        p = TwrcParams.physically_degraded(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        assert cutset_degraded(p).R1 == capacity_c(1.0)
+        assert df_capacity(1.0, 1.0, 1.0, 1.0) == (capacity_c(1.0), 1.0)
+        q = TwrcParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        assert cutset_general(q).R1 == capacity_c(2.0)
+
+
+def _sample_reference(scenario, rng, lo=0.01, hi=100.0):
+    """Parameter draw with one scalar rng.uniform call per value."""
+    def lu():
+        return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+    Pa, Pb = lu(), lu()
+    P1, P2 = max(Pa, Pb), min(Pa, Pb)
+    PR = lu()
+    NR = lu()
+    if scenario == 1:
+        return TwrcParams.physically_degraded(P1=P1, P2=P2, PR=PR, NR=NR,
+                                              N1p=lu(), N2p=lu())
+    return TwrcParams(P1=P1, P2=P2, PR=PR, N1=NR + lu(), N2=NR + lu(),
+                      NR=NR, mode="stochastic")
+
+
+class TestSampleTwrcParams:
+    @pytest.mark.parametrize("scenario", [1, 2])
+    @pytest.mark.parametrize("lo,hi", [(0.01, 100.0), (1e-3, 5.0)])
+    def test_stream_matches_scalar_draws(self, scenario, lo, hi):
+        rng = np.random.default_rng(31 + scenario)
+        ref = np.random.default_rng(31 + scenario)
+        for _ in range(1000):
+            assert sample_twrc_params(scenario, rng, lo, hi) == \
+                _sample_reference(scenario, ref, lo, hi)
+
+    @pytest.mark.parametrize("field", ["P1", "P2", "PR", "N1", "N2", "NR"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_params_reject_non_finite(self, field, bad):
+        values = dict(P1=2.0, P2=1.0, PR=1.0, N1=1.0, N2=1.0, NR=0.5)
+        values[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TwrcParams(**values)
 
 
 class TestGapReport:

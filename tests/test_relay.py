@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import latrelay.relay as relay
 from latrelay.errors import Infeasible
 from latrelay.lattice import second_moment
 from latrelay.relay import (
@@ -100,6 +101,40 @@ class TestRoundTrip:
         cbs = build_df_codebooks(p, p=5, n=2, seed=3)
         res = df_round_trip(cbs, p, seed=3)
         assert res.message_errors == 0
+
+    def test_relay_miss_credited_to_its_block(self, monkeypatch):
+        # Noiseless run in which the relay decodes block 3 as another
+        # message of the same bin: only that block's relay decode is wrong,
+        # and the destination still resolves every message.
+        p = _params(NR=1e-12, N=1e-12, PR=50.0, alpha=0.3, B=6, R=2.0)
+        cbs = build_df_codebooks(p, p=5, n=2, seed=1)
+        seed, miss_block = 2, 3
+        binning = BinningMap(cbs.num_messages, cbs.num_bins, seed)
+        lam1 = cbs.message_chain[0]
+        real = relay.unique_decode
+        relay_calls = []
+
+        def decode(y, coarse, fine):
+            t = real(y, coarse, fine)
+            if coarse is not lam1:
+                return t
+            relay_calls.append(t)
+            if len(relay_calls) != miss_block:
+                return t
+            w = next(e.w for e in cbs.message_entries
+                     if np.allclose(e.t, t))
+            alt = next(e for e in cbs.message_entries if e.w != w
+                       and binning.bin_of(e.w) == binning.bin_of(w))
+            return alt.t
+
+        monkeypatch.setattr(relay, "unique_decode", decode)
+        res = df_round_trip(cbs, p, seed=seed)
+        assert len(relay_calls) == p.B + 1
+        assert res.relay_errors == 1
+        assert res.message_errors == 0 and res.bin_errors == 0
+        assert [rec.b for rec in res.transcript] == list(range(1, p.B + 1))
+        assert [rec.relay_ok for rec in res.transcript] == \
+            [b != miss_block for b in range(1, p.B + 1)]
 
     def test_determinism(self):
         p = _params(B=8)
