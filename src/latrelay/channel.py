@@ -26,6 +26,8 @@ from .lattice import (
     Lattice,
     codebook_points,
     is_sublattice,
+    mod_rows,
+    nearest_rows,
 )
 
 
@@ -66,32 +68,51 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
                                                         spawn_key=(trial,)))
 
 
-# The three maps below take one vector (n,) or a batch of rows (m, n).
+def block_draws(seed: int, blocks: int, dither_lattices, noise_vars
+                ) -> list[np.ndarray]:
+    """Per-block draws of the block-Markov simulators.
+
+    Block b = 1..``blocks`` draws one dither from each lattice's Voronoi
+    cell (``sample_voronoi``), then one Gaussian noise vector per variance,
+    in that order, from ``trial_rng(seed, b)``. Returns one (blocks, n)
+    array per draw, dithers first; row b-1 holds block b.
+    """
+    n = dither_lattices[0].n
+    out = [np.empty((blocks, n))
+           for _ in range(len(dither_lattices) + len(noise_vars))]
+    dithers, noises = out[:len(dither_lattices)], out[len(dither_lattices):]
+    for i in range(blocks):
+        rng = trial_rng(seed, i + 1)
+        for arr, lat in zip(dithers, dither_lattices):
+            arr[i] = lat.sample_voronoi(rng)
+        for arr, var in zip(noises, noise_vars):
+            arr[i] = rng.normal(0.0, math.sqrt(var), size=n)
+    return out
+
+
+# The maps below, and unique_decode, take one vector (n,) or a batch of
+# rows (m, n).
 
 def encode_dithered(t: np.ndarray, U: np.ndarray, coarse: Lattice) -> np.ndarray:
     """X = (t - U) mod Lambda. Requires t to lie in the coarse cell."""
     t = np.asarray(t, dtype=float)
     if not np.allclose(coarse.nearest_many(t), 0.0, atol=TOL):
         raise NotACodeword("t does not lie in the coarse fundamental region")
-    return _mod(coarse, t - U)
+    return mod_rows(coarse, t - U)
 
 
 def receiver_front_end(Y: np.ndarray, U: np.ndarray, P: float, N: float,
                        coarse: Lattice) -> np.ndarray:
     """Y' = (alpha Y + U) mod Lambda with the MMSE coefficient."""
     alpha = P / (P + N)
-    return _mod(coarse, alpha * np.asarray(Y, dtype=float) + U)
+    return mod_rows(coarse, alpha * np.asarray(Y, dtype=float) + U)
 
 
 def effective_noise(X: np.ndarray, Z: np.ndarray, P: float, N: float,
                     coarse: Lattice) -> np.ndarray:
     """Z' = (-(1-alpha) X + alpha Z) mod Lambda."""
     alpha = P / (P + N)
-    return _mod(coarse, -(1.0 - alpha) * X + alpha * Z)
-
-
-def _mod(lattice: Lattice, x: np.ndarray) -> np.ndarray:
-    return lattice.mod_many(x) if x.ndim == 2 else lattice.mod(x)
+    return mod_rows(coarse, -(1.0 - alpha) * X + alpha * Z)
 
 
 def _rows_in_lists(T: np.ndarray, lists: np.ndarray) -> np.ndarray:
@@ -187,8 +208,10 @@ def list_decode_q_form(y_prime: np.ndarray, coarse: ConstructionALattice,
 
 
 def unique_decode(y_prime: np.ndarray, coarse: Lattice, fine: Lattice) -> np.ndarray:
-    """Classic nested-lattice point decoder: Q_c(Y') mod Lambda."""
-    return coarse.mod(fine.nearest(np.asarray(y_prime, dtype=float)))
+    """Classic nested-lattice point decoder: Q_c(Y') mod Lambda, of one
+    observation (n,) or of each row of a batch (m, n)."""
+    return mod_rows(coarse,
+                    nearest_rows(fine, np.asarray(y_prime, dtype=float)))
 
 
 @dataclass

@@ -166,6 +166,31 @@ def cmd_p2p_sim(sec: _Section, args) -> int:
     return 0
 
 
+def _runs(sec: _Section, args) -> int:
+    runs = args.trials if args.trials else sec.get_int("runs", "1")
+    if runs < 1:
+        raise ConfigInvalid(f"[{sec.name}] runs must be >= 1, got {runs}")
+    return runs
+
+
+def _run_round_trips(round_trip, cbs, params, seed: int, runs: int,
+                     counts: tuple[str, ...]) -> tuple[list[int], list[str]]:
+    """Run ``round_trip`` on seeds seed, seed + 1, ..., ``runs`` times.
+
+    Returns the total of each result field named in ``counts`` and the
+    first run's transcript rows.
+    """
+    totals = [0] * len(counts)
+    transcript_rows = []
+    for run in range(runs):
+        res = round_trip(cbs, params, seed=seed + run,
+                         keep_transcript=(run == 0))
+        totals = [t + getattr(res, c) for t, c in zip(totals, counts)]
+        if run == 0:
+            transcript_rows = [rec.csv_row() for rec in res.transcript]
+    return totals, transcript_rows
+
+
 def cmd_relay_sim(sec: _Section, args) -> int:
     try:
         params = DegradedRelayParams(
@@ -177,19 +202,11 @@ def cmd_relay_sim(sec: _Section, args) -> int:
         raise ConfigInvalid(str(exc))
     p = sec.get_int("p")
     n = sec.get_int("n")
-    runs = args.trials if args.trials else sec.get_int("runs", "1")
+    runs = _runs(sec, args)
     cbs = build_df_codebooks(params, p, n, seed=args.seed)
-    msg = err = relay_err = bin_err = 0
-    transcript_rows = []
-    for run in range(runs):
-        res = df_round_trip(cbs, params, seed=args.seed + run,
-                            keep_transcript=(run == 0))
-        msg += res.messages
-        err += res.message_errors
-        relay_err += res.relay_errors
-        bin_err += res.bin_errors
-        if run == 0:
-            transcript_rows = [rec.csv_row() for rec in res.transcript]
+    (msg, err, relay_err, bin_err), transcript_rows = _run_round_trips(
+        df_round_trip, cbs, params, args.seed, runs,
+        ("messages", "message_errors", "relay_errors", "bin_errors"))
     _write_csv(args.out / "relay_blocks.csv", BlockRecord.CSV_COLUMNS,
                transcript_rows)
     pe = err / msg
@@ -218,21 +235,13 @@ def cmd_twrc_sim(sec: _Section, args) -> int:
         raise ConfigInvalid(str(exc))
     p = sec.get_int("p")
     n = sec.get_int("n")
-    runs = args.trials if args.trials else sec.get_int("runs", "1")
+    runs = _runs(sec, args)
     enforce = sec.get_bool("enforce_broadcast_rate", "true")
     cbs = build_twrc_codebooks(params, p, n, seed=args.seed,
                                enforce_broadcast_rate=enforce)
-    msg = e1 = e2 = se = 0
-    transcript_rows = []
-    for run in range(runs):
-        res = twrc_round_trip(cbs, params, seed=args.seed + run,
-                              keep_transcript=(run == 0))
-        msg += res.messages
-        e1 += res.errors_dir1
-        e2 += res.errors_dir2
-        se += res.sum_errors
-        if run == 0:
-            transcript_rows = [rec.csv_row() for rec in res.transcript]
+    (msg, e1, e2, se), transcript_rows = _run_round_trips(
+        twrc_round_trip, cbs, params, args.seed, runs,
+        ("messages", "errors_dir1", "errors_dir2", "sum_errors"))
     _write_csv(args.out / "twrc_blocks.csv", TwrcBlockRecord.CSV_COLUMNS,
                transcript_rows)
     _write_csv(args.out / "twrc_summary.csv",

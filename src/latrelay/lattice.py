@@ -337,6 +337,18 @@ class CodebookEntry:
     t: np.ndarray
 
 
+def nearest_rows(lattice: Lattice, x: np.ndarray) -> np.ndarray:
+    """:meth:`Lattice.nearest` of one vector (n,), or
+    :meth:`Lattice.nearest_many` of each row of a batch (m, n)."""
+    return lattice.nearest_many(x) if np.ndim(x) == 2 else lattice.nearest(x)
+
+
+def mod_rows(lattice: Lattice, x: np.ndarray) -> np.ndarray:
+    """:meth:`Lattice.mod` of one vector (n,), or :meth:`Lattice.mod_many`
+    of each row of a batch (m, n)."""
+    return lattice.mod_many(x) if np.ndim(x) == 2 else lattice.mod(x)
+
+
 def nearest_point(lattice: Lattice, x: np.ndarray) -> np.ndarray:
     return lattice.nearest(x)
 

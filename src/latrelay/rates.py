@@ -104,6 +104,10 @@ class TwrcParams:
         if self.mode == "physical":
             if self.N1p is None or self.N2p is None:
                 raise ValueError("physical degradation requires N1p and N2p")
+            if self.N1p < 0 or self.N2p < 0:
+                raise ValueError(
+                    "physical degradation requires N1p, N2p >= 0, got "
+                    f"N1p={self.N1p!r}, N2p={self.N2p!r}")
             if (abs(self.N1 - (self.NR + self.N1p)) > 1e-9 * self.N1
                     or abs(self.N2 - (self.NR + self.N2p)) > 1e-9 * self.N2):
                 raise ValueError("physical degradation requires Ni = NR + Nip")

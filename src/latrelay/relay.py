@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from .chain import LatticeChain, build_chain, size_list_lattice
-from .channel import trial_rng, unique_decode, NestedListDecoder
+from .channel import block_draws, trial_rng, unique_decode, NestedListDecoder
 from .errors import ConfigInvalid
 from .lattice import TOL, enumerate_codebook, second_moment
 from .rates import best_power_split
@@ -46,6 +44,14 @@ class DegradedRelayParams:
     RR: float
 
     def __post_init__(self):
+        values = (self.P, self.PR, self.NR, self.N, self.alpha, self.R,
+                  self.RR)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(
+                "powers, noise variances, alpha and rates must be finite, "
+                f"got P={self.P!r}, PR={self.PR!r}, NR={self.NR!r}, "
+                f"N={self.N!r}, alpha={self.alpha!r}, R={self.R!r}, "
+                f"RR={self.RR!r}")
         if min(self.P, self.PR, self.NR, self.N) <= 0:
             raise ValueError("powers and noise variances must be positive")
         if not 0.0 < self.alpha < 1.0:
@@ -115,6 +121,13 @@ def _rank_for_rate(p: int, n: int, rate: float) -> int:
 def _lookup(entries, gamma: float) -> dict:
     return {tuple(np.round(e.t / gamma).astype(int).tolist()): e.w
             for e in entries}
+
+
+def _indices(lookup: dict, points: np.ndarray, scale: float) -> np.ndarray:
+    """Index (1-based) of each row of ``points`` (m, n) under ``lookup``,
+    keyed by the point in units of ``scale``; 0 where it has none."""
+    keys = np.round(points / scale).astype(int).tolist()
+    return np.array([lookup.get(tuple(k), 0) for k in keys], dtype=np.int64)
 
 
 def build_df_codebooks(params: DegradedRelayParams, p: int, n: int,
@@ -202,7 +215,10 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
 
     Messages w_1..w_B are drawn uniformly; w_{B+1} = 1 flushes the last
     resolution index. Empty or ambiguous bin/list intersections count as
-    block errors, never aborts.
+    block errors, never aborts. Block b draws U1, U2, ZR, Z2' from
+    ``trial_rng(seed, b)`` (``block_draws``); every later step is one
+    batched call over all blocks, except the destination's list decodes,
+    which run block by block.
     """
     ch1, ch2 = codebooks.message_chain, codebooks.resolution_chain
     lam1, lam_s1, lam_c1 = ch1[0], ch1[1], ch1[2]
@@ -215,6 +231,8 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
     list_dec = NestedListDecoder(lam1, lam_s1, lam_c1)
     msg_of_point = _lookup(codebooks.message_entries, lam1.gamma)
     res_of_point = _lookup(codebooks.resolution_entries, lam2.gamma)
+    msg_points = np.array([e.t for e in codebooks.message_entries])
+    res_points = np.array([e.t for e in codebooks.resolution_entries])
 
     aP, abP = params.alpha * params.P, params.abar * params.P
     n_dest = params.N + params.NR
@@ -224,82 +242,84 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
     alpha_list = aP / (aP + n_dest)
 
     rng_msg = trial_rng(seed, 0)
-    w_true = [int(rng_msg.integers(1, codebooks.num_messages + 1))
-              for _ in range(params.B)] + [1]
+    B = params.B
+    w_true = np.array([int(rng_msg.integers(1, codebooks.num_messages + 1))
+                       for _ in range(B)] + [1])
 
-    relay_w_hat: Optional[int] = None   # relay's decode of previous block
-    # block b-1's (index, message, list members, relay_ok, list size)
-    pending: Optional[tuple] = None
+    def bins_of(w: np.ndarray) -> np.ndarray:
+        """Bin of each message index; -1 for index 0 (no message)."""
+        return np.where(w > 0, binning.table[w - 1], -1)
+
+    def sent_bins(w_prev: np.ndarray) -> np.ndarray:
+        """Bin sent in each block, given the message decoded in the block
+        before: 1 in block 1 and when that decode found no message."""
+        return np.concatenate([[1], np.maximum(bins_of(w_prev[:-1]), 1)])
+
+    # Row b-1 holds block b.
+    U1, U2, ZR, Z2p = block_draws(seed, B + 1, (lam1, lam2),
+                                  (params.NR, params.N))
+    s_true = sent_bins(w_true)
+    t1 = msg_points[w_true - 1]
+    X1 = lam1.mod_many(t1 - U1)
+    X2 = lam2.mod_many(res_points[s_true - 1] - U2)
+    YR = X1 + X2 + ZR
+
+    # Relay: its resolution signal V for the bin it sends, and its decode
+    # of the fresh message after subtracting V. A block depends on earlier
+    # ones only through the bin it sends, so every block first runs as if
+    # the relay's previous decode were right; then the blocks whose bin
+    # changed run again until none does. Block 1 always sends bin 1, so each
+    # pass fixes at least one more block.
+    s_relay = s_true
+    V = np.empty_like(U2)
+    w_relay = np.zeros(B + 1, dtype=np.int64)
+    rows = np.arange(B + 1)
+    while rows.size:
+        V[rows] = lam2.mod_many(res_points[s_relay[rows] - 1] - U2[rows])
+        y = lam1.mod_many(alpha_relay * (YR[rows] - V[rows]) + U1[rows])
+        w_relay[rows] = _indices(msg_of_point,
+                                 unique_decode(y, lam1, lam_c1), lam1.gamma)
+        implied = sent_bins(w_relay)
+        rows = np.flatnonzero(implied != s_relay)
+        s_relay = implied
+    relay_ok = (w_relay == w_true) & (s_relay == s_true)
+
+    # Destination: decode the bin, subtract its signal, list decode.
+    Y2 = X1 + X2 + rho * V + ZR + Z2p
+    y_bin = lam2k.mod_many(beta * Y2 + kappa * U2)
+    s_hat = _indices(res_of_point, unique_decode(y_bin, lam2k, lam_c2k),
+                     kappa * lam2.gamma)
+    bin_ok = s_hat == s_true
+    X2_hat = kappa * lam2.mod_many(res_points[np.maximum(s_hat, 1) - 1] - U2)
+    y_list = lam1.mod_many(alpha_list * (Y2 - X2_hat) + U1)
+    lists = np.array([list_dec.decode(y, truth=t).points
+                      for y, t in zip(y_list, t1)])
+    size = lists.shape[1]
+    members = _indices(msg_of_point, lists.reshape(-1, lam1.n),
+                       lam1.gamma).reshape(B + 1, size)
+
+    # Block b+1 resolves block b (rows :B): the list members of block b
+    # that fall in the bin decoded in block b+1.
+    cands = bins_of(members[:B]) == s_hat[1:, None]
+    intersect_size = cands.sum(axis=1)
+    resolved_ok = ((intersect_size == 1)
+                   & (members[np.arange(B), cands.argmax(axis=1)]
+                      == w_true[:B]))
+
     transcript: list[BlockRecord] = []
-    msg_errors = relay_errors = bin_errors = 0
-
-    for b in range(1, params.B + 2):
-        rng = trial_rng(seed, b)
-        w_b = w_true[b - 1]
-        s_b = binning.bin_of(w_true[b - 2]) if b > 1 else 1
-        s_relay = binning.bin_of(relay_w_hat) if b > 1 and relay_w_hat else 1
-
-        U1 = lam1.sample_voronoi(rng)
-        U2 = lam2.sample_voronoi(rng)
-        t1 = codebooks.message_entries[w_b - 1].t
-        t2 = codebooks.resolution_entries[s_b - 1].t
-        X1 = lam1.mod(t1 - U1)
-        X2 = lam2.mod(t2 - U2)
-        t2_relay = codebooks.resolution_entries[s_relay - 1].t
-        XR = rho * lam2.mod(t2_relay - U2)
-        ZR = rng.normal(0.0, math.sqrt(params.NR), size=lam1.n)
-        Z2p = rng.normal(0.0, math.sqrt(params.N), size=lam1.n)
-
-        # Relay: subtract its own resolution signal, decode the fresh message.
-        YR = X1 + X2 + ZR
-        y = YR - lam2.mod(t2_relay - U2)
-        t1_hat_r = unique_decode(lam1.mod(alpha_relay * y + U1), lam1, lam_c1)
-        w_hat_relay = msg_of_point.get(
-            tuple(np.round(t1_hat_r / lam1.gamma).astype(int).tolist()))
-        relay_ok = (w_hat_relay == w_b) and (s_relay == s_b)
-        relay_errors += not relay_ok
-        relay_w_hat = w_hat_relay
-
-        # Destination.
-        Y2 = X1 + X2 + XR + ZR + Z2p
-        y_bin = lam2k.mod(beta * Y2 + kappa * U2)
-        t2k_hat = unique_decode(y_bin, lam2k, lam_c2k)
-        s_hat = res_of_point.get(
-            tuple(np.round(t2k_hat / (kappa * lam2.gamma)).astype(int).tolist()))
-        bin_ok = s_hat == s_b
-        bin_errors += not bin_ok
-
-        t2_hat = codebooks.resolution_entries[(s_hat or 1) - 1].t
-        X2_hat = kappa * lam2.mod(t2_hat - U2)
-        y_list = lam1.mod(alpha_list * (Y2 - X2_hat) + U1)
-        lres = list_dec.decode(y_list, truth=t1)
-        members = {w for w in
-                   (msg_of_point.get(tuple(np.round(pt / lam1.gamma)
-                                           .astype(int).tolist()))
-                    for pt in lres.points) if w is not None}
-
-        # Resolve the previous block's message against the fresh bin index.
-        resolved_ok = True
-        intersect_size = 0
-        if pending is not None:
-            b_prev, w_prev, prev_members, prev_relay_ok, prev_size = pending
-            if s_hat is None:
-                cands = set()
-            else:
-                cands = {w for w in prev_members if binning.bin_of(w) == s_hat}
-            intersect_size = len(cands)
-            resolved_ok = (len(cands) == 1 and next(iter(cands)) == w_prev)
-            msg_errors += not resolved_ok
-            if keep_transcript:
-                transcript.append(BlockRecord(
-                    b=b_prev, w=w_prev, s=binning.bin_of(w_prev),
-                    relay_ok=prev_relay_ok, bin_ok=bin_ok, list_size=prev_size,
-                    intersect_size=intersect_size, resolved_ok=resolved_ok))
-        pending = (b, w_b, members, relay_ok, lres.size)
-
-    return DfRunResult(messages=params.B, message_errors=msg_errors,
-                       relay_errors=relay_errors, bin_errors=bin_errors,
-                       transcript=transcript)
+    if keep_transcript:
+        transcript = [
+            BlockRecord(b=b + 1, w=w, s=s, relay_ok=r_ok, bin_ok=b_ok,
+                        list_size=size, intersect_size=k, resolved_ok=ok)
+            for b, w, s, r_ok, b_ok, k, ok in zip(
+                range(B), w_true[:B].tolist(), s_true[1:].tolist(),
+                relay_ok[:B].tolist(), bin_ok[1:].tolist(),
+                intersect_size.tolist(), resolved_ok.tolist())]
+    return DfRunResult(
+        messages=B, message_errors=B - int(np.count_nonzero(resolved_ok)),
+        relay_errors=B + 1 - int(np.count_nonzero(relay_ok)),
+        bin_errors=B + 1 - int(np.count_nonzero(bin_ok)),
+        transcript=transcript)
 
 
 def df_capacity(P: float, PR: float, NR: float, N: float

@@ -21,12 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import build_chain, size_list_lattice
-from .channel import trial_rng, NestedListDecoder
+from .channel import block_draws, trial_rng, NestedListDecoder
 from .errors import Infeasible, NotNested
 from .lattice import (
     ConstructionALattice,
     enumerate_codebook,
     is_sublattice,
+    mod_rows,
+    nearest_rows,
     second_moment,
 )
 from .rates import RatePoint, TwrcParams, capacity_c
@@ -41,8 +43,9 @@ def twrc_region(params: TwrcParams) -> RatePoint:
 def sum_codeword(t1: np.ndarray, t2: np.ndarray, U2: np.ndarray,
                  lam1: ConstructionALattice, lam2: ConstructionALattice
                  ) -> np.ndarray:
-    """T = (t1 + t2 - Q2(t2 + U2)) mod Lambda_1."""
-    return lam1.mod(t1 + t2 - lam2.nearest(t2 + U2))
+    """T = (t1 + t2 - Q2(t2 + U2)) mod Lambda_1, of one vector (n,) or of
+    each row of a batch (m, n)."""
+    return mod_rows(lam1, t1 + t2 - nearest_rows(lam2, t2 + U2))
 
 
 def recover_t1_from_sum(T: np.ndarray, t2: np.ndarray, U2: np.ndarray,
@@ -74,6 +77,9 @@ class TwrcSimParams:
     B: int
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.R1, self.R2, self.R)):
+            raise ValueError(f"rates must be finite, got R1={self.R1!r}, "
+                             f"R2={self.R2!r}, R={self.R!r}")
         if self.R1 < 0 or self.R2 < 0 or self.R < 0:
             raise ValueError("rates must be nonnegative")
         if self.B < 2:
@@ -104,9 +110,13 @@ class TwrcCodebooks:
     def num_bins(self) -> int:
         return self.relay_codebook.shape[0]
 
-    def bin_of_sum(self, T: np.ndarray) -> int:
-        key = tuple(np.round(T / self.lam1.gamma).astype(int).tolist())
-        return int(self.bin_table[self._sum_index[key]])
+    def bin_of_sum(self, T: np.ndarray):
+        """Bin (1-based) of a sum codeword (n,), as an int, or of each row
+        of a batch (m, n), as an integer array."""
+        keys = np.round(T / self.lam1.gamma).astype(int).tolist()
+        if np.ndim(T) == 1:
+            return int(self.bin_table[self._sum_index[tuple(keys)]])
+        return self.bin_table[[self._sum_index[tuple(k)] for k in keys]]
 
     def __post_init__(self):
         self._sum_index = {
@@ -184,12 +194,13 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
 
 def relay_decode_sum(YR: np.ndarray, U1: np.ndarray, U2: np.ndarray,
                      cbs: TwrcCodebooks, NR: float) -> np.ndarray:
-    """MMSE-scaled lattice decode of the dithered sum codeword."""
+    """MMSE-scaled lattice decode of the dithered sum codeword, from one
+    observation (n,) or from each row of a batch (m, n)."""
     fine = cbs.lam_c1 if cbs.lam_c1.k >= cbs.lam_c2.k else cbs.lam_c2
     psum = cbs.power1 + cbs.power2
     alpha = psum / (psum + NR)
-    y = cbs.lam1.mod(alpha * YR + U1 - U2)
-    return cbs.lam1.mod(fine.nearest(y))
+    y = mod_rows(cbs.lam1, alpha * YR + U1 - U2)
+    return mod_rows(cbs.lam1, nearest_rows(fine, y))
 
 
 @dataclass
@@ -230,8 +241,19 @@ class TwrcRunResult:
         return self.errors_dir2 / self.messages
 
 
-def _min_distance_index(y: np.ndarray, codebook: np.ndarray) -> int:
-    return int(np.argmin(np.sum((codebook - y[None, :]) ** 2, axis=1))) + 1
+def _min_distance_index(Y: np.ndarray, codebook: np.ndarray) -> np.ndarray:
+    """1-based index of the codebook row nearest to each row of Y (m, n)."""
+    d = np.sum((codebook - Y[:, None, :]) ** 2, axis=2)
+    return np.argmin(d, axis=1) + 1
+
+
+def _unique_match_is(match: np.ndarray, lists: np.ndarray,
+                     truth: np.ndarray) -> np.ndarray:
+    """Per block: exactly one list member matches the bin (match is
+    (m, size)), and it equals the truth as ``np.allclose(atol=1e-6)``."""
+    first = lists[np.arange(len(lists)), match.argmax(axis=1)]
+    return ((match.sum(axis=1) == 1)
+            & np.all(np.isclose(first, truth, atol=1e-6), axis=1))
 
 
 def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
@@ -239,7 +261,11 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
     """Simulate B message blocks plus one flush block.
 
     Per direction, the block-(b-1) message is recovered at the end of block
-    b; empty or ambiguous bin intersections count as errors.
+    b; empty or ambiguous bin intersections count as errors. Block b draws
+    U1, U2, ZR, Z1, Z2 from ``trial_rng(seed, b)`` (``block_draws``).
+    The relay's sum decode in a block does not depend on earlier blocks, so
+    every step after the draws is one batched call over all blocks; only
+    the list decodes run block by block.
     """
     ch = params.channel
     lam1, lam2 = cbs.lam1, cbs.lam2
@@ -252,84 +278,64 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
     B = params.B
     w1s = [int(rng_msg.integers(1, len(cbs.entries1) + 1)) for _ in range(B)] + [1]
     w2s = [int(rng_msg.integers(1, len(cbs.entries2) + 1)) for _ in range(B)] + [1]
+    # Row b-1 holds block b.
+    U1, U2, ZR, Z1, Z2 = block_draws(seed, B + 1, (lam1, lam2),
+                                     (ch.NR, ch.N1, ch.N2))
+    t1 = np.array([cbs.entries1[w - 1].t for w in w1s])
+    t2 = np.array([cbs.entries2[w - 1].t for w in w2s])
+    X1 = lam1.mod_many(t1 - U1)
+    X2 = lam2.mod_many(t2 + U2)
 
-    relay_s_hat = 1            # relay's bin for the previous block's sum
-    pending = None             # block b-1 state needed for resolution at b
-    errors1 = errors2 = sum_errors = 0
+    # Relay: decode each block's sum, bin it for the next block.
+    T_true = sum_codeword(t1, t2, U2, lam1, lam2)
+    T_hat = relay_decode_sum(X1 + X2 + ZR, U1, U2, cbs, ch.NR)
+    sum_ok = np.all(np.isclose(T_hat, T_true, atol=1e-6), axis=1)
+    relay_s = np.concatenate([[1], cbs.bin_of_sum(T_hat)[:-1]])
+    XR = cbs.relay_codebook[relay_s - 1]
+
+    # Terminals: own transmit signal is dropped by the channel model.
+    Y1 = XR + X2 + Z1
+    Y2 = XR + X1 + Z2
+    s1_hat = _min_distance_index(Y1, cbs.relay_codebook)
+    s2_hat = _min_distance_index(Y2, cbs.relay_codebook)
+    obs1 = Y1 - cbs.relay_codebook[s1_hat - 1]
+    obs2 = Y2 - cbs.relay_codebook[s2_hat - 1]
+
+    # Block b+1 resolves block b (rows :B): each terminal list decodes the
+    # other's codeword from its stored direct observation, then keeps the
+    # members whose implied sum falls in the fresh bin index.
+    t1p, t2p, U2p = t1[:B], t2[:B], U2[:B]
+    ylist1 = lam1.mod_many(a1 * obs2[:B] + U1[:B])
+    ylist2 = lam2.mod_many(a2 * obs1[:B] - U2p)
+    L1 = np.array([dec1.decode(y, truth=t).points
+                   for y, t in zip(ylist1, t1p)])
+    L2 = np.array([dec2.decode(y, truth=t).points
+                   for y, t in zip(ylist2, t2p)])
+    l1, l2, n = L1.shape[1], L2.shape[1], lam1.n
+    # The block of each list member, direction 1's members first.
+    of1, of2 = np.repeat(np.arange(B), l1), np.repeat(np.arange(B), l2)
+    member_bins = cbs.bin_of_sum(sum_codeword(
+        np.concatenate([L1.reshape(-1, n), t1p[of2]]),
+        np.concatenate([t2p[of1], L2.reshape(-1, n)]),
+        U2p[np.concatenate([of1, of2])], lam1, lam2))
+    bins1 = member_bins[:B * l1].reshape(B, l1)
+    bins2 = member_bins[B * l1:].reshape(B, l2)
+    resolve1_ok = _unique_match_is(bins1 == s2_hat[1:, None], L1, t1p)
+    resolve2_ok = _unique_match_is(bins2 == s1_hat[1:, None], L2, t2p)
+    prev_bin = cbs.bin_of_sum(T_true[:B])
+    bin_ok = (s1_hat[1:] == prev_bin) & (s2_hat[1:] == prev_bin)
+
     transcript: list[TwrcBlockRecord] = []
-    prev_obs1 = prev_obs2 = None
-    prev_sum_ok = True
-
-    for b in range(1, B + 2):
-        rng = trial_rng(seed, b)
-        w1, w2 = w1s[b - 1], w2s[b - 1]
-        t1 = cbs.entries1[w1 - 1].t
-        t2 = cbs.entries2[w2 - 1].t
-        U1 = lam1.sample_voronoi(rng)
-        U2 = lam2.sample_voronoi(rng)
-        X1 = lam1.mod(t1 - U1)
-        X2 = lam2.mod(t2 + U2)
-        XR = cbs.relay_codebook[relay_s_hat - 1]
-        ZR = rng.normal(0.0, math.sqrt(ch.NR), size=lam1.n)
-        Z1 = rng.normal(0.0, math.sqrt(ch.N1), size=lam1.n)
-        Z2 = rng.normal(0.0, math.sqrt(ch.N2), size=lam1.n)
-
-        # Relay: decode this block's sum, bin it for the next block.
-        YR = X1 + X2 + ZR
-        T_true = sum_codeword(t1, t2, U2, lam1, lam2)
-        T_hat = relay_decode_sum(YR, U1, U2, cbs, ch.NR)
-        sum_ok = bool(np.allclose(T_hat, T_true, atol=1e-6))
-        sum_errors += not sum_ok
-        relay_s_hat = cbs.bin_of_sum(T_hat)
-
-        # Terminals: own transmit signal is dropped by the channel model.
-        Y1 = XR + X2 + Z1
-        Y2 = XR + X1 + Z2
-        s1_hat = _min_distance_index(Y1, cbs.relay_codebook)
-        s2_hat = _min_distance_index(Y2, cbs.relay_codebook)
-        obs1 = Y1 - cbs.relay_codebook[s1_hat - 1]
-        obs2 = Y2 - cbs.relay_codebook[s2_hat - 1]
-
-        bin_ok = True
-        resolve1_ok = resolve2_ok = True
-        l1size = l2size = 0
-        if pending is not None:
-            w1p, w2p, t1p, t2p, U1p, U2p = pending
-
-            # Terminal 2 resolves w1(b-1): list decode t1 from the stored
-            # direct observation, then intersect with the fresh bin index.
-            ylist = lam1.mod(a1 * prev_obs2 + U1p)
-            lres1 = dec1.decode(ylist, truth=t1p)
-            l1size = lres1.size
-            matches = [pt for pt in lres1.points
-                       if cbs.bin_of_sum(sum_codeword(pt, t2p, U2p,
-                                                      lam1, lam2)) == s2_hat]
-            resolve1_ok = (len(matches) == 1
-                           and np.allclose(matches[0], t1p, atol=1e-6))
-            errors1 += not resolve1_ok
-
-            # Terminal 1 resolves w2(b-1) symmetrically.
-            yl2 = lam2.mod(a2 * prev_obs1 - U2p)
-            lres2 = dec2.decode(yl2, truth=t2p)
-            l2size = lres2.size
-            matches2 = [pt for pt in lres2.points
-                        if cbs.bin_of_sum(sum_codeword(t1p, pt, U2p,
-                                                       lam1, lam2)) == s1_hat]
-            resolve2_ok = (len(matches2) == 1
-                           and np.allclose(matches2[0], t2p, atol=1e-6))
-            errors2 += not resolve2_ok
-
-            prev_bin = cbs.bin_of_sum(sum_codeword(t1p, t2p, U2p, lam1, lam2))
-            bin_ok = (s1_hat == prev_bin and s2_hat == prev_bin)
-            if keep_transcript:
-                transcript.append(TwrcBlockRecord(
-                    b=b - 1, w1=w1p, w2=w2p, sum_ok=prev_sum_ok, bin_ok=bin_ok,
-                    list1_size=l1size, list2_size=l2size,
-                    resolve1_ok=resolve1_ok, resolve2_ok=resolve2_ok))
-
-        pending = (w1, w2, t1, t2, U1, U2)
-        prev_obs1, prev_obs2 = obs1, obs2
-        prev_sum_ok = sum_ok
-
-    return TwrcRunResult(messages=B, errors_dir1=errors1, errors_dir2=errors2,
-                         sum_errors=sum_errors, transcript=transcript)
+    if keep_transcript:
+        transcript = [
+            TwrcBlockRecord(b=b + 1, w1=w1s[b], w2=w2s[b], sum_ok=ok_s,
+                            bin_ok=ok_b, list1_size=l1, list2_size=l2,
+                            resolve1_ok=ok1, resolve2_ok=ok2)
+            for b, ok_s, ok_b, ok1, ok2 in zip(
+                range(B), sum_ok[:B].tolist(), bin_ok.tolist(),
+                resolve1_ok.tolist(), resolve2_ok.tolist())]
+    return TwrcRunResult(messages=B,
+                         errors_dir1=B - int(np.count_nonzero(resolve1_ok)),
+                         errors_dir2=B - int(np.count_nonzero(resolve2_ok)),
+                         sum_errors=B + 1 - int(np.count_nonzero(sum_ok)),
+                         transcript=transcript)

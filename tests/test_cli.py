@@ -112,6 +112,18 @@ class TestRelaySim:
         assert main(["relay-sim", "--config", cfg,
                      "--out", str(tmp_path), "--quiet"]) == 2
 
+    def test_inf_power_is_config_error(self, tmp_path, capsys):
+        _config_error(tmp_path, capsys, "relay-sim", "relay_summary.csv",
+                      self.CFG.replace("P = 2.0", "P = inf"))
+
+    def test_nan_relay_noise_is_config_error(self, tmp_path, capsys):
+        _config_error(tmp_path, capsys, "relay-sim", "relay_summary.csv",
+                      self.CFG.replace("NR = 1e-12", "NR = nan"))
+
+    def test_zero_runs_is_config_error(self, tmp_path, capsys):
+        _config_error(tmp_path, capsys, "relay-sim", "relay_summary.csv",
+                      self.CFG + "runs = 0\n")
+
 
 class TestTwrcSim:
     CFG = ("[twrc-sim]\nP1 = 4.0\nP2 = 4.0\nPR = 200.0\n"
@@ -138,6 +150,10 @@ class TestTwrcSim:
         assert main(["twrc-sim", "--config", cfg,
                      "--out", str(tmp_path), "--quiet"]) == 3
 
+    def test_nan_rate_is_config_error(self, tmp_path, capsys):
+        _config_error(tmp_path, capsys, "twrc-sim", "twrc_summary.csv",
+                      self.CFG.replace("R1 = 0.8", "R1 = nan"))
+
 
 class TestRegions:
     CFG = ("[regions]\nmode = physical\nP1 = 4.0\nP2 = 2.0\nPR = 8.0\n"
@@ -163,6 +179,10 @@ class TestRegions:
         _config_error(tmp_path, capsys, "regions", "regions.csv",
                       "[regions]\nP1 = 4.0\nP2 = 2.0\nPR = 8.0\n"
                       "N1 = nan\nN2 = 1.5\nNR = 1.0\n")
+
+    def test_negative_physical_noise_is_config_error(self, tmp_path, capsys):
+        _config_error(tmp_path, capsys, "regions", "regions.csv",
+                      self.CFG.replace("N1p = 1.0", "N1p = -0.5"))
 
 
 class TestGaps:
