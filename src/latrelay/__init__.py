@@ -15,17 +15,12 @@ from .lattice import (
     enumerate_codebook,
     integer_lattice,
     is_sublattice,
-    mod_lattice,
-    nearest_point,
-    sample_uniform_voronoi,
     second_moment,
 )
 from .chain import LatticeChain, build_chain, size_list_lattice
 from .channel import (
     AwgnParams,
     NestedListDecoder,
-    list_decode,
-    list_decode_q_form,
     simulate_p2p,
     unique_decode,
 )

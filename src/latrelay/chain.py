@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gf
 from .errors import Infeasible, InvalidRanks
-from .lattice import ConstructionALattice, is_sublattice
+from .lattice import SCAN_ELEMENTS, ConstructionALattice, is_sublattice
 
 
 def shortest_vector_norm(p: int, rows: np.ndarray) -> tuple[float, int]:
@@ -45,28 +45,57 @@ def pick_generator_rows(p: int, n: int, kmax: int, seed: int = 0,
 
     Rank by rank, the next row is the sampled candidate (independent of the
     rows so far) that maximizes the shortest-vector norm of the enlarged
-    code, breaking ties toward fewer minimal vectors. A single fixed draw
-    per seed is used throughout the toolkit.
+    code, breaking ties toward fewer minimal vectors and then toward the
+    earlier candidate; the score is :func:`shortest_vector_norm`'s. A
+    single fixed draw per seed is used throughout the toolkit.
+
+    The codewords of the rows so far are kept. A candidate adds the
+    codewords cw + c cand, c = 1..p-1, so each rank scores all of its
+    candidates from those, in chunks of about SCAN_ELEMENTS coordinates.
     """
     gf.check_prime(p)
     if not 0 <= kmax <= n:
         raise InvalidRanks(f"kmax = {kmax} outside [0, {n}]")
     rng = np.random.default_rng(seed)
+    residues = np.arange(p)
+    lift_sq = np.minimum(residues, p - residues) ** 2   # centered lift
+    # cw + c cand is minus (-cw) + (p - c) cand, of the same norm, so for
+    # odd p the coefficients up to (p - 1) / 2 see every norm twice.
+    coeffs = np.arange(1, p // 2 + 1)
+    weight = 1 if p == 2 else 2
+    big = p ** n + 2 * n + 1                 # above any multiplicity
     rows = np.zeros((0, n), dtype=np.int64)
+    cw = np.zeros((1, n), dtype=np.int64)    # codewords of rows, 0 first
     for _ in range(kmax):
-        best_row, best_score = None, None
-        for _ in range(candidates):
-            cand = rng.integers(0, p, size=n, dtype=np.int64)
-            trial = np.vstack([rows, cand[None, :]])
-            if gf.rank(trial, p) != trial.shape[0]:
-                continue
-            norm, mult = shortest_vector_norm(p, trial)
-            score = (norm, -mult)
-            if best_score is None or score > best_score:
-                best_score, best_row = score, cand
+        cands = np.array([rng.integers(0, p, size=n, dtype=np.int64)
+                          for _ in range(candidates)])
+        free = ~gf.in_rowspan_many(rows, cands, p)
+        old = lift_sq[cw[1:]].sum(axis=1)
+        # At rank 0 there is no nonzero codeword: a minimum above any norm.
+        old_min = old.min() if len(old) else n * p * p + 1
+        old_mult = np.count_nonzero(old == old_min)
+        chunk = max(1, SCAN_ELEMENTS // (len(coeffs) * cw.size))
+        best_key, best_row = -1, None
+        for lo in range(0, candidates, chunk):
+            cand = cands[lo:lo + chunk]
+            new = cw + coeffs[:, None, None] * cand[:, None, None, :]
+            sq = lift_sq[new % p].sum(axis=3).reshape(len(cand), -1)
+            new_min = sq.min(axis=1)
+            short = np.minimum(new_min, old_min)
+            mult = (np.where(new_min == short, weight * np.count_nonzero(
+                sq == new_min[:, None], axis=1), 0)
+                + np.where(old_min == short, old_mult, 0))
+            # Beyond norm p, the shortest vectors are the 2n of p Z^n.
+            mult = np.where(short > p * p, 2 * n, mult)
+            key = np.where(free[lo:lo + chunk],
+                           np.minimum(short, p * p) * big - mult, -1)
+            i = int(key.argmax())
+            if key[i] > best_key:
+                best_key, best_row = key[i], cand[i]
         if best_row is None:
             raise InvalidRanks("could not extend rows to requested rank")
         rows = np.vstack([rows, best_row[None, :]])
+        cw = np.concatenate([(cw + c * best_row) % p for c in range(p)])
     return rows
 
 

@@ -2,12 +2,8 @@
 
 The decoder outputs the fixed-size set of fine-lattice points falling in
 the intermediate lattice's cell around the MMSE-scaled observation,
-reduced mod the coarse lattice. Two implementations are provided: the
-production decoder walks the V_s/V_c cosets of the intermediate lattice
-inside the fine lattice, while the alternate form scans an inflated box
-around the observation and applies the shifted-cell membership test
-directly. Both are exact and must agree everywhere except cell
-boundaries (measure zero).
+reduced mod the coarse lattice. It walks the V_s/V_c cosets of the
+intermediate lattice inside the fine lattice.
 """
 
 from __future__ import annotations
@@ -18,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import gf
-from .errors import EnumerationBudgetExceeded, NotACodeword
+from .errors import NotACodeword
 from .lattice import (
     TOL,
     ConstructionALattice,
@@ -157,54 +152,6 @@ class NestedListDecoder:
             if truth is not None else None
         return ListDecodeResult(points=members[0], size=members.shape[1],
                                 contains_truth=contains)
-
-
-def list_decode(y_prime: np.ndarray, coarse: ConstructionALattice,
-                mid: ConstructionALattice, fine: ConstructionALattice,
-                truth: Optional[np.ndarray] = None) -> ListDecodeResult:
-    """One-shot wrapper around :class:`NestedListDecoder`."""
-    return NestedListDecoder(coarse, mid, fine).decode(y_prime, truth)
-
-
-def _fine_points_in_box(fine: ConstructionALattice, center: np.ndarray,
-                        halfwidth: float, budget: int) -> np.ndarray:
-    """All fine-lattice points with coordinates in center +- halfwidth."""
-    g = fine.gamma
-    lo = np.ceil((center - halfwidth) / g - 1e-12).astype(int)
-    hi = np.floor((center + halfwidth) / g + 1e-12).astype(int)
-    counts = hi - lo + 1
-    if np.prod(counts.astype(float)) > budget:
-        raise EnumerationBudgetExceeded(
-            f"box scan of {np.prod(counts.astype(float)):.3g} points "
-            f"exceeds budget {budget}")
-    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, fine.n)
-    keep = gf.in_rowspan_many(fine.rows, grid % fine.p, fine.p)
-    return g * grid[keep].astype(float)
-
-
-def list_decode_q_form(y_prime: np.ndarray, coarse: ConstructionALattice,
-                       mid: ConstructionALattice, fine: ConstructionALattice,
-                       truth: Optional[np.ndarray] = None,
-                       budget: int = 2_000_000) -> ListDecodeResult:
-    """Alternate decoder: membership test y_prime in (lambda_c + V_s).
-
-    Scans every fine point in the box around y_prime circumscribing V_s
-    inflated by the fine lattice's covering box, keeps those lambda_c with
-    Q_s(y_prime - lambda_c) = 0, and reduces mod the coarse lattice.
-    """
-    y_prime = np.asarray(y_prime, dtype=float)
-    halfwidth = mid.voronoi_box_halfwidth() + fine.voronoi_box_halfwidth()
-    cand = _fine_points_in_box(fine, y_prime, halfwidth, budget)
-    q = mid.nearest_many(y_prime[None, :] - cand)
-    keep = np.all(np.abs(q) <= TOL, axis=1)
-    members = coarse.mod_many(cand[keep])
-    members = np.unique(np.round(members, 9), axis=0)
-    contains = bool(_rows_in_lists(np.asarray(truth, dtype=float)[None, :],
-                                   members[None])[0]) \
-        if truth is not None else None
-    return ListDecodeResult(points=members, size=len(members),
-                            contains_truth=contains)
 
 
 def unique_decode(y_prime: np.ndarray, coarse: Lattice, fine: Lattice) -> np.ndarray:

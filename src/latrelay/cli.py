@@ -154,6 +154,8 @@ def cmd_p2p_sim(sec: _Section, args) -> int:
         raise ConfigInvalid("[p2p-sim] ranks must list exactly 3 ranks")
     gamma = sec.get_float("gamma", repr(math.sqrt(12.0 * P) / p))
     trials = args.trials if args.trials else sec.get_int("trials", "1000")
+    if trials < 1:
+        raise ConfigInvalid(f"[p2p-sim] trials must be >= 1, got {trials}")
     try:
         chain = build_chain(p, n, ranks, gamma=gamma, seed=args.seed)
         awgn = AwgnParams(P=P, N=N)
@@ -300,6 +302,8 @@ def cmd_gaps(sec: _Section, args) -> int:
     if scenario not in (1, 2):
         raise ConfigInvalid("[gaps] scenario must be 1 or 2")
     draws = args.trials if args.trials else sec.get_int("draws", "1000")
+    if draws < 1:
+        raise ConfigInvalid(f"[gaps] draws must be >= 1, got {draws}")
     lo = sec.get_float("lo", "0.01")
     hi = sec.get_float("hi", "100.0")
     if not (math.isfinite(hi) and 0.0 < lo < hi):

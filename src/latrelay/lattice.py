@@ -5,16 +5,19 @@ Construction A over a prime field: the points of a Construction-A lattice
 are ``gamma * {x in Z^n : x mod p is a codeword}`` for a linear code with
 generator ``rows`` over GF(p). All quantization and enumeration is exact at
 the dimensions used here (n <= 8 or so); there is no approximate CVP.
+
+A Construction-A lattice's basis comes from its code alone (Conway and
+Sloane, *Sphere Packings, Lattices and Groups*, ch. 5): the lifted rows of
+the code's echelon form plus p e_j for every other coordinate j.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from sympy import Matrix
-from sympy.matrices.normalforms import hermite_normal_form
 
 from . import gf
 from .errors import (
@@ -33,6 +36,9 @@ DEFAULT_ENUM_BUDGET = 2_000_000
 # Coordinates (rows x cosets x n) one step of the coset scan holds; keeps
 # the batched kernel's working set small whatever the batch size.
 SCAN_ELEMENTS = 16_384
+
+# Box draws the rejection sampler makes for one sample before it gives up.
+REJECTION_ATTEMPTS = 200_000
 
 
 def _round_ties_down(y: np.ndarray) -> np.ndarray:
@@ -83,8 +89,8 @@ class Lattice:
         det = np.linalg.det(G)
         if abs(det) <= 0.0:
             raise ValueError("generator must be full rank")
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
         self.generator = G
         self.gamma = float(gamma)
         self.n = G.shape[0]
@@ -160,7 +166,7 @@ class Lattice:
             np.sum(np.linalg.norm(self.generator, axis=0)))
 
     def sample_voronoi(self, rng: np.random.Generator,
-                       max_attempts: int = 200_000) -> np.ndarray:
+                       max_attempts: int = REJECTION_ATTEMPTS) -> np.ndarray:
         """Uniform sample from the Voronoi cell by box rejection."""
         h = self.voronoi_box_halfwidth()
         for _ in range(max_attempts):
@@ -223,9 +229,20 @@ class ConstructionALattice(Lattice):
 
     @staticmethod
     def _hnf_basis(p: int, rows: np.ndarray, n: int) -> np.ndarray:
-        cols = np.hstack([rows.T, p * np.eye(n, dtype=np.int64)])
-        H = hermite_normal_form(Matrix(cols.tolist()))
-        return np.array(H.tolist(), dtype=float)
+        """Hermite normal form of the lattice basis, as columns.
+
+        The echelon form of the column-reversed rows, reversed back, has
+        one row per pivot j that is 1 at j, 0 at the other pivots and 0
+        right of j. That row is column j of the basis; every other column
+        j is p e_j. The result is upper triangular with entries above the
+        diagonal reduced modulo it, which is the Hermite normal form.
+        """
+        gen = p * np.eye(n)
+        if len(rows):
+            ech, pivots = gf.rref(rows[:, ::-1], p)
+            cols = [n - 1 - c for c in pivots]
+            gen[:, cols] = ech[:, ::-1].T
+        return gen
 
     @property
     def volume(self) -> float:
@@ -349,27 +366,38 @@ def mod_rows(lattice: Lattice, x: np.ndarray) -> np.ndarray:
     return lattice.mod_many(x) if np.ndim(x) == 2 else lattice.mod(x)
 
 
-def nearest_point(lattice: Lattice, x: np.ndarray) -> np.ndarray:
-    return lattice.nearest(x)
-
-
-def mod_lattice(lattice: Lattice, x: np.ndarray) -> np.ndarray:
-    return lattice.mod(x)
-
-
-def sample_uniform_voronoi(lattice: Lattice, rng: np.random.Generator) -> np.ndarray:
-    return lattice.sample_voronoi(rng)
-
-
 def second_moment(lattice: Lattice, samples: int, seed: int) -> float:
-    """Monte Carlo estimate of the per-dimension second moment of the cell."""
+    """Monte Carlo estimate of the per-dimension second moment of the cell.
+
+    The estimate is that of ``samples`` :meth:`Lattice.sample_voronoi`
+    calls on ``default_rng(seed)``, summed in order. Their box draws come
+    in blocks of SCAN_ELEMENTS coordinates, accepted by one
+    :meth:`Lattice.nearest_many` call per block: a split uniform draw is
+    the same stream, and ``nearest_many`` equals ``nearest`` bit for bit.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
+    h = lattice.voronoi_box_halfwidth()
+    block = max(1, SCAN_ELEMENTS // lattice.n)
     total = 0.0
-    for _ in range(samples):
-        u = lattice.sample_voronoi(rng)
-        total += float(u @ u)
+    accepted = 0
+    misses = 0              # rejected draws since the last accepted one
+    while accepted < samples:
+        U = rng.uniform(-h, h, size=(block, lattice.n))
+        need = samples - accepted
+        hits = np.flatnonzero(
+            (np.abs(lattice.nearest_many(U)) <= TOL).all(axis=1))[:need]
+        # Rejected draws before each accepted one: one sample's attempts.
+        runs = np.diff(hits, prepend=-1 - misses) - 1
+        misses = block - 1 - hits[-1] if len(hits) else misses + block
+        if np.any(runs >= REJECTION_ATTEMPTS) or (
+                len(hits) < need and misses >= REJECTION_ATTEMPTS):
+            raise RejectionBudgetExceeded(f"no accept in {REJECTION_ATTEMPTS}"
+                                          f" attempts (halfwidth {h:g})")
+        for u in U[hits]:
+            total += float(u @ u)
+        accepted += len(hits)
     return total / (samples * lattice.n)
 
 

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
+from . import gf
 from .chain import LatticeChain, build_chain, size_list_lattice
 from .channel import block_draws, trial_rng, unique_decode, NestedListDecoder
 from .errors import ConfigInvalid
@@ -140,6 +141,7 @@ def build_df_codebooks(params: DegradedRelayParams, p: int, n: int,
     cubic cell hits the power targets exactly; an optional Monte Carlo
     check confirms the 5% tolerance.
     """
+    gf.check_prime(p)
     gamma1 = _shaping_gamma(p, params.alpha * params.P)
     dk1 = _rank_for_rate(p, n, params.R)
     base1 = build_chain(p, n, [0, dk1], gamma=gamma1, seed=seed)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gf
 from .chain import build_chain, size_list_lattice
 from .channel import block_draws, trial_rng, NestedListDecoder
 from .errors import Infeasible, NotNested
@@ -31,13 +32,7 @@ from .lattice import (
     nearest_rows,
     second_moment,
 )
-from .rates import RatePoint, TwrcParams, capacity_c
-from .rates import twrc_region as _twrc_region_rates
-
-
-def twrc_region(params: TwrcParams) -> RatePoint:
-    """Per-user achievable maxima (see rates.twrc_region)."""
-    return _twrc_region_rates(params)
+from .rates import TwrcParams, capacity_c
 
 
 def sum_codeword(t1: np.ndarray, t2: np.ndarray, U2: np.ndarray,
@@ -139,6 +134,7 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
     achieved power is measured and used by the MMSE front ends. Lattice
     order in the chain is by volume, coarse to fine.
     """
+    gf.check_prime(p)
     ch = params.channel
     gamma = math.sqrt(12.0 * ch.P1) / p
     k1 = 0

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own fast paths: the
 closest-point oracle scans an explicit integer box and the codebook
 oracle filters a grid through plain modular arithmetic, so agreement is
-meaningful.
+meaningful. ``list_decode_q_form`` decodes by a box scan and a
+membership test instead of the coset walk of ``NestedListDecoder``.
 """
 
 import itertools
@@ -11,40 +12,42 @@ import itertools
 import numpy as np
 import pytest
 
-from latrelay.lattice import ConstructionALattice
+from latrelay import gf
+from latrelay.channel import ListDecodeResult
+from latrelay.errors import EnumerationBudgetExceeded
+from latrelay.lattice import DEFAULT_ENUM_BUDGET, TOL, ConstructionALattice
 
 
 def brute_force_nearest(lat: ConstructionALattice, y, reach: int = 3):
-    """Exhaustive closest lattice point, lexicographic tie-break.
+    """Exhaustive closest lattice point, lexicographic tie-break, of one
+    vector (n,) or of each row of a batch (m, n).
 
     Scans gamma * (c + p*m) for every codeword c and every integer shift
     m with |m_i| <= reach around y. reach must cover the Voronoi cell;
-    for the small instances used in tests 3 is plenty.
+    for the small instances used in tests 3 is plenty. Among the points
+    within 1e-12 of the shortest squared distance, the first coordinate
+    decides, then the second, and so on, each to within 1e-12.
     """
     y = np.asarray(y, dtype=float)
+    Y = np.atleast_2d(y)
     p, n, g = lat.p, lat.n, lat.gamma
-    center = np.round(y / (g * p)).astype(int)
-    best = None
-    best_d = np.inf
-    for c in _codeword_grid(lat):
-        for m in itertools.product(range(-reach, reach + 1), repeat=n):
-            pt = g * (c + p * (center + np.array(m)))
-            d = float(np.sum((pt - y) ** 2))
-            if d < best_d - 1e-12 or (abs(d - best_d) <= 1e-12
-                                      and _lex_less(pt, best)):
-                best, best_d = pt, d
-    return best
-
-
-def _lex_less(a, b):
-    if b is None:
-        return True
-    for x, y in zip(a, b):
-        if x < y - 1e-12:
-            return True
-        if x > y + 1e-12:
-            return False
-    return False
+    shifts = np.array(list(itertools.product(range(-reach, reach + 1),
+                                             repeat=n)), dtype=int)
+    offsets = (np.array(_codeword_grid(lat))[:, None, :]
+               + p * shifts[None, :, :]).reshape(-1, n)
+    out = np.empty_like(Y)
+    rows = max(1, 200_000 // (len(offsets) * n))   # candidate coords per step
+    for lo in range(0, len(Y), rows):
+        Yc = Y[lo:lo + rows]
+        center = np.round(Yc / (g * p)).astype(int)
+        pts = g * (offsets[None, :, :] + p * center[:, None, :])
+        d = np.sum((pts - Yc[:, None, :]) ** 2, axis=2)
+        keep = d <= d.min(axis=1, keepdims=True) + 1e-12
+        for j in range(n):
+            col = np.where(keep, pts[:, :, j], np.inf)
+            keep &= col <= col.min(axis=1, keepdims=True) + 1e-12
+        out[lo:lo + rows] = pts[np.arange(len(Yc)), keep.argmax(axis=1)]
+    return out.reshape(y.shape)
 
 
 def _codeword_grid(lat: ConstructionALattice):
@@ -65,16 +68,48 @@ def second_moment_quadrature(lat: ConstructionALattice, grid: int = 120):
     assert lat.n == 2
     h = lat.gamma * lat.p   # covering box half-width, ample for n=2
     xs = np.linspace(-h, h, grid, endpoint=False) + h / grid
-    total = 0.0
-    count = 0
-    for x in xs:
-        for y in xs:
-            pt = np.array([x, y])
-            q = brute_force_nearest(lat, pt, reach=2)
-            if np.allclose(q, 0.0, atol=1e-9):
-                total += float(pt @ pt)
-                count += 1
-    return total / count / lat.n
+    pts = np.array(list(itertools.product(xs, xs)))
+    q = brute_force_nearest(lat, pts, reach=2)
+    inside = np.all(np.abs(q) <= 1e-9, axis=1)
+    return float(np.sum(pts[inside] ** 2)) / np.count_nonzero(inside) / lat.n
+
+
+def _fine_points_in_box(fine: ConstructionALattice, center: np.ndarray,
+                        halfwidth: float, budget: int) -> np.ndarray:
+    """All fine-lattice points with coordinates in center +- halfwidth."""
+    g = fine.gamma
+    lo = np.ceil((center - halfwidth) / g - 1e-12).astype(int)
+    hi = np.floor((center + halfwidth) / g + 1e-12).astype(int)
+    counts = hi - lo + 1
+    if np.prod(counts.astype(float)) > budget:
+        raise EnumerationBudgetExceeded(
+            f"box scan of {np.prod(counts.astype(float)):.3g} points "
+            f"exceeds budget {budget}")
+    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, fine.n)
+    keep = gf.in_rowspan_many(fine.rows, grid % fine.p, fine.p)
+    return g * grid[keep].astype(float)
+
+
+def list_decode_q_form(y_prime: np.ndarray, coarse: ConstructionALattice,
+                       mid: ConstructionALattice, fine: ConstructionALattice
+                       ) -> ListDecodeResult:
+    """Alternate list decoder: membership test y_prime in (lambda_c + V_s).
+
+    Scans every fine point in the box around y_prime circumscribing V_s
+    inflated by the fine lattice's covering box, keeps those lambda_c with
+    Q_s(y_prime - lambda_c) = 0, and reduces mod the coarse lattice. It
+    must agree with ``NestedListDecoder`` everywhere except cell
+    boundaries (measure zero).
+    """
+    y_prime = np.asarray(y_prime, dtype=float)
+    halfwidth = mid.voronoi_box_halfwidth() + fine.voronoi_box_halfwidth()
+    cand = _fine_points_in_box(fine, y_prime, halfwidth, DEFAULT_ENUM_BUDGET)
+    q = mid.nearest_many(y_prime[None, :] - cand)
+    keep = np.all(np.abs(q) <= TOL, axis=1)
+    members = coarse.mod_many(cand[keep])
+    members = np.unique(np.round(members, 9), axis=0)
+    return ListDecodeResult(points=members, size=len(members))
 
 
 @pytest.fixture

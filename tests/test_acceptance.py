@@ -18,8 +18,6 @@ from latrelay.chain import build_chain, size_list_lattice
 from latrelay.channel import (
     AwgnParams,
     NestedListDecoder,
-    list_decode,
-    list_decode_q_form,
     simulate_p2p,
 )
 from latrelay.lattice import ConstructionALattice, enumerate_codebook
@@ -73,10 +71,11 @@ def test_criterion_01_list_decoder_equivalence():
     inputs = 0
     for p, n in itertools.product((3, 5), (2, 4)):
         ch = build_chain(p, n, [0, n // 2, n], seed=1)
+        dec = NestedListDecoder(ch[0], ch[1], ch[2])
         for _ in range(250):
             y = rng.uniform(-1.5 * p, 1.5 * p, size=n)
-            a = list_decode(y, ch[0], ch[1], ch[2]).points
-            b = list_decode_q_form(y, ch[0], ch[1], ch[2]).points
+            a = dec.decode(y).points
+            b = conftest.list_decode_q_form(y, ch[0], ch[1], ch[2]).points
             inputs += 1
             mismatches += not _same_point_sets(a, b)
     elapsed = time.time() - t0

@@ -12,6 +12,7 @@ from latrelay.chain import (
 )
 from latrelay.errors import Infeasible, InvalidRanks, NotPrime
 from latrelay.lattice import enumerate_codebook, is_sublattice
+from chain_reference import pick_generator_rows_reference
 
 
 class TestBuildChain:
@@ -82,6 +83,32 @@ class TestPickGeneratorRows:
         for k in range(1, 5):
             ch = build_chain(3, 4, [0, k], rows=rows)
             assert len(enumerate_codebook(ch[0], ch[1])) == 3 ** k
+
+    @pytest.mark.parametrize("p,n", itertools.product((2, 3, 5), (2, 4, 8)))
+    def test_matches_candidate_by_candidate_reference(self, p, n):
+        # Rank 5 at n = 8 keeps the reference's full enumeration quick.
+        kmax = min(n, 5)
+        for seed in range(6):
+            want = pick_generator_rows_reference(p, n, kmax, seed=seed)
+            got = pick_generator_rows(p, n, kmax, seed=seed)
+            assert np.array_equal(got, want), (p, n, seed)
+
+    def test_few_candidates_match_reference(self):
+        # With one or two candidates per rank some draws are dependent,
+        # and the search may skip every candidate of a rank.
+        for p, n, seed in itertools.product((2, 3), (2, 3), range(6)):
+            for candidates in (1, 2):
+                try:
+                    want = pick_generator_rows_reference(
+                        p, n, n, seed=seed, candidates=candidates)
+                except ValueError:
+                    with pytest.raises(InvalidRanks):
+                        pick_generator_rows(p, n, n, seed=seed,
+                                            candidates=candidates)
+                    continue
+                got = pick_generator_rows(p, n, n, seed=seed,
+                                          candidates=candidates)
+                assert np.array_equal(got, want), (p, n, seed, candidates)
 
 
 class TestSizeListLattice:

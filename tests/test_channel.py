@@ -11,15 +11,14 @@ from latrelay.channel import (
     NestedListDecoder,
     effective_noise,
     encode_dithered,
-    list_decode,
-    list_decode_q_form,
     receiver_front_end,
     simulate_p2p,
     trial_rng,
     unique_decode,
 )
 from latrelay.errors import NotACodeword
-from latrelay.lattice import enumerate_codebook, sample_uniform_voronoi
+from latrelay.lattice import enumerate_codebook
+from conftest import list_decode_q_form
 
 
 def _points_equal(a, b):
@@ -39,7 +38,7 @@ class TestEncodeDithered:
     def test_zero_codeword_gives_negated_dither(self):
         ch = build_chain(3, 2, [0, 2])
         rng = np.random.default_rng(1)
-        U = sample_uniform_voronoi(ch[0], rng)
+        U = ch[0].sample_voronoi(rng)
         X = encode_dithered(np.zeros(2), U, ch[0])
         assert np.allclose(X, ch[0].mod(-U), atol=1e-9)
 
@@ -85,7 +84,7 @@ class TestFrontEnd:
         ch = build_chain(3, 2, [0, 2])
         t = enumerate_codebook(ch[0], ch[1])[2].t
         rng = np.random.default_rng(3)
-        U = sample_uniform_voronoi(ch[0], rng)
+        U = ch[0].sample_voronoi(rng)
         X = encode_dithered(t, U, ch[0])
         y_prime = receiver_front_end(X, U, P=1.0, N=1e-15, coarse=ch[0])
         assert np.allclose(y_prime, t, atol=1e-6)
@@ -97,7 +96,7 @@ class TestFrontEnd:
         for trial in range(200):
             rng = trial_rng(42, trial)
             t = cb[int(rng.integers(len(cb)))].t
-            U = sample_uniform_voronoi(ch[0], rng)
+            U = ch[0].sample_voronoi(rng)
             Z = rng.normal(0, math.sqrt(N), 2)
             X = encode_dithered(t, U, ch[0])
             y_prime = receiver_front_end(X + Z, U, P, N, ch[0])
@@ -127,27 +126,29 @@ class TestListDecode:
     def test_unique_decoding_when_mid_equals_fine(self):
         ch = self._chain(ranks=(0, 2, 2))
         y = np.array([0.7, -0.2])
-        res = list_decode(y, ch[0], ch[1], ch[2])
+        res = NestedListDecoder(ch[0], ch[1], ch[2]).decode(y)
         assert res.size == 1
         assert np.allclose(res.points[0], unique_decode(y, ch[0], ch[2]),
                            atol=1e-9)
 
     def test_full_codebook_when_mid_equals_coarse(self):
         ch = self._chain(ranks=(0, 0, 2))
-        res = list_decode(np.array([0.3, 0.1]), ch[0], ch[1], ch[2])
+        res = NestedListDecoder(ch[0], ch[1], ch[2]).decode(
+            np.array([0.3, 0.1]))
         cb = [e.t for e in enumerate_codebook(ch[0], ch[2])]
         assert _points_equal(res.points, cb)
 
     def test_size_three_for_any_input(self):
         ch = self._chain()
+        dec = NestedListDecoder(ch[0], ch[1], ch[2])
         rng = np.random.default_rng(4)
         for _ in range(50):
             y = rng.uniform(-3, 3, 2)
-            assert list_decode(y, ch[0], ch[1], ch[2]).size == 3
+            assert dec.decode(y).size == 3
 
     def test_zero_in_both_lists_at_origin(self):
         ch = self._chain()
-        a = list_decode(np.zeros(2), ch[0], ch[1], ch[2]).points
+        a = NestedListDecoder(ch[0], ch[1], ch[2]).decode(np.zeros(2)).points
         b = list_decode_q_form(np.zeros(2), ch[0], ch[1], ch[2]).points
         zero = np.zeros(2)
         assert any(np.allclose(pt, zero, atol=1e-9) for pt in a)
@@ -158,15 +159,17 @@ class TestListDecode:
         for p, n in [(3, 2), (5, 2), (3, 3)]:
             ranks = [0, 1, n]
             ch = self._chain(p, n, ranks, seed=2)
+            dec = NestedListDecoder(ch[0], ch[1], ch[2])
             for _ in range(40):
                 y = rng.uniform(-p, p, n)
-                a = list_decode(y, ch[0], ch[1], ch[2]).points
+                a = dec.decode(y).points
                 b = list_decode_q_form(y, ch[0], ch[1], ch[2]).points
                 assert _points_equal(a, b), (p, n, y)
 
     def test_members_reduced_mod_coarse(self):
         ch = self._chain()
-        res = list_decode(np.array([1.9, -1.1]), ch[0], ch[1], ch[2])
+        res = NestedListDecoder(ch[0], ch[1], ch[2]).decode(
+            np.array([1.9, -1.1]))
         for pt in res.points:
             assert np.allclose(ch[0].nearest(pt), 0.0, atol=1e-9)
 

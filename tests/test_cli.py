@@ -60,6 +60,10 @@ class TestChainInfo:
         assert main(["chain-info", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path), "--quiet"]) == 2
 
+    def test_nan_gamma_is_config_error(self, tmp_path, capsys):
+        _config_error(tmp_path, capsys, "chain-info", "chain_info.csv",
+                      self.CFG + "gamma = nan\n")
+
 
 class TestP2pSim:
     CFG = ("[p2p-sim]\np = 3\nn = 2\nranks = 0,1,2\n"
@@ -93,6 +97,15 @@ class TestP2pSim:
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         self._config_error(tmp_path, capsys, self.CFG, "--seed", "-1")
 
+    def test_inf_gamma_is_config_error(self, tmp_path, capsys):
+        self._config_error(tmp_path, capsys, self.CFG + "gamma = inf\n")
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_is_config_error(self, tmp_path, capsys,
+                                                trials):
+        self._config_error(tmp_path, capsys, self.CFG.replace(
+            "trials = 100", f"trials = {trials}"))
+
 
 class TestRelaySim:
     CFG = ("[relay-sim]\nP = 2.0\nPR = 50.0\nNR = 1e-12\nN = 1e-12\n"
@@ -124,6 +137,10 @@ class TestRelaySim:
         _config_error(tmp_path, capsys, "relay-sim", "relay_summary.csv",
                       self.CFG + "runs = 0\n")
 
+    def test_p_one_is_config_error(self, tmp_path, capsys):
+        _config_error(tmp_path, capsys, "relay-sim", "relay_summary.csv",
+                      self.CFG.replace("p = 5", "p = 1"))
+
 
 class TestTwrcSim:
     CFG = ("[twrc-sim]\nP1 = 4.0\nP2 = 4.0\nPR = 200.0\n"
@@ -153,6 +170,10 @@ class TestTwrcSim:
     def test_nan_rate_is_config_error(self, tmp_path, capsys):
         _config_error(tmp_path, capsys, "twrc-sim", "twrc_summary.csv",
                       self.CFG.replace("R1 = 0.8", "R1 = nan"))
+
+    def test_p_zero_is_config_error(self, tmp_path, capsys):
+        _config_error(tmp_path, capsys, "twrc-sim", "twrc_summary.csv",
+                      self.CFG.replace("p = 3", "p = 0"))
 
 
 class TestRegions:
@@ -215,6 +236,10 @@ class TestGaps:
     def test_zero_lower_end_is_config_error(self, tmp_path, capsys):
         _config_error(tmp_path, capsys, "gaps", "gaps.csv",
                       self.CFG + "lo = 0\n")
+
+    def test_zero_draws_is_config_error(self, tmp_path, capsys):
+        _config_error(tmp_path, capsys, "gaps", "gaps.csv",
+                      self.CFG.replace("draws = 150", "draws = 0"))
 
     def test_bad_scenario_config_error(self, tmp_path):
         cfg = _write_cfg(tmp_path, "[gaps]\nscenario = 7\ndraws = 5\n")

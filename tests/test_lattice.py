@@ -1,22 +1,28 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form
 
+import latrelay
+from latrelay import gf
 from latrelay.errors import (
     DimensionMismatch,
     EnumerationBudgetExceeded,
     NotNested,
+    RejectionBudgetExceeded,
 )
 from latrelay.lattice import (
     ConstructionALattice,
     enumerate_codebook,
     integer_lattice,
     is_sublattice,
-    mod_lattice,
-    nearest_point,
-    sample_uniform_voronoi,
     second_moment,
 )
 from conftest import brute_force_nearest, second_moment_quadrature
@@ -44,13 +50,13 @@ def _rand_rows(rng, p, n, k):
 class TestNearestPoint:
     def test_integer_lattice_rounding(self):
         lat = integer_lattice(2)
-        assert np.allclose(nearest_point(lat, [0.6, -1.2]), [1.0, -1.0])
+        assert np.allclose(lat.nearest([0.6, -1.2]), [1.0, -1.0])
 
     def test_zero_is_fixed(self, small_lattice):
-        assert np.allclose(nearest_point(small_lattice, np.zeros(2)), 0.0)
+        assert np.allclose(small_lattice.nearest(np.zeros(2)), 0.0)
 
     def test_construction_a_example(self, small_lattice):
-        got = nearest_point(small_lattice, [1.4, 0.9])
+        got = small_lattice.nearest([1.4, 0.9])
         want = brute_force_nearest(small_lattice, [1.4, 0.9])
         assert np.allclose(got, want, atol=1e-9)
 
@@ -112,15 +118,15 @@ class TestNearestPoint:
 class TestModLattice:
     def test_integer_lattice(self):
         lat = integer_lattice(2)
-        assert np.allclose(mod_lattice(lat, [0.6, -1.2]), [-0.4, -0.2])
+        assert np.allclose(lat.mod([0.6, -1.2]), [-0.4, -0.2])
 
     def test_lattice_point_maps_to_zero(self, small_lattice):
         t = small_lattice.gamma * np.array([4.0, 1.0])   # (1,1) + 3*(1,0)
-        assert np.allclose(mod_lattice(small_lattice, t), 0.0, atol=1e-9)
+        assert np.allclose(small_lattice.mod(t), 0.0, atol=1e-9)
 
     def test_consistency_with_nearest(self, small_lattice):
         y = np.array([1.4, 0.9])
-        r = mod_lattice(small_lattice, y)
+        r = small_lattice.mod(y)
         assert np.allclose(r, y - brute_force_nearest(small_lattice, y),
                            atol=1e-9)
 
@@ -173,6 +179,38 @@ class TestVolumeAndConstruction:
             assert back.gamma == pytest.approx(lat.gamma, rel=1e-12)
             assert np.array_equal(back.rows, lat.rows)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bad_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError):
+            ConstructionALattice(3, [[1, 1]], gamma=gamma, n=2)
+
+    def test_generator_is_sympy_hnf(self):
+        # Oracle: sympy's Hermite normal form of the columns [rows^T | p I].
+        rng = np.random.default_rng(1)
+        checked = 0
+        while checked < 320:
+            p = int(rng.choice([2, 3, 5, 7]))
+            n = int(rng.integers(1, 9))
+            k = int(rng.integers(0, n + 1))
+            rows = rng.integers(0, p, size=(k, n))
+            if k and gf.rank(rows, p) != k:
+                continue
+            lat = ConstructionALattice(p, rows, n=n)
+            cols = np.hstack([lat.rows.T, p * np.eye(n, dtype=np.int64)])
+            want = np.array(hermite_normal_form(Matrix(cols.tolist())).tolist(),
+                            dtype=float)
+            assert np.array_equal(lat.generator, want), lat.to_record()
+            checked += 1
+
+    def test_import_does_not_load_sympy(self):
+        src = str(Path(latrelay.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import latrelay, sys; print('sympy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestSecondMoment:
     def test_unit_interval(self):
@@ -190,6 +228,38 @@ class TestSecondMoment:
         mc = second_moment(small_lattice, 40_000, seed=3)
         quad = second_moment_quadrature(small_lattice, grid=140)
         assert mc == pytest.approx(quad, rel=0.05)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_equals_per_sample_loop(self, k):
+        # Oracle: the estimate as a loop of sample_voronoi calls.
+        rows = np.array([[1, 1], [0, 1]])[:k]
+        lat = ConstructionALattice(3, rows, gamma=0.8, n=2)
+        for seed, samples in itertools.product(range(4), (1, 9, 2000)):
+            rng = np.random.default_rng(seed)
+            total = 0.0
+            for _ in range(samples):
+                u = lat.sample_voronoi(rng)
+                total += float(u @ u)
+            assert second_moment(lat, samples, seed) == total / (samples * 2)
+
+    def test_equals_per_sample_loop_n8(self):
+        rng = np.random.default_rng(6)
+        lat = ConstructionALattice(3, _rand_rows(rng, 3, 8, 3), gamma=1.1, n=8)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            total = 0.0
+            for _ in range(300):
+                u = lat.sample_voronoi(rng)
+                total += float(u @ u)
+            assert second_moment(lat, 300, seed) == total / (300 * 8)
+
+    def test_rejection_budget(self):
+        # Z^8 accepts 7^-8 of the draws from its box of side 7: the first
+        # 200 000 draws of this seed hold none, so sample_voronoi would
+        # give up on the first sample.
+        lat = ConstructionALattice(7, np.eye(8, dtype=int), n=8)
+        with pytest.raises(RejectionBudgetExceeded):
+            second_moment(lat, 1, seed=0)
 
     def test_cubic_cell_exact(self):
         lat = ConstructionALattice(3, np.zeros((0, 2), dtype=int),
@@ -254,7 +324,7 @@ class TestVoronoiSampling:
     def test_integer_lattice_is_uniform_box(self):
         rng = np.random.default_rng(4)
         lat = integer_lattice(2)
-        pts = np.array([sample_uniform_voronoi(lat, rng) for _ in range(2000)])
+        pts = np.array([lat.sample_voronoi(rng) for _ in range(2000)])
         assert np.all(np.abs(pts) <= 0.5 + 1e-12)
         assert np.max(np.abs(pts.mean(axis=0))) < 4 * 0.29 / np.sqrt(2000)
 
@@ -263,12 +333,12 @@ class TestVoronoiSampling:
         for _ in range(8):
             lat = _rand_lattice(rng, n=2)
             for _ in range(50):
-                u = sample_uniform_voronoi(lat, rng)
+                u = lat.sample_voronoi(rng)
                 assert np.allclose(lat.nearest(u), 0.0, atol=1e-9)
 
     def test_mean_zero(self, small_lattice):
         rng = np.random.default_rng(17)
-        pts = np.array([sample_uniform_voronoi(small_lattice, rng)
+        pts = np.array([small_lattice.sample_voronoi(rng)
                         for _ in range(20_000)])
         sd = np.sqrt(small_lattice.second_moment_exact()
                      or second_moment(small_lattice, 5000, 0))
