@@ -18,7 +18,6 @@ from .errors import NotACodeword
 from .lattice import (
     TOL,
     ConstructionALattice,
-    Lattice,
     codebook_points,
     is_sublattice,
     mod_rows,
@@ -56,6 +55,12 @@ class ListDecodeResult:
     contains_truth: Optional[bool] = None
 
 
+def ci95(pe: float, count: int) -> float:
+    """Half-width of the 95 % Wald interval of an error rate ``pe``
+    measured over ``count`` trials."""
+    return 1.96 * math.sqrt(max(pe * (1 - pe), 1e-300) / count)
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent stream derived from (seed, index): one per trial, block
     or batch of trials."""
@@ -88,7 +93,8 @@ def block_draws(seed: int, blocks: int, dither_lattices, noise_vars
 # The maps below, and unique_decode, take one vector (n,) or a batch of
 # rows (m, n).
 
-def encode_dithered(t: np.ndarray, U: np.ndarray, coarse: Lattice) -> np.ndarray:
+def encode_dithered(t: np.ndarray, U: np.ndarray,
+                    coarse: ConstructionALattice) -> np.ndarray:
     """X = (t - U) mod Lambda. Requires t to lie in the coarse cell."""
     t = np.asarray(t, dtype=float)
     if not np.allclose(coarse.nearest_many(t), 0.0, atol=TOL):
@@ -97,14 +103,14 @@ def encode_dithered(t: np.ndarray, U: np.ndarray, coarse: Lattice) -> np.ndarray
 
 
 def receiver_front_end(Y: np.ndarray, U: np.ndarray, P: float, N: float,
-                       coarse: Lattice) -> np.ndarray:
+                       coarse: ConstructionALattice) -> np.ndarray:
     """Y' = (alpha Y + U) mod Lambda with the MMSE coefficient."""
     alpha = P / (P + N)
     return mod_rows(coarse, alpha * np.asarray(Y, dtype=float) + U)
 
 
 def effective_noise(X: np.ndarray, Z: np.ndarray, P: float, N: float,
-                    coarse: Lattice) -> np.ndarray:
+                    coarse: ConstructionALattice) -> np.ndarray:
     """Z' = (-(1-alpha) X + alpha Z) mod Lambda."""
     alpha = P / (P + N)
     return mod_rows(coarse, -(1.0 - alpha) * X + alpha * Z)
@@ -154,7 +160,8 @@ class NestedListDecoder:
                                 contains_truth=contains)
 
 
-def unique_decode(y_prime: np.ndarray, coarse: Lattice, fine: Lattice) -> np.ndarray:
+def unique_decode(y_prime: np.ndarray, coarse: ConstructionALattice,
+                  fine: ConstructionALattice) -> np.ndarray:
     """Classic nested-lattice point decoder: Q_c(Y') mod Lambda, of one
     observation (n,) or of each row of a batch (m, n)."""
     return mod_rows(coarse,
@@ -235,10 +242,9 @@ def simulate_p2p(chain, awgn: AwgnParams, trials: int, seed: int,
             log.extend(zip(range(first, first + m), (w + 1).tolist(),
                            [lists.shape[1]] * m, miss.astype(int).tolist()))
     pe = errors / trials
-    ci = 1.96 * math.sqrt(max(pe * (1 - pe), 1e-300) / trials)
-    return P2PStats(trials=trials, pe_hat=pe, pe_ci95=ci,
+    return P2PStats(trials=trials, pe_hat=pe, pe_ci95=ci95(pe, trials),
                     list_size=decoder.list_size,
                     mean_list_size=size_total / trials,
-                    n=coarse.n, p=getattr(coarse, "p", 0),
-                    ranks=tuple(getattr(lat, "k", -1) for lat in (coarse, mid, fine)),
+                    n=coarse.n, p=coarse.p,
+                    ranks=(coarse.k, mid.k, fine.k),
                     P=awgn.P, N=awgn.N, seed=seed, log=log)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import build_chain
-from .channel import AwgnParams, simulate_p2p, P2PStats
+from .channel import AwgnParams, simulate_p2p, P2PStats, ci95
 from .errors import (
     ConfigInvalid,
     EnumerationBudgetExceeded,
@@ -212,7 +212,7 @@ def cmd_relay_sim(sec: _Section, args) -> int:
     _write_csv(args.out / "relay_blocks.csv", BlockRecord.CSV_COLUMNS,
                transcript_rows)
     pe = err / msg
-    ci = 1.96 * math.sqrt(max(pe * (1 - pe), 1e-300) / msg)
+    ci = ci95(pe, msg)
     _write_csv(args.out / "relay_summary.csv",
                ("runs", "messages", "message_errors", "relay_errors",
                 "bin_errors", "error_rate", "ci95", "rate_achieved",

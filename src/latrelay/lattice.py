@@ -1,10 +1,10 @@
 """Exact small-dimension lattice arithmetic.
 
-Lattices are realized either by an explicit generator matrix or by
-Construction A over a prime field: the points of a Construction-A lattice
-are ``gamma * {x in Z^n : x mod p is a codeword}`` for a linear code with
-generator ``rows`` over GF(p). All quantization and enumeration is exact at
-the dimensions used here (n <= 8 or so); there is no approximate CVP.
+Every lattice here is realized by Construction A over a prime field: its
+points are ``gamma * {x in Z^n : x mod p is a codeword}`` for a linear code
+with generator ``rows`` over GF(p). All quantization and enumeration is
+exact at the dimensions used here (n <= 8 or so); there is no approximate
+CVP.
 
 A Construction-A lattice's basis comes from its code alone (Conway and
 Sloane, *Sphere Packings, Lattices and Groups*, ch. 5): the lifted rows of
@@ -46,19 +46,13 @@ def _round_ties_down(y: np.ndarray) -> np.ndarray:
     return np.ceil(y - 0.5)
 
 
-def _lex_smallest(points: np.ndarray) -> np.ndarray:
-    """Lexicographically smallest row of ``points`` (m x n)."""
-    order = np.lexsort(points[:, ::-1].T)
-    return points[order[0]]
-
-
 def _coset_scan(Y: np.ndarray, cw: np.ndarray, p: int) -> np.ndarray:
     """Nearest point of the unit-scale Construction-A lattice to each row
     of ``Y`` (m x n), given all codewords ``cw`` (c x n).
 
     Each coset's closest point ``cw + p z`` comes from rounding; among the
     cosets within 1e-12 of the shortest distance the lexicographically
-    smallest point wins, as in :meth:`Lattice.nearest`.
+    smallest point wins.
     """
     # ufunc reductions rather than the array methods: this runs once per
     # single-vector call, where the methods' Python wrappers show.
@@ -70,37 +64,18 @@ def _coset_scan(Y: np.ndarray, cw: np.ndarray, p: int) -> np.ndarray:
     out = pts[np.arange(len(Y)), best.argmax(axis=1)]
     if np.add.reduce(best, axis=None) > len(Y):
         for i in np.flatnonzero(np.add.reduce(best, axis=1) > 1):
-            out[i] = _lex_smallest(pts[i][best[i]])
+            tied = pts[i][best[i]]
+            out[i] = tied[np.lexsort(tied[:, ::-1].T)[0]]
     return out
 
 
 class Lattice:
-    """A full-rank lattice ``{gamma * G m : m in Z^n}``.
+    """Nearest-point interface of a lattice of dimension ``n``.
 
-    ``generator`` holds the basis vectors as columns. Instances are
-    immutable after construction and safe to share across workers.
+    ``mod``, ``mod_many`` and ``sample_voronoi`` are written against
+    ``nearest`` and ``nearest_many``; :class:`ConstructionALattice` is the
+    only implementation.
     """
-
-    def __init__(self, generator: np.ndarray, gamma: float = 1.0,
-                 enum_budget: int = DEFAULT_ENUM_BUDGET):
-        G = np.array(generator, dtype=float)
-        if G.ndim != 2 or G.shape[0] != G.shape[1]:
-            raise DimensionMismatch("generator must be square")
-        det = np.linalg.det(G)
-        if abs(det) <= 0.0:
-            raise ValueError("generator must be full rank")
-        if not (math.isfinite(gamma) and gamma > 0):
-            raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
-        self.generator = G
-        self.gamma = float(gamma)
-        self.n = G.shape[0]
-        self.enum_budget = int(enum_budget)
-        self._ginv = np.linalg.inv(G)
-        self._ginv_row_norms = np.linalg.norm(self._ginv, axis=1)
-
-    @property
-    def volume(self) -> float:
-        return self.gamma ** self.n * abs(np.linalg.det(self.generator))
 
     def _check_dim(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -110,60 +85,21 @@ class Lattice:
         return x
 
     def nearest(self, x: np.ndarray) -> np.ndarray:
-        """Exact nearest lattice point, ties broken lexicographically.
+        """Exact nearest lattice point, ties broken lexicographically."""
+        raise NotImplementedError
 
-        Babai rounding gives a distance bound, which bounds how far the
-        true coefficient vector can be from the real solution; the induced
-        coefficient box is enumerated exactly.
-        """
-        x = self._check_dim(x)
-        y = x / self.gamma
-        c = self._ginv @ y
-        c0 = _round_ties_down(c)
-        d0 = np.linalg.norm(y - self.generator @ c0)
-        if d0 < TOL:
-            return self.gamma * (self.generator @ c0)
-        widths = np.ceil(self._ginv_row_norms * d0 + 1e-12).astype(int)
-        total = np.prod(2 * widths + 1.0)
-        if total > self.enum_budget:
-            raise EnumerationBudgetExceeded(
-                f"{total:.3g} candidates exceed budget {self.enum_budget}")
-        axes = [np.arange(int(np.floor(ci - w)), int(np.ceil(ci + w)) + 1)
-                for ci, w in zip(c, widths)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.n)
-        pts = grid @ self.generator.T
-        d = np.linalg.norm(pts - y, axis=1)
-        dmin = d.min()
-        best = pts[d <= dmin + 1e-12]
-        return self.gamma * _lex_smallest(best)
+    def nearest_many(self, X: np.ndarray) -> np.ndarray:
+        """Row-wise :meth:`nearest` for a batch (m x n), bit for bit."""
+        raise NotImplementedError
 
     def mod(self, x: np.ndarray) -> np.ndarray:
         """``x mod Lambda``: subtract the nearest lattice point."""
         x = self._check_dim(x)
         return x - self.nearest(x)
 
-    def nearest_many(self, X: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`nearest` for a batch (m x n)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.array([self.nearest(x) for x in X])
-
     def mod_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return X - self.nearest_many(X)
-
-    def contains(self, x: np.ndarray, tol: float = TOL) -> bool:
-        x = self._check_dim(x)
-        m = self._ginv @ (x / self.gamma)
-        return bool(np.all(np.abs(m - np.round(m)) <= tol))
-
-    def voronoi_box_halfwidth(self) -> float:
-        """Half-width of an axis-aligned box guaranteed to contain the cell.
-
-        The Voronoi cell sits inside the ball of the covering radius, which
-        is at most half the sum of basis vector norms.
-        """
-        return 0.5 * self.gamma * float(
-            np.sum(np.linalg.norm(self.generator, axis=0)))
 
     def sample_voronoi(self, rng: np.random.Generator,
                        max_attempts: int = REJECTION_ATTEMPTS) -> np.ndarray:
@@ -176,21 +112,6 @@ class Lattice:
                 return u
         raise RejectionBudgetExceeded(
             f"no accept in {max_attempts} attempts (halfwidth {h:g})")
-
-    def second_moment_exact(self) -> Optional[float]:
-        """Exact per-dimension second moment when the cell is a cube."""
-        G = self.generator
-        if np.allclose(G, np.diag(np.diag(G))) and np.ptp(np.diag(G)) < TOL:
-            side = self.gamma * abs(G[0, 0])
-            return side ** 2 / 12.0
-        return None
-
-    def scaled(self, factor: float) -> "Lattice":
-        """The lattice ``factor * Lambda``."""
-        return Lattice(self.generator, self.gamma * factor, self.enum_budget)
-
-    def __repr__(self) -> str:
-        return f"Lattice(n={self.n}, gamma={self.gamma!r})"
 
 
 def integer_lattice(n: int, gamma: float = 1.0) -> "ConstructionALattice":
@@ -217,19 +138,22 @@ class ConstructionALattice(Lattice):
         k, dim = rows.shape
         if n is not None and n != dim:
             raise DimensionMismatch(f"rows have {dim} columns, expected n={n}")
-        if k and gf.rank(rows, p) != k:
-            raise ValueError("code generator rows are linearly dependent mod p")
+        self.generator = self._hnf_basis(p, rows, dim)
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
         self.p = int(p)
+        self.n = dim
         self.k = k
+        self.gamma = float(gamma)
+        self.enum_budget = int(enum_budget)
         self.rows = rows
         self.rows.setflags(write=False)
-        gen = self._hnf_basis(p, rows, dim)
-        super().__init__(gen, gamma=gamma, enum_budget=enum_budget)
         self._codewords: Optional[np.ndarray] = None
 
     @staticmethod
     def _hnf_basis(p: int, rows: np.ndarray, n: int) -> np.ndarray:
-        """Hermite normal form of the lattice basis, as columns.
+        """Hermite normal form of the lattice basis, as columns; raises
+        ValueError when ``rows`` are linearly dependent mod p.
 
         The echelon form of the column-reversed rows, reversed back, has
         one row per pivot j that is 1 at j, 0 at the other pivots and 0
@@ -240,6 +164,9 @@ class ConstructionALattice(Lattice):
         gen = p * np.eye(n)
         if len(rows):
             ech, pivots = gf.rref(rows[:, ::-1], p)
+            if len(pivots) != len(rows):
+                raise ValueError(
+                    "code generator rows are linearly dependent mod p")
             cols = [n - 1 - c for c in pivots]
             gen[:, cols] = ech[:, ::-1].T
         return gen
@@ -262,14 +189,18 @@ class ConstructionALattice(Lattice):
 
     def nearest(self, x: np.ndarray) -> np.ndarray:
         """Exact nearest point, ties broken lexicographically."""
-        return self._nearest(self._check_dim(x))
+        return self._nearest(self._check_dim(x)[None, :])[0]
 
     def nearest_many(self, X: np.ndarray) -> np.ndarray:
         """Row-wise :meth:`nearest` for a batch (m x n), bit for bit."""
-        return self._nearest(np.atleast_2d(np.asarray(X, dtype=float)))
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise DimensionMismatch(
+                f"expected rows of length {self.n}, got shape {X.shape}")
+        return self._nearest(X)
 
     def _nearest(self, X: np.ndarray) -> np.ndarray:
-        """Nearest points to a vector (n,) or to each row of a batch (m, n).
+        """Nearest points to each row of a batch (m, n).
 
         Rank 0 and rank n round coordinate by coordinate; otherwise every
         row scans all p^k cosets, in row chunks of at most SCAN_ELEMENTS
@@ -280,8 +211,6 @@ class ConstructionALattice(Lattice):
             return self.gamma * self.p * _round_ties_down(Y / self.p)
         if self.k == self.n:
             return self.gamma * _round_ties_down(Y)
-        if Y.ndim == 1:
-            Y = Y[None, :]
         cw = self.codewords()
         chunk = max(1, SCAN_ELEMENTS // cw.size)
         if len(Y) <= chunk:
@@ -289,7 +218,7 @@ class ConstructionALattice(Lattice):
         else:
             out = np.concatenate([_coset_scan(Y[lo:lo + chunk], cw, self.p)
                                   for lo in range(0, len(Y), chunk)])
-        return self.gamma * out.reshape(X.shape)
+        return self.gamma * out
 
     def contains(self, x: np.ndarray, tol: float = TOL) -> bool:
         x = self._check_dim(x)
@@ -366,7 +295,7 @@ def mod_rows(lattice: Lattice, x: np.ndarray) -> np.ndarray:
     return lattice.mod_many(x) if np.ndim(x) == 2 else lattice.mod(x)
 
 
-def second_moment(lattice: Lattice, samples: int, seed: int) -> float:
+def second_moment(lattice: ConstructionALattice, samples: int, seed: int) -> float:
     """Monte Carlo estimate of the per-dimension second moment of the cell.
 
     The estimate is that of ``samples`` :meth:`Lattice.sample_voronoi`
@@ -401,15 +330,13 @@ def second_moment(lattice: Lattice, samples: int, seed: int) -> float:
     return total / (samples * lattice.n)
 
 
-def _same_family(a: Lattice, b: Lattice) -> bool:
-    """Both Construction A over the same field and at the same scale."""
-    return (isinstance(a, ConstructionALattice)
-            and isinstance(b, ConstructionALattice)
-            and a.p == b.p
-            and abs(a.gamma - b.gamma) <= TOL * max(1.0, a.gamma))
+def _same_family(a: ConstructionALattice, b: ConstructionALattice) -> bool:
+    """Both over the same field and at the same scale."""
+    return a.p == b.p and abs(a.gamma - b.gamma) <= TOL * max(1.0, a.gamma)
 
 
-def is_sublattice(coarse: Lattice, fine: Lattice, tol: float = TOL) -> bool:
+def is_sublattice(coarse: ConstructionALattice, fine: ConstructionALattice,
+                  tol: float = TOL) -> bool:
     """True iff every point of ``coarse`` is a point of ``fine``.
 
     Checked exactly by membership of each coarse basis vector in ``fine``.
@@ -425,14 +352,8 @@ def is_sublattice(coarse: Lattice, fine: Lattice, tol: float = TOL) -> bool:
     return all(fine.contains(basis[:, i], tol=tol) for i in range(coarse.n))
 
 
-def _codebook_construction_a(coarse: ConstructionALattice,
-                             fine: ConstructionALattice) -> np.ndarray:
-    reps = gf.quotient_coset_reps(coarse.rows, fine.rows, coarse.p)
-    return coarse.mod_many(coarse.gamma * reps.astype(float))
-
-
-def _codebook_generic(coarse: Lattice, fine: Lattice,
-                      budget: int) -> list[np.ndarray]:
+def _codebook_generic(coarse: ConstructionALattice, fine: ConstructionALattice,
+                      budget: int) -> np.ndarray:
     h = coarse.voronoi_box_halfwidth()
     ginv = np.linalg.inv(fine.generator)
     widths = np.ceil(np.linalg.norm(ginv, axis=1) * h / fine.gamma + 1e-9).astype(int)
@@ -443,14 +364,10 @@ def _codebook_generic(coarse: Lattice, fine: Lattice,
     axes = [np.arange(-w, w + 1) for w in widths]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, fine.n)
     pts = fine.gamma * (grid @ fine.generator.T)
-    out = []
-    for pt in pts:
-        if np.allclose(coarse.nearest(pt), 0.0, atol=TOL):
-            out.append(pt)
-    return out
+    return pts[(np.abs(coarse.nearest_many(pts)) <= TOL).all(axis=1)]
 
 
-def codebook_points(coarse: Lattice, fine: Lattice,
+def codebook_points(coarse: ConstructionALattice, fine: ConstructionALattice,
                     budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
     """Codebook of the nested pair: fine points inside the coarse cell.
 
@@ -464,7 +381,8 @@ def codebook_points(coarse: Lattice, fine: Lattice,
         raise EnumerationBudgetExceeded(
             f"codebook size {expected} exceeds budget {budget}")
     if _same_family(coarse, fine):
-        points = _codebook_construction_a(coarse, fine)
+        reps = gf.quotient_coset_reps(coarse.rows, fine.rows, coarse.p)
+        points = coarse.mod_many(coarse.gamma * reps.astype(float))
     else:
         points = _codebook_generic(coarse, fine, budget)
     if len(points) != expected:
@@ -474,7 +392,7 @@ def codebook_points(coarse: Lattice, fine: Lattice,
     return arr[np.lexsort(arr[:, ::-1].T)]
 
 
-def enumerate_codebook(coarse: Lattice, fine: Lattice,
+def enumerate_codebook(coarse: ConstructionALattice, fine: ConstructionALattice,
                        budget: int = DEFAULT_ENUM_BUDGET) -> list[CodebookEntry]:
     """:func:`codebook_points` as entries indexed 1..V/Vc."""
     return [CodebookEntry(w=i + 1, t=t)

@@ -24,7 +24,7 @@ from . import gf
 from .chain import LatticeChain, build_chain, size_list_lattice
 from .channel import block_draws, trial_rng, unique_decode, NestedListDecoder
 from .errors import ConfigInvalid
-from .lattice import TOL, enumerate_codebook, second_moment
+from .lattice import enumerate_codebook, second_moment
 from .rates import best_power_split
 
 
@@ -206,10 +206,6 @@ class DfRunResult:
     def error_rate(self) -> float:
         return self.message_errors / self.messages
 
-    def ci95(self) -> float:
-        pe = self.error_rate
-        return 1.96 * math.sqrt(max(pe * (1 - pe), 1e-300) / self.messages)
-
 
 def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
                   seed: int, keep_transcript: bool = True) -> DfRunResult:
@@ -294,8 +290,7 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
     bin_ok = s_hat == s_true
     X2_hat = kappa * lam2.mod_many(res_points[np.maximum(s_hat, 1) - 1] - U2)
     y_list = lam1.mod_many(alpha_list * (Y2 - X2_hat) + U1)
-    lists = np.array([list_dec.decode(y, truth=t).points
-                      for y, t in zip(y_list, t1)])
+    lists = np.array([list_dec.decode(y).points for y in y_list])
     size = lists.shape[1]
     members = _indices(msg_of_point, lists.reshape(-1, lam1.n),
                        lam1.gamma).reshape(B + 1, size)

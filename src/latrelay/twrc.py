@@ -303,10 +303,8 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
     t1p, t2p, U2p = t1[:B], t2[:B], U2[:B]
     ylist1 = lam1.mod_many(a1 * obs2[:B] + U1[:B])
     ylist2 = lam2.mod_many(a2 * obs1[:B] - U2p)
-    L1 = np.array([dec1.decode(y, truth=t).points
-                   for y, t in zip(ylist1, t1p)])
-    L2 = np.array([dec2.decode(y, truth=t).points
-                   for y, t in zip(ylist2, t2p)])
+    L1 = np.array([dec1.decode(y).points for y in ylist1])
+    L2 = np.array([dec2.decode(y).points for y in ylist2])
     l1, l2, n = L1.shape[1], L2.shape[1], lam1.n
     # The block of each list member, direction 1's members first.
     of1, of2 = np.repeat(np.arange(B), l1), np.repeat(np.arange(B), l2)

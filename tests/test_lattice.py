@@ -106,6 +106,14 @@ class TestNearestPoint:
     def test_dimension_mismatch(self, small_lattice):
         with pytest.raises(DimensionMismatch):
             small_lattice.nearest(np.zeros(3))
+        # Batches of the wrong width, for rank 0, 0 < k < n and rank n.
+        for k in range(3):
+            lat = ConstructionALattice(3, np.eye(2, dtype=int)[:k], n=2)
+            for X in (np.full((2, 3), 1.4), np.full((2, 1), 1.4)):
+                with pytest.raises(DimensionMismatch):
+                    lat.nearest_many(X)
+                with pytest.raises(DimensionMismatch):
+                    lat.mod_many(X)
 
     def test_enumeration_budget(self):
         rng = np.random.default_rng(0)
@@ -183,6 +191,16 @@ class TestVolumeAndConstruction:
     def test_bad_gamma_rejected(self, gamma):
         with pytest.raises(ValueError):
             ConstructionALattice(3, [[1, 1]], gamma=gamma, n=2)
+
+    @pytest.mark.parametrize("p, rows", [
+        (3, [[1, 1], [2, 2]]),
+        (2, [[1, 0], [1, 0]]),
+        (5, [[0, 0]]),
+        (3, [[1, 0], [0, 1], [1, 1]]),
+    ])
+    def test_dependent_rows_rejected(self, p, rows):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            ConstructionALattice(p, rows, n=2)
 
     def test_generator_is_sympy_hnf(self):
         # Oracle: sympy's Hermite normal form of the columns [rows^T | p I].
