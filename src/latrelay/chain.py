@@ -156,6 +156,8 @@ def build_chain(p: int, n: int, ranks, gamma: float = 1.0,
     greedy search picks them.
     """
     gf.check_prime(p)
+    if n < 1:
+        raise InvalidRanks(f"dimension n must be >= 1, got {n}")
     ranks = tuple(int(k) for k in ranks)
     if any(not 0 <= k <= n for k in ranks) or list(ranks) != sorted(ranks):
         raise InvalidRanks(f"ranks must be nondecreasing in [0, {n}]: {ranks}")

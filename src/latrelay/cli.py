@@ -30,6 +30,7 @@ from .errors import (
     NotPrime,
     RejectionBudgetExceeded,
 )
+from .gf import check_prime
 from .rates import (
     TwrcParams,
     cutset_degraded,
@@ -152,13 +153,17 @@ def cmd_p2p_sim(sec: _Section, args) -> int:
     N = sec.get_float("N")
     if len(ranks) != 3:
         raise ConfigInvalid("[p2p-sim] ranks must list exactly 3 ranks")
+    check_prime(p)
+    try:
+        awgn = AwgnParams(P=P, N=N)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc))
     gamma = sec.get_float("gamma", repr(math.sqrt(12.0 * P) / p))
     trials = args.trials if args.trials else sec.get_int("trials", "1000")
     if trials < 1:
         raise ConfigInvalid(f"[p2p-sim] trials must be >= 1, got {trials}")
     try:
         chain = build_chain(p, n, ranks, gamma=gamma, seed=args.seed)
-        awgn = AwgnParams(P=P, N=N)
     except ValueError as exc:
         raise ConfigInvalid(str(exc))
     stats = simulate_p2p(chain, awgn, trials=trials, seed=args.seed)

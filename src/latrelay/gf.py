@@ -63,16 +63,6 @@ def rank(rows: np.ndarray, p: int) -> int:
     return rref(rows, p)[0].shape[0]
 
 
-def in_rowspan(rows: np.ndarray, vec: np.ndarray, p: int) -> bool:
-    """True iff ``vec`` lies in the GF(p) row span of ``rows``."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    vec = np.asarray(vec, dtype=np.int64) % p
-    if rows.shape[0] == 0 or rows.size == 0:
-        return bool(np.all(vec % p == 0))
-    base = rank(rows, p)
-    return rank(np.vstack([rows, vec[None, :]]), p) == base
-
-
 def in_rowspan_many(rows: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
     """Vectorized row-span membership for many vectors (m x n), mod p."""
     vecs = np.asarray(vecs, dtype=np.int64) % p

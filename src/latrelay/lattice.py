@@ -6,9 +6,10 @@ with generator ``rows`` over GF(p). All quantization and enumeration is
 exact at the dimensions used here (n <= 8 or so); there is no approximate
 CVP.
 
-A Construction-A lattice's basis comes from its code alone (Conway and
-Sloane, *Sphere Packings, Lattices and Groups*, ch. 5): the lifted rows of
-the code's echelon form plus p e_j for every other coordinate j.
+Nested pairs share (p, gamma): both lattices contain gamma p Z^n, so
+Lambda_1 is inside Lambda_2 exactly when code C_1 is a subcode of C_2
+(Conway and Sloane, *Sphere Packings, Lattices and Groups*, ch. 5).
+:func:`is_sublattice` rejects a pair of different p or gamma with NotNested.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ class ConstructionALattice(Lattice):
         k, dim = rows.shape
         if n is not None and n != dim:
             raise DimensionMismatch(f"rows have {dim} columns, expected n={n}")
-        self.generator = self._hnf_basis(p, rows, dim)
+        if k and len(gf.rref(rows, p)[1]) != k:
+            raise ValueError("code generator rows are linearly dependent mod p")
         if not (math.isfinite(gamma) and gamma > 0):
             raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
         self.p = int(p)
@@ -149,27 +151,6 @@ class ConstructionALattice(Lattice):
         self.rows = rows
         self.rows.setflags(write=False)
         self._codewords: Optional[np.ndarray] = None
-
-    @staticmethod
-    def _hnf_basis(p: int, rows: np.ndarray, n: int) -> np.ndarray:
-        """Hermite normal form of the lattice basis, as columns; raises
-        ValueError when ``rows`` are linearly dependent mod p.
-
-        The echelon form of the column-reversed rows, reversed back, has
-        one row per pivot j that is 1 at j, 0 at the other pivots and 0
-        right of j. That row is column j of the basis; every other column
-        j is p e_j. The result is upper triangular with entries above the
-        diagonal reduced modulo it, which is the Hermite normal form.
-        """
-        gen = p * np.eye(n)
-        if len(rows):
-            ech, pivots = gf.rref(rows[:, ::-1], p)
-            if len(pivots) != len(rows):
-                raise ValueError(
-                    "code generator rows are linearly dependent mod p")
-            cols = [n - 1 - c for c in pivots]
-            gen[:, cols] = ech[:, ::-1].T
-        return gen
 
     @property
     def volume(self) -> float:
@@ -219,14 +200,6 @@ class ConstructionALattice(Lattice):
             out = np.concatenate([_coset_scan(Y[lo:lo + chunk], cw, self.p)
                                   for lo in range(0, len(Y), chunk)])
         return self.gamma * out
-
-    def contains(self, x: np.ndarray, tol: float = TOL) -> bool:
-        x = self._check_dim(x)
-        y = x / self.gamma
-        yi = np.round(y)
-        if not np.all(np.abs(y - yi) <= tol):
-            return False
-        return gf.in_rowspan(self.rows, yi.astype(np.int64) % self.p, self.p)
 
     def voronoi_box_halfwidth(self) -> float:
         # gamma*p*Z^n is a sublattice, so the cell sits inside its cube cell.
@@ -330,41 +303,20 @@ def second_moment(lattice: ConstructionALattice, samples: int, seed: int) -> flo
     return total / (samples * lattice.n)
 
 
-def _same_family(a: ConstructionALattice, b: ConstructionALattice) -> bool:
-    """Both over the same field and at the same scale."""
-    return a.p == b.p and abs(a.gamma - b.gamma) <= TOL * max(1.0, a.gamma)
-
-
-def is_sublattice(coarse: ConstructionALattice, fine: ConstructionALattice,
-                  tol: float = TOL) -> bool:
+def is_sublattice(coarse: ConstructionALattice,
+                  fine: ConstructionALattice) -> bool:
     """True iff every point of ``coarse`` is a point of ``fine``.
 
-    Checked exactly by membership of each coarse basis vector in ``fine``.
-    Two Construction-A lattices of one family share gamma p Z^n, so there
-    it is the membership of the coarse code's rows in the fine code.
+    Both must be of one family (same p and gamma): they then share
+    gamma p Z^n, and nesting is the membership of the coarse code's rows
+    in the fine code. Raises NotNested for a pair of different families.
     """
     if coarse.n != fine.n:
         raise DimensionMismatch(f"dimensions differ: {coarse.n} vs {fine.n}")
-    if _same_family(coarse, fine):
-        return bool(np.all(gf.in_rowspan_many(fine.rows, coarse.rows,
-                                              fine.p)))
-    basis = coarse.gamma * coarse.generator
-    return all(fine.contains(basis[:, i], tol=tol) for i in range(coarse.n))
-
-
-def _codebook_generic(coarse: ConstructionALattice, fine: ConstructionALattice,
-                      budget: int) -> np.ndarray:
-    h = coarse.voronoi_box_halfwidth()
-    ginv = np.linalg.inv(fine.generator)
-    widths = np.ceil(np.linalg.norm(ginv, axis=1) * h / fine.gamma + 1e-9).astype(int)
-    total = np.prod(2 * widths + 1.0)
-    if total > budget:
-        raise EnumerationBudgetExceeded(
-            f"{total:.3g} candidates exceed budget {budget}")
-    axes = [np.arange(-w, w + 1) for w in widths]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, fine.n)
-    pts = fine.gamma * (grid @ fine.generator.T)
-    return pts[(np.abs(coarse.nearest_many(pts)) <= TOL).all(axis=1)]
+    if coarse.p != fine.p or abs(coarse.gamma - fine.gamma) > TOL * max(
+            1.0, coarse.gamma):
+        raise NotNested("nested pairs must share p and gamma")
+    return bool(np.all(gf.in_rowspan_many(fine.rows, coarse.rows, fine.p)))
 
 
 def codebook_points(coarse: ConstructionALattice, fine: ConstructionALattice,
@@ -380,11 +332,8 @@ def codebook_points(coarse: ConstructionALattice, fine: ConstructionALattice,
     if expected > budget:
         raise EnumerationBudgetExceeded(
             f"codebook size {expected} exceeds budget {budget}")
-    if _same_family(coarse, fine):
-        reps = gf.quotient_coset_reps(coarse.rows, fine.rows, coarse.p)
-        points = coarse.mod_many(coarse.gamma * reps.astype(float))
-    else:
-        points = _codebook_generic(coarse, fine, budget)
+    reps = gf.quotient_coset_reps(coarse.rows, fine.rows, coarse.p)
+    points = coarse.mod_many(coarse.gamma * reps.astype(float))
     if len(points) != expected:
         raise NotNested(
             f"enumerated {len(points)} codewords, expected V/Vc = {expected}")

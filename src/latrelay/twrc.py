@@ -148,9 +148,9 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
 
     base = build_chain(p, n, sorted({k1, k2, kc1, kc2, kmax}), gamma=gamma,
                        seed=seed)
-    master = ConstructionALattice(p, base.rows, gamma=gamma, n=n)
-    lam1, lam2 = master.with_rank(k1), master.with_rank(k2)
-    lam_c1, lam_c2 = master.with_rank(kc1), master.with_rank(kc2)
+    by_rank = dict(zip(base.ranks, base.lattices))
+    lam1, lam2 = by_rank[k1], by_rank[k2]
+    lam_c1, lam_c2 = by_rank[kc1], by_rank[kc2]
     lam_s1 = size_list_lattice(lam1, lam_c1, P=ch.P1, N=ch.N2)
     lam_s2 = size_list_lattice(lam2, lam_c2, P=ch.P2, N=ch.N1)
 
@@ -165,8 +165,7 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
         raise Infeasible(
             f"broadcast rate {params.R:g} below required {max(mi1, mi2):g}")
 
-    fine = master.with_rank(kmax)
-    sum_entries = enumerate_codebook(lam1, fine)
+    sum_entries = enumerate_codebook(lam1, by_rank[kmax])
     num_bins = max(1, min(round(2.0 ** (n * params.R)), len(sum_entries)))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(0xC0DE,)))
@@ -227,14 +226,6 @@ class TwrcRunResult:
     errors_dir2: int     # terminal 1 failing to recover w2
     sum_errors: int
     transcript: list[TwrcBlockRecord] = field(repr=False, default_factory=list)
-
-    @property
-    def error_rate_dir1(self) -> float:
-        return self.errors_dir1 / self.messages
-
-    @property
-    def error_rate_dir2(self) -> float:
-        return self.errors_dir2 / self.messages
 
 
 def _min_distance_index(Y: np.ndarray, codebook: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
+import configparser
 import csv
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +108,14 @@ class TestP2pSim:
         self._config_error(tmp_path, capsys, self.CFG.replace(
             "trials = 100", f"trials = {trials}"))
 
+    def test_p_zero_is_config_error(self, tmp_path, capsys):
+        self._config_error(tmp_path, capsys, self.CFG.replace("p = 3", "p = 0"))
+
+    @pytest.mark.parametrize("P", ["-1", "-inf"])
+    def test_negative_power_is_config_error(self, tmp_path, capsys, P):
+        self._config_error(tmp_path, capsys,
+                           self.CFG.replace("P = 1.0", f"P = {P}"))
+
 
 class TestRelaySim:
     CFG = ("[relay-sim]\nP = 2.0\nPR = 50.0\nNR = 1e-12\nN = 1e-12\n"
@@ -174,6 +184,10 @@ class TestTwrcSim:
     def test_p_zero_is_config_error(self, tmp_path, capsys):
         _config_error(tmp_path, capsys, "twrc-sim", "twrc_summary.csv",
                       self.CFG.replace("p = 3", "p = 0"))
+
+    def test_n_zero_is_config_error(self, tmp_path, capsys):
+        _config_error(tmp_path, capsys, "twrc-sim", "twrc_summary.csv",
+                      self.CFG.replace("n = 2", "n = 0"))
 
 
 class TestRegions:
@@ -245,6 +259,49 @@ class TestGaps:
         cfg = _write_cfg(tmp_path, "[gaps]\nscenario = 7\ndraws = 5\n")
         assert main(["gaps", "--config", cfg,
                      "--out", str(tmp_path), "--quiet"]) == 2
+
+
+EXAMPLE_INI = Path(__file__).resolve().parents[1] / "scripts/configs/example.ini"
+
+
+def _example_config() -> configparser.ConfigParser:
+    cfg = configparser.ConfigParser()
+    cfg.optionxform = str
+    cfg.read(EXAMPLE_INI)
+    return cfg
+
+
+@pytest.mark.parametrize("command", _example_config().sections())
+def test_bad_numbers_in_example_config_exit_cleanly(tmp_path, capsys,
+                                                    command):
+    """Every numeric key of the example section, set to each of nan, inf,
+    -inf, 0 and -1, gives exit 0, 2 with a config error or 3 with an
+    infeasibility, never an exception out of main."""
+    cfg = _example_config()
+    faults = []
+    for key, value in cfg[command].items():
+        try:
+            float(value)
+        except ValueError:
+            continue
+        for bad in ("nan", "inf", "-inf", "0", "-1"):
+            cfg[command][key] = bad
+            path = tmp_path / "cfg.ini"
+            with open(path, "w") as fh:
+                cfg.write(fh)
+            cfg[command][key] = value
+            flags = [] if key in ("trials", "runs", "draws") else [
+                "--trials", "1"]
+            try:
+                code = main([command, "--config", str(path), "--quiet",
+                             "--out", str(tmp_path / "out"), *flags])
+            except Exception as exc:    # escaped main: always a fault
+                code = repr(exc)
+            err = capsys.readouterr().err
+            want = {0: "", 2: "config error:", 3: "infeasible:"}.get(code)
+            if want is None or not err.startswith(want):
+                faults.append(f"{key} = {bad}: exit {code}, stderr {err!r}")
+    assert not faults
 
 
 def test_csv_lf_endings_and_dot_decimals(tmp_path):

@@ -7,11 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import Matrix
-from sympy.matrices.normalforms import hermite_normal_form
 
 import latrelay
-from latrelay import gf
+from latrelay.channel import NestedListDecoder
 from latrelay.errors import (
     DimensionMismatch,
     EnumerationBudgetExceeded,
@@ -20,6 +18,7 @@ from latrelay.errors import (
 )
 from latrelay.lattice import (
     ConstructionALattice,
+    codebook_points,
     enumerate_codebook,
     integer_lattice,
     is_sublattice,
@@ -202,32 +201,22 @@ class TestVolumeAndConstruction:
         with pytest.raises(ValueError, match="linearly dependent"):
             ConstructionALattice(p, rows, n=2)
 
-    def test_generator_is_sympy_hnf(self):
-        # Oracle: sympy's Hermite normal form of the columns [rows^T | p I].
-        rng = np.random.default_rng(1)
-        checked = 0
-        while checked < 320:
-            p = int(rng.choice([2, 3, 5, 7]))
-            n = int(rng.integers(1, 9))
-            k = int(rng.integers(0, n + 1))
-            rows = rng.integers(0, p, size=(k, n))
-            if k and gf.rank(rows, p) != k:
-                continue
-            lat = ConstructionALattice(p, rows, n=n)
-            cols = np.hstack([lat.rows.T, p * np.eye(n, dtype=np.int64)])
-            want = np.array(hermite_normal_form(Matrix(cols.tolist())).tolist(),
-                            dtype=float)
-            assert np.array_equal(lat.generator, want), lat.to_record()
-            checked += 1
-
-    def test_import_does_not_load_sympy(self):
+    def test_import_loads_only_numpy(self):
+        # A fresh `import latrelay` may add the standard library and numpy
+        # to sys.modules, and no other third-party package.
         src = str(Path(latrelay.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import latrelay, sys; print('sympy' in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        code = ("import sys\n"
+                "before = {m.split('.')[0] for m in sys.modules}\n"
+                "import latrelay\n"
+                "after = {m.split('.')[0] for m in sys.modules}\n"
+                "print(' '.join(sorted(after - before)))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        loaded = set(out.stdout.split())
+        assert {"latrelay", "numpy"} <= loaded
+        assert not loaded & {"sympy", "scipy", "hypothesis", "pytest"}
+        assert loaded - sys.stdlib_module_names <= {"latrelay", "numpy"}
 
 
 class TestSecondMoment:
@@ -298,13 +287,17 @@ class TestIsSublattice:
 
     def test_direction_matters(self):
         fine = integer_lattice(2)
-        coarse = integer_lattice(2, gamma=2.0)
+        coarse = ConstructionALattice(2, np.zeros((0, 2), dtype=int), n=2)
         assert is_sublattice(coarse, fine)
         assert not is_sublattice(fine, coarse)
 
-    def test_code_rows_agree_with_basis_membership(self):
-        # Oracle: every coarse basis vector is a fine point, tested one
-        # vector at a time through ConstructionALattice.contains.
+    def test_code_rows_agree_with_codeword_sets(self):
+        # Oracle: the coarse code's codewords, enumerated coefficient
+        # vector by coefficient vector, are all fine codewords.
+        def codeword_set(rows, p):
+            return {tuple(np.dot(c, rows).astype(int) % p)
+                    for c in itertools.product(range(p), repeat=len(rows))}
+
         rng = np.random.default_rng(41)
         seen = set()
         for _ in range(60):
@@ -317,12 +310,25 @@ class TestIsSublattice:
             nested = bool(rng.integers(0, 2)) and kc <= fine.k
             coarse_rows = rows[:kc] if nested else _rand_rows(rng, p, n, kc)
             coarse = ConstructionALattice(p, coarse_rows, gamma=gamma, n=n)
-            basis = coarse.gamma * coarse.generator
-            want = all(fine.contains(basis[:, i]) for i in range(n))
+            want = codeword_set(coarse_rows, p) <= codeword_set(rows, p)
             assert is_sublattice(coarse, fine) == want
             assert not nested or want
             seen.add(want)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("a, b", [
+        (integer_lattice(2), integer_lattice(2, gamma=2.0)),
+        (ConstructionALattice(3, np.zeros((0, 2), dtype=int), n=2),
+         ConstructionALattice(5, np.eye(2, dtype=int), n=2)),
+    ], ids=["gamma", "p"])
+    def test_cross_family_pair_not_nested(self, a, b):
+        for coarse, fine in ((a, b), (b, a)):
+            with pytest.raises(NotNested, match="share p and gamma"):
+                is_sublattice(coarse, fine)
+            with pytest.raises(NotNested, match="share p and gamma"):
+                codebook_points(coarse, fine)
+            with pytest.raises(NotNested, match="share p and gamma"):
+                NestedListDecoder(coarse, fine, fine)
 
     def test_prefix_rows_nested_and_oracle(self):
         p, n = 3, 2
@@ -370,8 +376,8 @@ class TestEnumerateCodebook:
         assert np.allclose(entries[0].t, 0.0)
 
     def test_pZn_in_Zn_counts(self):
-        coarse = integer_lattice(2, gamma=3.0)
-        fine = integer_lattice(2)
+        coarse = ConstructionALattice(3, np.zeros((0, 2), dtype=int), n=2)
+        fine = ConstructionALattice(3, np.eye(2, dtype=int), n=2)
         entries = enumerate_codebook(coarse, fine)
         assert len(entries) == 9
 
@@ -399,3 +405,5 @@ class TestEnumerateCodebook:
     def test_not_nested_raises(self):
         with pytest.raises(NotNested):
             enumerate_codebook(integer_lattice(2), integer_lattice(2, gamma=2.0))
+        with pytest.raises(NotNested):
+            enumerate_codebook(integer_lattice(2), integer_lattice(2).with_rank(0))

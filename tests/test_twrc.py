@@ -91,7 +91,7 @@ class TestRecovery:
 
     def test_not_nested_raises(self):
         fine = integer_lattice(2)
-        coarse = integer_lattice(2, gamma=2.0)
+        coarse = fine.with_rank(0)
         with pytest.raises(NotNested):
             recover_t1_from_sum(np.zeros(2), np.zeros(2), np.zeros(2),
                                 fine, coarse)
