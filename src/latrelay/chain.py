@@ -173,8 +173,19 @@ def build_chain(p: int, n: int, ranks, gamma: float = 1.0,
     lattices = tuple(master.with_rank(k) for k in ranks)
     for a, b in zip(lattices, lattices[1:]):
         assert is_sublattice(a, b)
+    try:    # the coarsest volume is the largest; gamma^n raises on overflow
+        if lattices and math.isinf(lattices[0].volume):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"lattice volumes overflow at gamma = {gamma!r}")
     return LatticeChain(p=p, n=n, gamma=float(gamma), ranks=ranks,
                         rows=master.rows, lattices=lattices)
+
+
+def rank_for_rate(p: int, n: int, rate: float) -> int:
+    """Rank step whose rate (log2(p)/n per rank) is nearest ``rate``,
+    capped at n + 1, one more than any chain of dimension n holds."""
+    return round(min(rate * n / math.log2(p), n + 1))
 
 
 def required_list_volume(V: float, P: float, N: float, n: int) -> float:
@@ -193,9 +204,8 @@ def size_list_lattice(coarse: ConstructionALattice, fine: ConstructionALattice,
     """
     if P <= 0 or N <= 0:
         raise ValueError("P and N must be positive")
-    if coarse.p != fine.p or abs(coarse.gamma - fine.gamma) > 1e-12 * coarse.gamma:
-        raise InvalidRanks("pair must share p and gamma")
-    if not np.array_equal(coarse.rows, fine.rows[:coarse.k]):
+    if not (is_sublattice(coarse, fine)
+            and np.array_equal(coarse.rows, fine.rows[:coarse.k])):
         raise InvalidRanks("pair rows must be prefix-nested")
     n = coarse.n
     target = (1.0 + margin) * required_list_volume(coarse.volume, P, N, n)

@@ -14,11 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotACodeword
+from .errors import NotACodeword, NotNested
 from .lattice import (
     TOL,
     ConstructionALattice,
-    codebook_points,
+    enumerate_codebook,
     is_sublattice,
     mod_rows,
     nearest_rows,
@@ -132,11 +132,11 @@ class NestedListDecoder:
     def __init__(self, coarse: ConstructionALattice, mid: ConstructionALattice,
                  fine: ConstructionALattice):
         if not (is_sublattice(coarse, mid) and is_sublattice(mid, fine)):
-            raise ValueError("chain nesting invalid")
+            raise NotNested("chain nesting invalid")
         self.coarse = coarse
         self.mid = mid
         self.fine = fine
-        self.reps = codebook_points(mid, fine)
+        self.reps = enumerate_codebook(mid, fine)
         self.list_size = int(round(mid.volume / fine.volume))
 
     def decode_many(self, Y_prime: np.ndarray) -> np.ndarray:
@@ -213,7 +213,7 @@ def simulate_p2p(chain, awgn: AwgnParams, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     coarse, mid, fine = chain[0], chain[1], chain[2]
     decoder = NestedListDecoder(coarse, mid, fine)
-    codebook = codebook_points(coarse, fine)
+    codebook = enumerate_codebook(coarse, fine)
     n = coarse.n
     half = coarse.gamma * coarse.p / 2.0
     errors = 0

@@ -199,18 +199,18 @@ def _run_round_trips(round_trip, cbs, params, seed: int, runs: int,
 
 
 def cmd_relay_sim(sec: _Section, args) -> int:
+    p = sec.get_int("p")
+    n = sec.get_int("n")
+    runs = _runs(sec, args)
     try:
         params = DegradedRelayParams(
             P=sec.get_float("P"), PR=sec.get_float("PR"),
             NR=sec.get_float("NR"), N=sec.get_float("N"),
             alpha=sec.get_float("alpha"), B=sec.get_int("B", "10"),
             R=sec.get_float("R"), RR=sec.get_float("RR"))
+        cbs = build_df_codebooks(params, p, n, seed=args.seed)
     except ValueError as exc:
         raise ConfigInvalid(str(exc))
-    p = sec.get_int("p")
-    n = sec.get_int("n")
-    runs = _runs(sec, args)
-    cbs = build_df_codebooks(params, p, n, seed=args.seed)
     (msg, err, relay_err, bin_err), transcript_rows = _run_round_trips(
         df_round_trip, cbs, params, args.seed, runs,
         ("messages", "message_errors", "relay_errors", "bin_errors"))
@@ -230,6 +230,10 @@ def cmd_relay_sim(sec: _Section, args) -> int:
 
 
 def cmd_twrc_sim(sec: _Section, args) -> int:
+    p = sec.get_int("p")
+    n = sec.get_int("n")
+    runs = _runs(sec, args)
+    enforce = sec.get_bool("enforce_broadcast_rate", "true")
     try:
         channel = TwrcParams(
             P1=sec.get_float("P1"), P2=sec.get_float("P2"),
@@ -238,14 +242,10 @@ def cmd_twrc_sim(sec: _Section, args) -> int:
         params = TwrcSimParams(channel=channel, R1=sec.get_float("R1"),
                                R2=sec.get_float("R2"), R=sec.get_float("R"),
                                B=sec.get_int("B", "10"))
+        cbs = build_twrc_codebooks(params, p, n, seed=args.seed,
+                                   enforce_broadcast_rate=enforce)
     except ValueError as exc:
         raise ConfigInvalid(str(exc))
-    p = sec.get_int("p")
-    n = sec.get_int("n")
-    runs = _runs(sec, args)
-    enforce = sec.get_bool("enforce_broadcast_rate", "true")
-    cbs = build_twrc_codebooks(params, p, n, seed=args.seed,
-                               enforce_broadcast_rate=enforce)
     (msg, e1, e2, se), transcript_rows = _run_round_trips(
         twrc_round_trip, cbs, params, args.seed, runs,
         ("messages", "errors_dir1", "errors_dir2", "sum_errors"))
@@ -279,14 +279,14 @@ def _channel_from_section(sec: _Section) -> TwrcParams:
 
 def cmd_regions(sec: _Section, args) -> int:
     params = _channel_from_section(sec)
-    ach = twrc_region(params)
-    norelay = two_way_no_relay(params)
-    if params.mode == "physical":
-        outer = cutset_degraded(params)
-        outer_name = "cut-set (degraded)"
-    else:
-        outer = cutset_general(params)
-        outer_name = "cut-set (general)"
+    physical = params.mode == "physical"
+    try:
+        ach = twrc_region(params)
+        norelay = two_way_no_relay(params)
+        outer = (cutset_degraded if physical else cutset_general)(params)
+    except ValueError as exc:
+        raise ConfigInvalid(f"[regions] {exc}")
+    outer_name = "cut-set (degraded)" if physical else "cut-set (general)"
     rows = [f"achievable,{ach.R1!r},{ach.R2!r}",
             f"no-relay,{norelay.R1!r},{norelay.R2!r}",
             f"cutset,{outer.R1!r},{outer.R2!r}"]
@@ -320,7 +320,10 @@ def cmd_gaps(sec: _Section, args) -> int:
     worst = None
     for d in range(draws):
         params = sample_twrc_params(scenario, rng, lo=lo, hi=hi)
-        rep = gap_report(params, scenario)
+        try:
+            rep = gap_report(params, scenario)
+        except ValueError as exc:
+            raise ConfigInvalid(f"[gaps] draw {d + 1}: {exc}")
         gmax = max(rep.gap1, rep.gap2)
         rows.append(f"{d + 1},{params.P1!r},{params.P2!r},{params.PR!r},"
                     f"{params.N1!r},{params.N2!r},{params.NR!r},"

@@ -15,7 +15,6 @@ Lambda_1 is inside Lambda_2 exactly when code C_1 is a subcode of C_2
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -102,17 +101,16 @@ class Lattice:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return X - self.nearest_many(X)
 
-    def sample_voronoi(self, rng: np.random.Generator,
-                       max_attempts: int = REJECTION_ATTEMPTS) -> np.ndarray:
+    def sample_voronoi(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform sample from the Voronoi cell by box rejection."""
         h = self.voronoi_box_halfwidth()
-        for _ in range(max_attempts):
+        for _ in range(REJECTION_ATTEMPTS):
             u = rng.uniform(-h, h, size=self.n)
             # np.allclose(Q(u), 0, atol=TOL) without its per-call cost.
             if (np.abs(self.nearest(u)) <= TOL).all():
                 return u
         raise RejectionBudgetExceeded(
-            f"no accept in {max_attempts} attempts (halfwidth {h:g})")
+            f"no accept in {REJECTION_ATTEMPTS} attempts (halfwidth {h:g})")
 
 
 def integer_lattice(n: int, gamma: float = 1.0) -> "ConstructionALattice":
@@ -128,8 +126,8 @@ class ConstructionALattice(Lattice):
     ``gamma * Z^n``. Volume is exactly ``gamma^n p^(n-k)``.
     """
 
-    def __init__(self, p: int, rows: np.ndarray, gamma: float = 1.0, n: int = None,
-                 enum_budget: int = DEFAULT_ENUM_BUDGET):
+    def __init__(self, p: int, rows: np.ndarray, gamma: float = 1.0,
+                 n: int = None):
         gf.check_prime(p)
         rows = np.atleast_2d(np.asarray(rows, dtype=np.int64)) % p
         if rows.size == 0:
@@ -147,7 +145,6 @@ class ConstructionALattice(Lattice):
         self.n = dim
         self.k = k
         self.gamma = float(gamma)
-        self.enum_budget = int(enum_budget)
         self.rows = rows
         self.rows.setflags(write=False)
         self._codewords: Optional[np.ndarray] = None
@@ -160,9 +157,9 @@ class ConstructionALattice(Lattice):
         """All p^k codewords of the underlying code (cached)."""
         if self._codewords is None:
             count = self.p ** self.k
-            if count > self.enum_budget:
+            if count > DEFAULT_ENUM_BUDGET:
                 raise EnumerationBudgetExceeded(
-                    f"p^k = {count} cosets exceed budget {self.enum_budget}")
+                    f"p^k = {count} cosets exceed budget {DEFAULT_ENUM_BUDGET}")
             cw = gf.all_codewords(self.rows, self.p)
             cw.setflags(write=False)
             self._codewords = cw
@@ -214,14 +211,14 @@ class ConstructionALattice(Lattice):
 
     def scaled(self, factor: float) -> "ConstructionALattice":
         return ConstructionALattice(self.p, self.rows, gamma=self.gamma * factor,
-                                    n=self.n, enum_budget=self.enum_budget)
+                                    n=self.n)
 
     def with_rank(self, k: int) -> "ConstructionALattice":
         """Sibling lattice built from the first ``k`` generator rows."""
         if not 0 <= k <= min(self.k, self.n):
             raise ValueError(f"rank {k} outside [0, {self.k}]")
         return ConstructionALattice(self.p, self.rows[:k], gamma=self.gamma,
-                                    n=self.n, enum_budget=self.enum_budget)
+                                    n=self.n)
 
     def to_record(self) -> str:
         """Serialize to the flat text record {p, n, k, rows, gamma}."""
@@ -247,13 +244,6 @@ class ConstructionALattice(Lattice):
     def __repr__(self) -> str:
         return (f"ConstructionALattice(p={self.p}, n={self.n}, k={self.k}, "
                 f"gamma={self.gamma!r})")
-
-
-@dataclass(frozen=True)
-class CodebookEntry:
-    """Message index (1-based) and its codeword point."""
-    w: int
-    t: np.ndarray
 
 
 def nearest_rows(lattice: Lattice, x: np.ndarray) -> np.ndarray:
@@ -319,30 +309,50 @@ def is_sublattice(coarse: ConstructionALattice,
     return bool(np.all(gf.in_rowspan_many(fine.rows, coarse.rows, fine.p)))
 
 
-def codebook_points(coarse: ConstructionALattice, fine: ConstructionALattice,
-                    budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-    """Codebook of the nested pair: fine points inside the coarse cell.
+def enumerate_codebook(coarse: ConstructionALattice,
+                       fine: ConstructionALattice) -> np.ndarray:
+    """Codebook of the nested pair: the fine points inside the coarse cell,
+    as a (V/Vc, n) array.
 
-    Rows are sorted lexicographically; row w-1 is message w, fixing the
-    message <-> codeword bijection. Cardinality is checked exactly.
-    """
+    Rows are sorted lexicographically by integer coordinates (units of
+    gamma), not by rounding noise; row w-1 is message w, fixing the
+    message <-> codeword bijection. Cardinality is checked exactly."""
     if not is_sublattice(coarse, fine):
         raise NotNested("coarse lattice is not a sublattice of fine lattice")
     expected = int(round(coarse.volume / fine.volume))
-    if expected > budget:
+    if expected > DEFAULT_ENUM_BUDGET:
         raise EnumerationBudgetExceeded(
-            f"codebook size {expected} exceeds budget {budget}")
+            f"codebook size {expected} exceeds budget {DEFAULT_ENUM_BUDGET}")
     reps = gf.quotient_coset_reps(coarse.rows, fine.rows, coarse.p)
     points = coarse.mod_many(coarse.gamma * reps.astype(float))
     if len(points) != expected:
         raise NotNested(
             f"enumerated {len(points)} codewords, expected V/Vc = {expected}")
+    # Sort a copy: the scan kernels' speed depends on this allocation.
     arr = np.array(points)
-    return arr[np.lexsort(arr[:, ::-1].T)]
+    keys = np.rint(arr / coarse.gamma)
+    return arr[np.lexsort(keys[:, ::-1].T)]
 
 
-def enumerate_codebook(coarse: ConstructionALattice, fine: ConstructionALattice,
-                       budget: int = DEFAULT_ENUM_BUDGET) -> list[CodebookEntry]:
-    """:func:`codebook_points` as entries indexed 1..V/Vc."""
-    return [CodebookEntry(w=i + 1, t=t)
-            for i, t in enumerate(codebook_points(coarse, fine, budget))]
+def codebook_index(codebook: np.ndarray, points: np.ndarray,
+                   gamma: float) -> np.ndarray:
+    """Message index of each point of a batch (m, n): the 1-based row of
+    ``codebook`` (:func:`enumerate_codebook` at scale ``gamma``) equal to
+    it as integer multiples of gamma, or 0 where none is. A lexicographic
+    binary search over the sorted rows; nothing is built per call."""
+    Q = np.rint(np.asarray(points, dtype=float) / gamma)
+    target, half = gamma * Q, 0.5 * gamma
+    ahead = np.zeros(len(Q), dtype=np.int64)   # rows known to sort before
+    each = np.arange(len(Q))
+    step = 1 << (len(codebook).bit_length() - 1)
+    while step:
+        probe = ahead + step
+        # Row probe-1 (the last row past the end) minus the point: its first
+        # coordinate off by more than gamma/2 decides which sorts first.
+        d = codebook.take(probe - 1, axis=0, mode="clip") - target
+        first = d[each, (np.abs(d) > half).argmax(axis=1)]
+        ahead = np.where(first < -half, probe, ahead)
+        step >>= 1
+    row = np.minimum(ahead, len(codebook) - 1)   # the first row not before
+    found = np.all(np.rint(codebook[row] / gamma) == Q, axis=1)
+    return np.where(found, row + 1, 0)

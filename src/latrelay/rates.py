@@ -69,8 +69,9 @@ class RatePoint:
     R2: float
 
     def __post_init__(self):
-        if self.R1 < 0 or self.R2 < 0:
-            raise ValueError("rates must be nonnegative")
+        if not (0 <= self.R1 < math.inf and 0 <= self.R2 < math.inf):
+            raise ValueError("rates must be finite and nonnegative, got "
+                             f"R1={self.R1!r}, R2={self.R2!r}")
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf
-from .chain import LatticeChain, build_chain, size_list_lattice
+from .chain import LatticeChain, build_chain, rank_for_rate, size_list_lattice
 from .channel import block_draws, trial_rng, unique_decode, NestedListDecoder
-from .errors import ConfigInvalid
-from .lattice import enumerate_codebook, second_moment
+from .lattice import codebook_index, enumerate_codebook
 from .rates import best_power_split
 
 
@@ -98,8 +97,8 @@ class DfCodebooks:
     bin_rate_achieved: float
     power1: float                    # second moment of Lambda_1
     power2: float                    # second moment of Lambda_2
-    message_entries: list
-    resolution_entries: list
+    message_entries: np.ndarray      # (num_messages, n); row w-1 is w
+    resolution_entries: np.ndarray   # (num_bins, n); row s-1 is bin s
 
     @property
     def num_messages(self) -> int:
@@ -115,52 +114,26 @@ def _shaping_gamma(p: int, target_power: float) -> float:
     return math.sqrt(12.0 * target_power) / p
 
 
-def _rank_for_rate(p: int, n: int, rate: float) -> int:
-    return max(1, round(rate * n / math.log2(p)))
-
-
-def _lookup(entries, gamma: float) -> dict:
-    return {tuple(np.round(e.t / gamma).astype(int).tolist()): e.w
-            for e in entries}
-
-
-def _indices(lookup: dict, points: np.ndarray, scale: float) -> np.ndarray:
-    """Index (1-based) of each row of ``points`` (m, n) under ``lookup``,
-    keyed by the point in units of ``scale``; 0 where it has none."""
-    keys = np.round(points / scale).astype(int).tolist()
-    return np.array([lookup.get(tuple(k), 0) for k in keys], dtype=np.int64)
-
-
 def build_df_codebooks(params: DegradedRelayParams, p: int, n: int,
-                       seed: int = 0, power_check_samples: int = 0
-                       ) -> DfCodebooks:
+                       seed: int = 0) -> DfCodebooks:
     """Build the two nested codebooks with shaping powers alpha*P, abar*P.
 
     The list lattice is sized for the destination's effective channel
     (signal alpha*P, noise N + NR). Shaping lattices use rank 0, whose
-    cubic cell hits the power targets exactly; an optional Monte Carlo
-    check confirms the 5% tolerance.
+    cubic cell of side sqrt(12 target) has second moment exactly the
+    target.
     """
     gf.check_prime(p)
     gamma1 = _shaping_gamma(p, params.alpha * params.P)
-    dk1 = _rank_for_rate(p, n, params.R)
+    dk1 = max(1, rank_for_rate(p, n, params.R))
     base1 = build_chain(p, n, [0, dk1], gamma=gamma1, seed=seed)
     ls1 = size_list_lattice(base1[0], base1[1],
                             P=params.alpha * params.P, N=params.N + params.NR)
     chain1 = build_chain(p, n, [0, ls1.k, dk1], gamma=gamma1, rows=base1.rows)
 
     gamma2 = _shaping_gamma(p, params.abar * params.P)
-    dk2 = _rank_for_rate(p, n, params.RR)
+    dk2 = max(1, rank_for_rate(p, n, params.RR))
     chain2 = build_chain(p, n, [0, dk2], gamma=gamma2, seed=seed + 1)
-
-    for lat, target in ((chain1[0], params.alpha * params.P),
-                        (chain2[0], params.abar * params.P)):
-        achieved = lat.second_moment_exact()
-        if power_check_samples:
-            achieved = second_moment(lat, power_check_samples, seed)
-        if abs(achieved - target) > 0.05 * target:
-            raise ConfigInvalid(
-                f"shaping power {achieved:g} misses target {target:g} by >5%")
 
     return DfCodebooks(
         message_chain=chain1,
@@ -227,10 +200,8 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
 
     binning = BinningMap(codebooks.num_messages, codebooks.num_bins, seed)
     list_dec = NestedListDecoder(lam1, lam_s1, lam_c1)
-    msg_of_point = _lookup(codebooks.message_entries, lam1.gamma)
-    res_of_point = _lookup(codebooks.resolution_entries, lam2.gamma)
-    msg_points = np.array([e.t for e in codebooks.message_entries])
-    res_points = np.array([e.t for e in codebooks.resolution_entries])
+    msg_points = codebooks.message_entries
+    res_points = codebooks.resolution_entries
 
     aP, abP = params.alpha * params.P, params.abar * params.P
     n_dest = params.N + params.NR
@@ -275,8 +246,9 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
     while rows.size:
         V[rows] = lam2.mod_many(res_points[s_relay[rows] - 1] - U2[rows])
         y = lam1.mod_many(alpha_relay * (YR[rows] - V[rows]) + U1[rows])
-        w_relay[rows] = _indices(msg_of_point,
-                                 unique_decode(y, lam1, lam_c1), lam1.gamma)
+        w_relay[rows] = codebook_index(msg_points,
+                                       unique_decode(y, lam1, lam_c1),
+                                       lam1.gamma)
         implied = sent_bins(w_relay)
         rows = np.flatnonzero(implied != s_relay)
         s_relay = implied
@@ -285,15 +257,16 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
     # Destination: decode the bin, subtract its signal, list decode.
     Y2 = X1 + X2 + rho * V + ZR + Z2p
     y_bin = lam2k.mod_many(beta * Y2 + kappa * U2)
-    s_hat = _indices(res_of_point, unique_decode(y_bin, lam2k, lam_c2k),
-                     kappa * lam2.gamma)
+    s_hat = codebook_index(res_points,
+                           unique_decode(y_bin, lam2k, lam_c2k) / kappa,
+                           lam2.gamma)
     bin_ok = s_hat == s_true
     X2_hat = kappa * lam2.mod_many(res_points[np.maximum(s_hat, 1) - 1] - U2)
     y_list = lam1.mod_many(alpha_list * (Y2 - X2_hat) + U1)
     lists = np.array([list_dec.decode(y).points for y in y_list])
     size = lists.shape[1]
-    members = _indices(msg_of_point, lists.reshape(-1, lam1.n),
-                       lam1.gamma).reshape(B + 1, size)
+    members = codebook_index(msg_points, lists.reshape(-1, lam1.n),
+                             lam1.gamma).reshape(B + 1, size)
 
     # Block b+1 resolves block b (rows :B): the list members of block b
     # that fall in the bin decoded in block b+1.

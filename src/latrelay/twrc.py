@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf
-from .chain import build_chain, size_list_lattice
+from .chain import build_chain, rank_for_rate, size_list_lattice
 from .channel import block_draws, trial_rng, NestedListDecoder
-from .errors import Infeasible, NotNested
+from .errors import Infeasible, NotACodeword, NotNested
 from .lattice import (
     ConstructionALattice,
+    codebook_index,
     enumerate_codebook,
     is_sublattice,
     mod_rows,
@@ -33,6 +34,9 @@ from .lattice import (
     second_moment,
 )
 from .rates import TwrcParams, capacity_c
+
+# Monte Carlo samples for the second moment of a non-cubic Lambda_2.
+POWER_SAMPLES = 2000
 
 
 def sum_codeword(t1: np.ndarray, t2: np.ndarray, U2: np.ndarray,
@@ -91,9 +95,9 @@ class TwrcCodebooks:
     lam_s1: ConstructionALattice
     lam_s2: ConstructionALattice
     chain_order: tuple[int, ...]          # ranks sorted coarse to fine
-    entries1: list
-    entries2: list
-    sum_entries: list
+    entries1: np.ndarray                  # row w-1 is terminal 1's message w
+    entries2: np.ndarray                  # row w-1 is terminal 2's message w
+    sum_entries: np.ndarray               # row i-1 is sum codeword i
     relay_codebook: np.ndarray            # (num_bins, n), Gaussian, power PR
     bin_table: np.ndarray                 # sum index -> bin index (1-based)
     power1: float
@@ -108,15 +112,12 @@ class TwrcCodebooks:
     def bin_of_sum(self, T: np.ndarray):
         """Bin (1-based) of a sum codeword (n,), as an int, or of each row
         of a batch (m, n), as an integer array."""
-        keys = np.round(T / self.lam1.gamma).astype(int).tolist()
-        if np.ndim(T) == 1:
-            return int(self.bin_table[self._sum_index[tuple(keys)]])
-        return self.bin_table[[self._sum_index[tuple(k)] for k in keys]]
-
-    def __post_init__(self):
-        self._sum_index = {
-            tuple(np.round(e.t / self.lam1.gamma).astype(int).tolist()): i
-            for i, e in enumerate(self.sum_entries)}
+        index = codebook_index(self.sum_entries, np.atleast_2d(T),
+                               self.lam1.gamma)
+        if not index.all():
+            raise NotACodeword("not a sum codeword")
+        bins = self.bin_table[index - 1]
+        return int(bins[0]) if np.ndim(T) == 1 else bins
 
 
 def _rank_for_power(p: int, n: int, P1: float, P2: float) -> int:
@@ -125,7 +126,6 @@ def _rank_for_power(p: int, n: int, P1: float, P2: float) -> int:
 
 
 def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
-                         power_samples: int = 2000,
                          enforce_broadcast_rate: bool = True) -> TwrcCodebooks:
     """Build the nested 6-lattice family and the relay's bin codebook.
 
@@ -139,8 +139,8 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
     gamma = math.sqrt(12.0 * ch.P1) / p
     k1 = 0
     k2 = _rank_for_power(p, n, ch.P1, ch.P2)
-    dk1 = round(params.R1 * n / math.log2(p))
-    dk2 = round(params.R2 * n / math.log2(p))
+    dk1 = rank_for_rate(p, n, params.R1)
+    dk2 = rank_for_rate(p, n, params.R2)
     kc1, kc2 = k1 + dk1, k2 + dk2
     kmax = max(kc1, kc2)
     if kmax > n:
@@ -157,7 +157,7 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
     power1 = lam1.second_moment_exact()
     exact2 = lam2.second_moment_exact()
     power2 = exact2 if exact2 is not None else second_moment(
-        lam2, power_samples, seed)
+        lam2, POWER_SAMPLES, seed)
 
     mi1 = capacity_c(ch.PR / (power1 + ch.N2))
     mi2 = capacity_c(ch.PR / (power2 + ch.N1))
@@ -166,7 +166,9 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
             f"broadcast rate {params.R:g} below required {max(mi1, mi2):g}")
 
     sum_entries = enumerate_codebook(lam1, by_rank[kmax])
-    num_bins = max(1, min(round(2.0 ** (n * params.R)), len(sum_entries)))
+    # 2^(nR) bins, at most one per sum: capped before the power overflows.
+    num_bins = max(1, round(2.0 ** min(n * params.R,
+                                       math.log2(len(sum_entries)))))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(0xC0DE,)))
     relay_codebook = rng.normal(0.0, math.sqrt(ch.PR), size=(num_bins, n))
@@ -268,8 +270,8 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
     # Row b-1 holds block b.
     U1, U2, ZR, Z1, Z2 = block_draws(seed, B + 1, (lam1, lam2),
                                      (ch.NR, ch.N1, ch.N2))
-    t1 = np.array([cbs.entries1[w - 1].t for w in w1s])
-    t2 = np.array([cbs.entries2[w - 1].t for w in w2s])
+    t1 = cbs.entries1[np.array(w1s) - 1]
+    t2 = cbs.entries2[np.array(w2s) - 1]
     X1 = lam1.mod_many(t1 - U1)
     X2 = lam2.mod_many(t2 + U2)
 

@@ -2,10 +2,12 @@
 
 These are the DF and TWRC round trips written one block at a time from
 the single-vector functions (``Lattice.mod``, ``unique_decode``,
-``sum_codeword``, ``relay_decode_sum``, ``TwrcCodebooks.bin_of_sum``),
-each block drawing U1, U2 and then its noises from ``trial_rng(seed, b)``.
-The batched engines in ``latrelay.relay`` and ``latrelay.twrc`` must
-reproduce their counts and transcripts exactly.
+``sum_codeword``, ``relay_decode_sum``), each block drawing U1, U2 and
+then its noises from ``trial_rng(seed, b)``. Points map back to their
+message, bin or sum indices through dicts built here (``_index_of``), so
+no index code is shared with the engines. The batched engines in
+``latrelay.relay`` and ``latrelay.twrc`` must reproduce their counts and
+transcripts exactly.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ from typing import Optional
 import numpy as np
 
 from latrelay.channel import NestedListDecoder, trial_rng, unique_decode
-from latrelay.relay import (
-    BinningMap,
-    BlockRecord,
-    DfRunResult,
-    _lookup,
-)
+from latrelay.relay import BinningMap, BlockRecord, DfRunResult
 from latrelay.twrc import (
     TwrcBlockRecord,
     TwrcRunResult,
@@ -34,6 +31,11 @@ def _key(pt, scale):
     return tuple(np.round(pt / scale).astype(int).tolist())
 
 
+def _index_of(codebook, scale) -> dict:
+    """1-based row of each codebook point, keyed by ``_key``."""
+    return {_key(t, scale): w for w, t in enumerate(codebook, start=1)}
+
+
 def df_reference(codebooks, params, seed: int) -> DfRunResult:
     ch1, ch2 = codebooks.message_chain, codebooks.resolution_chain
     lam1, lam_s1, lam_c1 = ch1[0], ch1[1], ch1[2]
@@ -44,8 +46,8 @@ def df_reference(codebooks, params, seed: int) -> DfRunResult:
 
     binning = BinningMap(codebooks.num_messages, codebooks.num_bins, seed)
     list_dec = NestedListDecoder(lam1, lam_s1, lam_c1)
-    msg_of_point = _lookup(codebooks.message_entries, lam1.gamma)
-    res_of_point = _lookup(codebooks.resolution_entries, lam2.gamma)
+    msg_of_point = _index_of(codebooks.message_entries, lam1.gamma)
+    res_of_point = _index_of(codebooks.resolution_entries, lam2.gamma)
 
     aP, abP = params.alpha * params.P, params.abar * params.P
     n_dest = params.N + params.NR
@@ -71,11 +73,11 @@ def df_reference(codebooks, params, seed: int) -> DfRunResult:
 
         U1 = lam1.sample_voronoi(rng)
         U2 = lam2.sample_voronoi(rng)
-        t1 = codebooks.message_entries[w_b - 1].t
-        t2 = codebooks.resolution_entries[s_b - 1].t
+        t1 = codebooks.message_entries[w_b - 1]
+        t2 = codebooks.resolution_entries[s_b - 1]
         X1 = lam1.mod(t1 - U1)
         X2 = lam2.mod(t2 - U2)
-        t2_relay = codebooks.resolution_entries[s_relay - 1].t
+        t2_relay = codebooks.resolution_entries[s_relay - 1]
         XR = rho * lam2.mod(t2_relay - U2)
         ZR = rng.normal(0.0, math.sqrt(params.NR), size=lam1.n)
         Z2p = rng.normal(0.0, math.sqrt(params.N), size=lam1.n)
@@ -95,7 +97,7 @@ def df_reference(codebooks, params, seed: int) -> DfRunResult:
         bin_ok = s_hat == s_b
         bin_errors += not bin_ok
 
-        t2_hat = codebooks.resolution_entries[(s_hat or 1) - 1].t
+        t2_hat = codebooks.resolution_entries[(s_hat or 1) - 1]
         X2_hat = kappa * lam2.mod(t2_hat - U2)
         y_list = lam1.mod(alpha_list * (Y2 - X2_hat) + U1)
         lres = list_dec.decode(y_list, truth=t1)
@@ -132,6 +134,10 @@ def twrc_reference(cbs, params, seed: int) -> TwrcRunResult:
     dec2 = NestedListDecoder(lam2, cbs.lam_s2, cbs.lam_c2)
     a1 = cbs.power1 / (cbs.power1 + ch.N2)
     a2 = cbs.power2 / (cbs.power2 + ch.N1)
+    sum_of_point = _index_of(cbs.sum_entries, lam1.gamma)
+
+    def bin_of_sum(T) -> int:
+        return int(cbs.bin_table[sum_of_point[_key(T, lam1.gamma)] - 1])
 
     rng_msg = trial_rng(seed, 0)
     B = params.B
@@ -150,8 +156,8 @@ def twrc_reference(cbs, params, seed: int) -> TwrcRunResult:
     for b in range(1, B + 2):
         rng = trial_rng(seed, b)
         w1, w2 = w1s[b - 1], w2s[b - 1]
-        t1 = cbs.entries1[w1 - 1].t
-        t2 = cbs.entries2[w2 - 1].t
+        t1 = cbs.entries1[w1 - 1]
+        t2 = cbs.entries2[w2 - 1]
         U1 = lam1.sample_voronoi(rng)
         U2 = lam2.sample_voronoi(rng)
         X1 = lam1.mod(t1 - U1)
@@ -166,7 +172,7 @@ def twrc_reference(cbs, params, seed: int) -> TwrcRunResult:
         T_hat = relay_decode_sum(YR, U1, U2, cbs, ch.NR)
         sum_ok = bool(np.allclose(T_hat, T_true, atol=1e-6))
         sum_errors += not sum_ok
-        relay_s_hat = cbs.bin_of_sum(T_hat)
+        relay_s_hat = bin_of_sum(T_hat)
 
         Y1 = XR + X2 + Z1
         Y2 = XR + X1 + Z2
@@ -179,21 +185,21 @@ def twrc_reference(cbs, params, seed: int) -> TwrcRunResult:
             w1p, w2p, t1p, t2p, U1p, U2p = pending
             lres1 = dec1.decode(lam1.mod(a1 * prev_obs2 + U1p), truth=t1p)
             matches = [pt for pt in lres1.points
-                       if cbs.bin_of_sum(sum_codeword(pt, t2p, U2p,
-                                                      lam1, lam2)) == s2_hat]
+                       if bin_of_sum(sum_codeword(pt, t2p, U2p,
+                                                  lam1, lam2)) == s2_hat]
             resolve1_ok = (len(matches) == 1
                            and np.allclose(matches[0], t1p, atol=1e-6))
             errors1 += not resolve1_ok
 
             lres2 = dec2.decode(lam2.mod(a2 * prev_obs1 - U2p), truth=t2p)
             matches2 = [pt for pt in lres2.points
-                        if cbs.bin_of_sum(sum_codeword(t1p, pt, U2p,
-                                                       lam1, lam2)) == s1_hat]
+                        if bin_of_sum(sum_codeword(t1p, pt, U2p,
+                                                   lam1, lam2)) == s1_hat]
             resolve2_ok = (len(matches2) == 1
                            and np.allclose(matches2[0], t2p, atol=1e-6))
             errors2 += not resolve2_ok
 
-            prev_bin = cbs.bin_of_sum(sum_codeword(t1p, t2p, U2p, lam1, lam2))
+            prev_bin = bin_of_sum(sum_codeword(t1p, t2p, U2p, lam1, lam2))
             transcript.append(TwrcBlockRecord(
                 b=b - 1, w1=w1p, w2=w2p, sum_ok=prev_sum_ok,
                 bin_ok=(s1_hat == prev_bin and s2_hat == prev_bin),

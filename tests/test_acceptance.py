@@ -156,21 +156,21 @@ def test_criterion_05_sum_recovery():
     cb2 = enumerate_codebook(lam2, fine)
     rng = np.random.default_rng(41)
     dithers = [lam2.sample_voronoi(rng) for _ in range(100)]
-    for e1, e2 in itertools.product(cb1, cb2):
+    for t1, t2 in itertools.product(cb1, cb2):
         for U2 in dithers:
-            T = sum_codeword(e1.t, e2.t, U2, lam1, lam2)
-            r1 = recover_t1_from_sum(T, e2.t, U2, lam1, lam2)
-            r2 = recover_t2_from_sum(T, e1.t, lam1, lam2)
-            bad += not (np.allclose(r1, lam1.mod(e1.t), atol=1e-9)
-                        and np.allclose(r2, lam2.mod(e2.t), atol=1e-9))
+            T = sum_codeword(t1, t2, U2, lam1, lam2)
+            r1 = recover_t1_from_sum(T, t2, U2, lam1, lam2)
+            r2 = recover_t2_from_sum(T, t1, lam1, lam2)
+            bad += not (np.allclose(r1, lam1.mod(t1), atol=1e-9)
+                        and np.allclose(r2, lam2.mod(t2), atol=1e-9))
             checked += 1
     ch5 = build_chain(5, 4, [0, 1, 2], seed=3)
     m1, m2, f5 = ch5.lattices
     cb1r = enumerate_codebook(m1, f5)
     cb2r = enumerate_codebook(m2, f5)
     for _ in range(1000):
-        t1 = cb1r[int(rng.integers(len(cb1r)))].t
-        t2 = cb2r[int(rng.integers(len(cb2r)))].t
+        t1 = cb1r[int(rng.integers(len(cb1r)))]
+        t2 = cb2r[int(rng.integers(len(cb2r)))]
         U2 = m2.sample_voronoi(rng)
         T = sum_codeword(t1, t2, U2, m1, m2)
         bad += not (np.allclose(recover_t1_from_sum(T, t2, U2, m1, m2),

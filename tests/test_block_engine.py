@@ -193,7 +193,7 @@ def test_relay_decode_sum_and_bins_batch_match_single():
     U2 = np.vstack([U2, rng.uniform(-g, g, size=(300, 2))])
     T = _batch_equals_single(
         lambda y, a, b: relay_decode_sum(y, a, b, cbs, 0.01), YR, U1, U2)
-    sums = np.vstack([T, [e.t for e in cbs.sum_entries]])
+    sums = np.vstack([T, cbs.sum_entries])
     bins = cbs.bin_of_sum(sums)
     assert bins.shape == (len(sums),)
     assert bins.tolist() == [cbs.bin_of_sum(t) for t in sums]

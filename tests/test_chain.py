@@ -10,8 +10,12 @@ from latrelay.chain import (
     pick_generator_rows,
     size_list_lattice,
 )
-from latrelay.errors import Infeasible, InvalidRanks, NotPrime
-from latrelay.lattice import enumerate_codebook, is_sublattice
+from latrelay.errors import Infeasible, InvalidRanks, NotNested, NotPrime
+from latrelay.lattice import (
+    ConstructionALattice,
+    enumerate_codebook,
+    is_sublattice,
+)
 from chain_reference import pick_generator_rows_reference
 
 
@@ -119,6 +123,18 @@ class TestSizeListLattice:
         assert ls.volume == pytest.approx(9.0, rel=1e-12)
         assert ch[1].volume == pytest.approx(1.0, rel=1e-12)
         assert round(ls.volume / ch[1].volume) == 9
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.0 + 1e-10])
+    def test_family_rule_is_is_sublattice(self, gamma):
+        # 3Z^2 inside Z^2: gamma within is_sublattice's tolerance is one
+        # family, so the pair is sized like any other.
+        coarse = ConstructionALattice(3, np.zeros((0, 2)), n=2)
+        fine = ConstructionALattice(3, np.eye(2), gamma=gamma, n=2)
+        assert is_sublattice(coarse, fine)
+        ls = size_list_lattice(coarse, fine, P=100.0, N=1.0)
+        assert ls.k == 2 and ls.gamma == gamma
+        with pytest.raises(NotNested, match="share p and gamma"):
+            size_list_lattice(coarse, fine.scaled(2.0), P=1.0, N=1.0)
 
     def test_p7_example(self):
         ch = build_chain(7, 2, [0, 2])

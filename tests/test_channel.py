@@ -32,7 +32,7 @@ def _points_equal(a, b):
 class TestEncodeDithered:
     def test_zero_dither(self):
         ch = build_chain(3, 2, [0, 2])
-        t = enumerate_codebook(ch[0], ch[1])[4].t
+        t = enumerate_codebook(ch[0], ch[1])[4]
         assert np.allclose(encode_dithered(t, np.zeros(2), ch[0]), t)
 
     def test_zero_codeword_gives_negated_dither(self):
@@ -57,7 +57,7 @@ class TestEncodeDithered:
         # rank-0 shaping cell is a cube, so dithers vectorize cleanly
         h = lat.gamma * lat.p / 2
         U = rng.uniform(-h, h, size=(m, 2))
-        t = cb[3].t
+        t = cb[3]
         X = lat.mod_many(t[None, :] - U)
         emp = float(np.mean(X ** 2))
         # variance of x^2 for x uniform on the cell, per coordinate
@@ -72,8 +72,8 @@ class TestEncodeDithered:
         rng = np.random.default_rng(8)
         h = lat.gamma * lat.p / 2
         U = rng.uniform(-h, h, size=(20_000, 2))
-        Xa = lat.mod_many(cb[1].t[None, :] - U)
-        Xb = lat.mod_many(cb[7].t[None, :] - U)
+        Xa = lat.mod_many(cb[1][None, :] - U)
+        Xb = lat.mod_many(cb[7][None, :] - U)
         sd = math.sqrt(lat.second_moment_exact())
         tol = 4 * sd * math.sqrt(2 / 20_000)
         assert np.max(np.abs(Xa.mean(axis=0) - Xb.mean(axis=0))) < 2 * tol
@@ -82,7 +82,7 @@ class TestEncodeDithered:
 class TestFrontEnd:
     def test_noiseless_recovery(self):
         ch = build_chain(3, 2, [0, 2])
-        t = enumerate_codebook(ch[0], ch[1])[2].t
+        t = enumerate_codebook(ch[0], ch[1])[2]
         rng = np.random.default_rng(3)
         U = ch[0].sample_voronoi(rng)
         X = encode_dithered(t, U, ch[0])
@@ -95,7 +95,7 @@ class TestFrontEnd:
         P, N = 1.3, 0.6
         for trial in range(200):
             rng = trial_rng(42, trial)
-            t = cb[int(rng.integers(len(cb)))].t
+            t = cb[int(rng.integers(len(cb)))]
             U = ch[0].sample_voronoi(rng)
             Z = rng.normal(0, math.sqrt(N), 2)
             X = encode_dithered(t, U, ch[0])
@@ -135,7 +135,7 @@ class TestListDecode:
         ch = self._chain(ranks=(0, 0, 2))
         res = NestedListDecoder(ch[0], ch[1], ch[2]).decode(
             np.array([0.3, 0.1]))
-        cb = [e.t for e in enumerate_codebook(ch[0], ch[2])]
+        cb = enumerate_codebook(ch[0], ch[2])
         assert _points_equal(res.points, cb)
 
     def test_size_three_for_any_input(self):
@@ -273,7 +273,7 @@ class TestBatchedEngine:
             Z = rng.normal(0.0, math.sqrt(N), size=(CHUNK, 4))
             y_primes, lists = [], []
             for i in range(m):
-                t = codebook[w[i]].t
+                t = codebook[w[i]]
                 U = coarse.mod(U_raw[i])
                 X = encode_dithered(t, U, coarse)
                 y_prime = receiver_front_end(X + Z[i], U, P, N, coarse)

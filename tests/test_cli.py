@@ -1,6 +1,7 @@
 import configparser
 import csv
 import math
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -251,6 +252,11 @@ class TestGaps:
         _config_error(tmp_path, capsys, "gaps", "gaps.csv",
                       self.CFG + "lo = 0\n")
 
+    def test_overflowing_upper_end_is_config_error(self, tmp_path, capsys):
+        # Draws near 1e308 overflow the rate formulas into nan.
+        _config_error(tmp_path, capsys, "gaps", "gaps.csv",
+                      self.CFG + "hi = 1e308\n")
+
     def test_zero_draws_is_config_error(self, tmp_path, capsys):
         _config_error(tmp_path, capsys, "gaps", "gaps.csv",
                       self.CFG.replace("draws = 150", "draws = 0"))
@@ -275,8 +281,9 @@ def _example_config() -> configparser.ConfigParser:
 def test_bad_numbers_in_example_config_exit_cleanly(tmp_path, capsys,
                                                     command):
     """Every numeric key of the example section, set to each of nan, inf,
-    -inf, 0 and -1, gives exit 0, 2 with a config error or 3 with an
-    infeasibility, never an exception out of main."""
+    -inf, 0, -1 and 1e308, gives exit 0, 2 with a config error or 3 with
+    an infeasibility, never an exception out of main; a run that exits 0
+    writes no nan or inf into its CSV files."""
     cfg = _example_config()
     faults = []
     for key, value in cfg[command].items():
@@ -284,7 +291,7 @@ def test_bad_numbers_in_example_config_exit_cleanly(tmp_path, capsys,
             float(value)
         except ValueError:
             continue
-        for bad in ("nan", "inf", "-inf", "0", "-1"):
+        for bad in ("nan", "inf", "-inf", "0", "-1", "1e308"):
             cfg[command][key] = bad
             path = tmp_path / "cfg.ini"
             with open(path, "w") as fh:
@@ -292,15 +299,20 @@ def test_bad_numbers_in_example_config_exit_cleanly(tmp_path, capsys,
             cfg[command][key] = value
             flags = [] if key in ("trials", "runs", "draws") else [
                 "--trials", "1"]
+            out = tmp_path / f"out_{key}_{bad}"
             try:
                 code = main([command, "--config", str(path), "--quiet",
-                             "--out", str(tmp_path / "out"), *flags])
+                             "--out", str(out), *flags])
             except Exception as exc:    # escaped main: always a fault
                 code = repr(exc)
             err = capsys.readouterr().err
             want = {0: "", 2: "config error:", 3: "infeasible:"}.get(code)
             if want is None or not err.startswith(want):
                 faults.append(f"{key} = {bad}: exit {code}, stderr {err!r}")
+            written = sorted(out.glob("*.csv")) if code == 0 else []
+            for table in written:
+                if re.search(r"\b(nan|inf)\b", table.read_text(), re.I):
+                    faults.append(f"{key} = {bad}: nan or inf in {table.name}")
     assert not faults
 
 

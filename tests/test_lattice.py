@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latrelay
+from latrelay.chain import build_chain
 from latrelay.channel import NestedListDecoder
 from latrelay.errors import (
     DimensionMismatch,
@@ -17,8 +18,9 @@ from latrelay.errors import (
     RejectionBudgetExceeded,
 )
 from latrelay.lattice import (
+    DEFAULT_ENUM_BUDGET,
     ConstructionALattice,
-    codebook_points,
+    codebook_index,
     enumerate_codebook,
     integer_lattice,
     is_sublattice,
@@ -115,11 +117,14 @@ class TestNearestPoint:
                     lat.mod_many(X)
 
     def test_enumeration_budget(self):
+        # p^k = 101^4 cosets exceed the budget; codewords() raises before
+        # it enumerates any of them.
         rng = np.random.default_rng(0)
-        rows = _rand_rows(rng, 5, 4, 3)
-        lat = ConstructionALattice(5, rows, gamma=1.0, n=4, enum_budget=10)
+        rows = _rand_rows(rng, 101, 5, 4)
+        lat = ConstructionALattice(101, rows, gamma=1.0, n=5)
+        assert 101 ** 4 > DEFAULT_ENUM_BUDGET
         with pytest.raises(EnumerationBudgetExceeded):
-            lat.nearest(np.full(4, 0.3))
+            lat.nearest(np.full(5, 0.3))
 
 
 class TestModLattice:
@@ -326,7 +331,7 @@ class TestIsSublattice:
             with pytest.raises(NotNested, match="share p and gamma"):
                 is_sublattice(coarse, fine)
             with pytest.raises(NotNested, match="share p and gamma"):
-                codebook_points(coarse, fine)
+                enumerate_codebook(coarse, fine)
             with pytest.raises(NotNested, match="share p and gamma"):
                 NestedListDecoder(coarse, fine, fine)
 
@@ -371,21 +376,21 @@ class TestVoronoiSampling:
 
 class TestEnumerateCodebook:
     def test_identical_pair_single_entry(self, small_lattice):
-        entries = enumerate_codebook(small_lattice, small_lattice)
-        assert len(entries) == 1
-        assert np.allclose(entries[0].t, 0.0)
+        codebook = enumerate_codebook(small_lattice, small_lattice)
+        assert codebook.shape == (1, 2)
+        assert np.allclose(codebook[0], 0.0)
 
     def test_pZn_in_Zn_counts(self):
         coarse = ConstructionALattice(3, np.zeros((0, 2), dtype=int), n=2)
         fine = ConstructionALattice(3, np.eye(2, dtype=int), n=2)
-        entries = enumerate_codebook(coarse, fine)
-        assert len(entries) == 9
+        codebook = enumerate_codebook(coarse, fine)
+        assert len(codebook) == 9
 
     def test_p3_chain_three_entries(self, small_lattice):
         coarse = small_lattice.with_rank(0)
-        entries = enumerate_codebook(coarse, small_lattice)
-        assert len(entries) == 3
-        rate = np.log2(len(entries)) / 2
+        codebook = enumerate_codebook(coarse, small_lattice)
+        assert len(codebook) == 3
+        rate = np.log2(len(codebook)) / 2
         assert rate == pytest.approx(0.5 * np.log2(3), rel=1e-12)
 
     def test_entries_in_coarse_cell_and_bijective(self):
@@ -393,17 +398,56 @@ class TestEnumerateCodebook:
         for _ in range(10):
             fine = _rand_lattice(rng, n=2)
             coarse = fine.with_rank(0)
-            entries = enumerate_codebook(coarse, fine)
-            assert len(entries) == fine.p ** fine.k
+            codebook = enumerate_codebook(coarse, fine)
+            assert len(codebook) == fine.p ** fine.k
             seen = set()
-            for e in entries:
-                assert np.allclose(coarse.nearest(e.t), 0.0, atol=1e-9)
-                seen.add(tuple(np.round(e.t / fine.gamma, 9)))
-            assert len(seen) == len(entries)
-            assert [e.w for e in entries] == list(range(1, len(entries) + 1))
+            for t in codebook:
+                assert np.allclose(coarse.nearest(t), 0.0, atol=1e-9)
+                seen.add(tuple(np.round(t / fine.gamma, 9)))
+            assert len(seen) == len(codebook)
+
+    def test_rows_in_integer_lexicographic_order(self):
+        # Coarse ranks strictly between 0 and n give points whose equal
+        # integer coordinates can differ in the last bits; the order must
+        # follow the integer coordinates, not those bits.
+        for p, gamma in ((5, 0.37), (7, 1 / 3), (7, 0.99)):
+            for seed in range(4):
+                ch = build_chain(p, 3, [0, 1, 2, 3], gamma=gamma, seed=seed)
+                for i, j in ((1, 2), (1, 3), (2, 3)):
+                    codebook = enumerate_codebook(ch[i], ch[j])
+                    keys = [tuple(k) for k in
+                            np.rint(codebook / gamma).astype(int).tolist()]
+                    assert keys == sorted(set(keys)), (p, gamma, seed, i, j)
 
     def test_not_nested_raises(self):
         with pytest.raises(NotNested):
             enumerate_codebook(integer_lattice(2), integer_lattice(2, gamma=2.0))
         with pytest.raises(NotNested):
             enumerate_codebook(integer_lattice(2), integer_lattice(2).with_rank(0))
+        z2 = ConstructionALattice(3, np.eye(2, dtype=int), n=2)
+        with pytest.raises(NotNested):
+            NestedListDecoder(z2, z2.with_rank(0), z2.with_rank(0))
+
+
+class TestCodebookIndex:
+    def test_matches_dict_oracle(self):
+        rng = np.random.default_rng(41)
+        for p, n, gamma in ((3, 2, 1.0), (5, 3, 0.37), (7, 2, 0.99),
+                            (2, 4, 1.3)):
+            ch = build_chain(p, n, list(range(n + 1)), gamma=gamma, seed=2)
+            for i in range(n + 1):
+                codebook = enumerate_codebook(ch[i], ch[n])
+                oracle = {tuple(np.round(t / gamma).astype(int).tolist()): w
+                          for w, t in enumerate(codebook, start=1)}
+                # Every row maps to its own index, also off by rounding.
+                noisy = codebook * (1 + 1e-13 * rng.standard_normal(
+                    codebook.shape))
+                for pts in (codebook, noisy):
+                    assert codebook_index(codebook, pts, gamma).tolist() == \
+                        list(range(1, len(codebook) + 1))
+                # Lattice points inside and outside the cell, as the oracle.
+                Q = gamma * rng.integers(-p, p + 1, size=(200, n))
+                want = [oracle.get(tuple(q), 0) for q in
+                        np.round(Q / gamma).astype(int).tolist()]
+                assert codebook_index(codebook, Q, gamma).tolist() == want
+                assert 0 in want

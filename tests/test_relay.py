@@ -125,11 +125,11 @@ class TestRoundTrip:
             # The first pass decodes every block; row b-1 is block b.
             t = t.copy()
             row = t[miss_block - 1]
-            w = next(e.w for e in cbs.message_entries
-                     if np.allclose(e.t, row))
-            alt = next(e for e in cbs.message_entries if e.w != w
-                       and binning.bin_of(e.w) == binning.bin_of(w))
-            t[miss_block - 1] = alt.t
+            w = next(i for i, pt in enumerate(cbs.message_entries, start=1)
+                     if np.allclose(pt, row))
+            alt = next(i for i in range(1, cbs.num_messages + 1) if i != w
+                       and binning.bin_of(i) == binning.bin_of(w))
+            t[miss_block - 1] = cbs.message_entries[alt - 1]
             corrupted.append(miss_block)
             return t
 

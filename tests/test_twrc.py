@@ -37,21 +37,21 @@ class TestSumCodeword:
         cb1 = enumerate_codebook(lam1, fine)
         cb2 = enumerate_codebook(lam2, fine)
         rng = np.random.default_rng(0)
-        for e1, e2 in itertools.product(cb1[:4], cb2):
+        for t1, t2 in itertools.product(cb1[:4], cb2):
             U2 = lam2.sample_voronoi(rng)
-            T = sum_codeword(e1.t, e2.t, U2, lam1, lam2)
+            T = sum_codeword(t1, t2, U2, lam1, lam2)
             assert np.allclose(lam1.nearest(T), 0.0, atol=1e-9)
 
     def test_trivial_case(self):
         lam1, lam2, fine = _chain_p3()
-        t1 = enumerate_codebook(lam1, fine)[2].t
+        t1 = enumerate_codebook(lam1, fine)[2]
         T = sum_codeword(t1, np.zeros(2), np.zeros(2), lam1, lam2)
         assert np.allclose(T, lam1.mod(t1), atol=1e-9)
 
     def test_deterministic(self):
         lam1, lam2, fine = _chain_p3()
-        t1 = enumerate_codebook(lam1, fine)[1].t
-        t2 = enumerate_codebook(lam2, fine)[1].t
+        t1 = enumerate_codebook(lam1, fine)[1]
+        t2 = enumerate_codebook(lam2, fine)[1]
         U2 = np.array([0.3, -0.2])
         a = sum_codeword(t1, t2, U2, lam1, lam2)
         b = sum_codeword(t1, t2, U2, lam1, lam2)
@@ -64,14 +64,14 @@ class TestRecovery:
         cb1 = enumerate_codebook(lam1, fine)
         cb2 = enumerate_codebook(lam2, fine)
         rng = np.random.default_rng(1)
-        for e1, e2 in itertools.product(cb1, cb2):
+        for t1, t2 in itertools.product(cb1, cb2):
             for _ in range(5):
                 U2 = lam2.sample_voronoi(rng)
-                T = sum_codeword(e1.t, e2.t, U2, lam1, lam2)
-                r1 = recover_t1_from_sum(T, e2.t, U2, lam1, lam2)
-                r2 = recover_t2_from_sum(T, e1.t, lam1, lam2)
-                assert np.allclose(r1, lam1.mod(e1.t), atol=1e-9)
-                assert np.allclose(r2, lam2.mod(e2.t), atol=1e-9)
+                T = sum_codeword(t1, t2, U2, lam1, lam2)
+                r1 = recover_t1_from_sum(T, t2, U2, lam1, lam2)
+                r2 = recover_t2_from_sum(T, t1, lam1, lam2)
+                assert np.allclose(r1, lam1.mod(t1), atol=1e-9)
+                assert np.allclose(r2, lam2.mod(t2), atol=1e-9)
 
     def test_random_p5(self):
         ch = build_chain(5, 2, [0, 1, 2], seed=3)
@@ -80,8 +80,8 @@ class TestRecovery:
         cb2 = enumerate_codebook(lam2, fine)
         rng = np.random.default_rng(2)
         for _ in range(1000):
-            t1 = cb1[int(rng.integers(len(cb1)))].t
-            t2 = cb2[int(rng.integers(len(cb2)))].t
+            t1 = cb1[int(rng.integers(len(cb1)))]
+            t2 = cb2[int(rng.integers(len(cb2)))]
             U2 = lam2.sample_voronoi(rng)
             T = sum_codeword(t1, t2, U2, lam1, lam2)
             assert np.allclose(recover_t1_from_sum(T, t2, U2, lam1, lam2),
@@ -159,8 +159,8 @@ class TestRelayDecodeSum:
                                    enforce_broadcast_rate=False)
         rng = np.random.default_rng(5)
         for _ in range(50):
-            t1 = cbs.entries1[int(rng.integers(len(cbs.entries1)))].t
-            t2 = cbs.entries2[int(rng.integers(len(cbs.entries2)))].t
+            t1 = cbs.entries1[int(rng.integers(len(cbs.entries1)))]
+            t2 = cbs.entries2[int(rng.integers(len(cbs.entries2)))]
             U1 = cbs.lam1.sample_voronoi(rng)
             U2 = cbs.lam2.sample_voronoi(rng)
             X1 = cbs.lam1.mod(t1 - U1)
