@@ -90,6 +90,37 @@ def block_draws(seed: int, blocks: int, dither_lattices, noise_vars
     return out
 
 
+def draw_messages(seed: int, blocks: int, sizes) -> list[np.ndarray]:
+    """Messages of the block-Markov simulators, from ``trial_rng(seed, 0)``.
+
+    For each codebook size in turn, one ``integers`` call draws ``blocks``
+    indices uniformly from 1..size (the same numbers as ``blocks`` scalar
+    draws), and the flush message 1 is appended. Returns one (blocks + 1,)
+    array per size; entry b-1 is block b's message.
+    """
+    rng = trial_rng(seed, 0)
+    return [np.append(rng.integers(1, size + 1, size=blocks), 1)
+            for size in sizes]
+
+
+def resolve(member_idx: np.ndarray, member_bins: np.ndarray,
+            bin_hat: np.ndarray, truth_idx: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """List-and-bin resolution of block-Markov decoding (Cover and El Gamal,
+    IEEE Trans. IT 1979), for a batch of blocks.
+
+    Row b of ``member_idx`` (m, size) holds the message indices of block
+    b's list, 0 for a point in no codebook, which never matches; row b of
+    ``member_bins`` holds their bins, and ``bin_hat[b]`` is the bin decoded
+    one block later. Returns, per block, the number of members in that bin
+    and whether exactly one member is there and it is ``truth_idx[b]``.
+    """
+    cands = (member_idx > 0) & (member_bins == bin_hat[:, None])
+    intersect_size = cands.sum(axis=1)
+    first = member_idx[np.arange(len(member_idx)), cands.argmax(axis=1)]
+    return intersect_size, (intersect_size == 1) & (first == truth_idx)
+
+
 # The maps below, and unique_decode, take one vector (n,) or a batch of
 # rows (m, n).
 

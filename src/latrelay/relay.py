@@ -22,7 +22,14 @@ import numpy as np
 
 from . import gf
 from .chain import LatticeChain, build_chain, rank_for_rate, size_list_lattice
-from .channel import block_draws, trial_rng, unique_decode, NestedListDecoder
+from .channel import (
+    NestedListDecoder,
+    block_draws,
+    draw_messages,
+    resolve,
+    trial_rng,  # noqa: F401 -- perfbench's tracer test reads relay.trial_rng
+    unique_decode,
+)
 from .lattice import codebook_index, enumerate_codebook
 from .rates import best_power_split
 
@@ -95,8 +102,6 @@ class DfCodebooks:
     resolution_chain: LatticeChain   # (Lambda_2, Lambda_c2)
     rate_achieved: float
     bin_rate_achieved: float
-    power1: float                    # second moment of Lambda_1
-    power2: float                    # second moment of Lambda_2
     message_entries: np.ndarray      # (num_messages, n); row w-1 is w
     resolution_entries: np.ndarray   # (num_bins, n); row s-1 is bin s
 
@@ -140,8 +145,6 @@ def build_df_codebooks(params: DegradedRelayParams, p: int, n: int,
         resolution_chain=chain2,
         rate_achieved=chain1.rate(0, 2),
         bin_rate_achieved=chain2.rate(0, 1),
-        power1=chain1[0].second_moment_exact(),
-        power2=chain2[0].second_moment_exact(),
         message_entries=enumerate_codebook(chain1[0], chain1[2]),
         resolution_entries=enumerate_codebook(chain2[0], chain2[1]),
     )
@@ -175,21 +178,19 @@ class DfRunResult:
     bin_errors: int
     transcript: list[BlockRecord] = field(repr=False, default_factory=list)
 
-    @property
-    def error_rate(self) -> float:
-        return self.message_errors / self.messages
-
 
 def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
                   seed: int, keep_transcript: bool = True) -> DfRunResult:
     """Simulate B message blocks (plus one flush block).
 
-    Messages w_1..w_B are drawn uniformly; w_{B+1} = 1 flushes the last
-    resolution index. Empty or ambiguous bin/list intersections count as
-    block errors, never aborts. Block b draws U1, U2, ZR, Z2' from
+    Messages w_1..w_B are drawn uniformly (``draw_messages``); w_{B+1} = 1
+    flushes the last resolution index. Block b draws U1, U2, ZR, Z2' from
     ``trial_rng(seed, b)`` (``block_draws``); every later step is one
     batched call over all blocks, except the destination's list decodes,
-    which run block by block.
+    which run block by block. Block b resolves when exactly one message
+    index of its list lies in the bin decoded in block b+1 and it is w_b
+    (``resolve``); empty or ambiguous intersections count as block errors,
+    never aborts.
     """
     ch1, ch2 = codebooks.message_chain, codebooks.resolution_chain
     lam1, lam_s1, lam_c1 = ch1[0], ch1[1], ch1[2]
@@ -210,10 +211,8 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
     beta = p_prime / (p_prime + aP + n_dest)
     alpha_list = aP / (aP + n_dest)
 
-    rng_msg = trial_rng(seed, 0)
     B = params.B
-    w_true = np.array([int(rng_msg.integers(1, codebooks.num_messages + 1))
-                       for _ in range(B)] + [1])
+    w_true = draw_messages(seed, B, (codebooks.num_messages,))[0]
 
     def bins_of(w: np.ndarray) -> np.ndarray:
         """Bin of each message index; -1 for index 0 (no message)."""
@@ -268,13 +267,9 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
     members = codebook_index(msg_points, lists.reshape(-1, lam1.n),
                              lam1.gamma).reshape(B + 1, size)
 
-    # Block b+1 resolves block b (rows :B): the list members of block b
-    # that fall in the bin decoded in block b+1.
-    cands = bins_of(members[:B]) == s_hat[1:, None]
-    intersect_size = cands.sum(axis=1)
-    resolved_ok = ((intersect_size == 1)
-                   & (members[np.arange(B), cands.argmax(axis=1)]
-                      == w_true[:B]))
+    # Block b+1 resolves block b (rows :B) with the bin it decoded.
+    intersect_size, resolved_ok = resolve(members[:B], bins_of(members[:B]),
+                                          s_hat[1:], w_true[:B])
 
     transcript: list[BlockRecord] = []
     if keep_transcript:

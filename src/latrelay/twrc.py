@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gf
 from .chain import build_chain, rank_for_rate, size_list_lattice
-from .channel import block_draws, trial_rng, NestedListDecoder
+from .channel import NestedListDecoder, block_draws, draw_messages, resolve
 from .errors import Infeasible, NotACodeword, NotNested
 from .lattice import (
     ConstructionALattice,
@@ -94,7 +94,6 @@ class TwrcCodebooks:
     lam_c2: ConstructionALattice
     lam_s1: ConstructionALattice
     lam_s2: ConstructionALattice
-    chain_order: tuple[int, ...]          # ranks sorted coarse to fine
     entries1: np.ndarray                  # row w-1 is terminal 1's message w
     entries2: np.ndarray                  # row w-1 is terminal 2's message w
     sum_entries: np.ndarray               # row i-1 is sum codeword i
@@ -176,10 +175,9 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
     if num_bins == len(sum_entries):
         bin_table = np.arange(1, num_bins + 1)   # degenerate: one sum per bin
 
-    order = tuple(sorted([k1, k2, kc1, kc2, lam_s1.k, lam_s2.k]))
     return TwrcCodebooks(
         lam1=lam1, lam2=lam2, lam_c1=lam_c1, lam_c2=lam_c2,
-        lam_s1=lam_s1, lam_s2=lam_s2, chain_order=order,
+        lam_s1=lam_s1, lam_s2=lam_s2,
         entries1=enumerate_codebook(lam1, lam_c1),
         entries2=enumerate_codebook(lam2, lam_c2),
         sum_entries=sum_entries,
@@ -231,30 +229,30 @@ class TwrcRunResult:
 
 
 def _min_distance_index(Y: np.ndarray, codebook: np.ndarray) -> np.ndarray:
-    """1-based index of the codebook row nearest to each row of Y (m, n)."""
-    d = np.sum((codebook - Y[:, None, :]) ** 2, axis=2)
+    """1-based index of the codebook row nearest to each row of Y (m, n).
+
+    Each observation's differences are scaled by one power of two to
+    below 1 in magnitude. The scaling is exact, so it keeps every argmin
+    and tie, and the squares cannot overflow.
+    """
+    diff = codebook - Y[:, None, :]
+    _, exp = np.frexp(np.abs(diff).max(axis=(1, 2), keepdims=True))
+    d = np.sum(np.ldexp(diff, -exp) ** 2, axis=2)
     return np.argmin(d, axis=1) + 1
-
-
-def _unique_match_is(match: np.ndarray, lists: np.ndarray,
-                     truth: np.ndarray) -> np.ndarray:
-    """Per block: exactly one list member matches the bin (match is
-    (m, size)), and it equals the truth as ``np.allclose(atol=1e-6)``."""
-    first = lists[np.arange(len(lists)), match.argmax(axis=1)]
-    return ((match.sum(axis=1) == 1)
-            & np.all(np.isclose(first, truth, atol=1e-6), axis=1))
 
 
 def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
                     keep_transcript: bool = True) -> TwrcRunResult:
     """Simulate B message blocks plus one flush block.
 
-    Per direction, the block-(b-1) message is recovered at the end of block
-    b; empty or ambiguous bin intersections count as errors. Block b draws
-    U1, U2, ZR, Z1, Z2 from ``trial_rng(seed, b)`` (``block_draws``).
+    Messages come from ``draw_messages`` (terminal 1's first), and block b
+    draws U1, U2, ZR, Z1, Z2 from ``trial_rng(seed, b)`` (``block_draws``).
     The relay's sum decode in a block does not depend on earlier blocks, so
     every step after the draws is one batched call over all blocks; only
-    the list decodes run block by block.
+    the list decodes run block by block. Per direction, block b-1 resolves
+    at the end of block b by ``resolve`` on message indices; empty or
+    ambiguous intersections count as errors. Sums are compared by their
+    index in ``sum_entries``.
     """
     ch = params.channel
     lam1, lam2 = cbs.lam1, cbs.lam2
@@ -263,22 +261,21 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
     a1 = cbs.power1 / (cbs.power1 + ch.N2)
     a2 = cbs.power2 / (cbs.power2 + ch.N1)
 
-    rng_msg = trial_rng(seed, 0)
-    B = params.B
-    w1s = [int(rng_msg.integers(1, len(cbs.entries1) + 1)) for _ in range(B)] + [1]
-    w2s = [int(rng_msg.integers(1, len(cbs.entries2) + 1)) for _ in range(B)] + [1]
+    B, g = params.B, lam1.gamma
+    w1, w2 = draw_messages(seed, B, (len(cbs.entries1), len(cbs.entries2)))
     # Row b-1 holds block b.
     U1, U2, ZR, Z1, Z2 = block_draws(seed, B + 1, (lam1, lam2),
                                      (ch.NR, ch.N1, ch.N2))
-    t1 = cbs.entries1[np.array(w1s) - 1]
-    t2 = cbs.entries2[np.array(w2s) - 1]
+    t1 = cbs.entries1[w1 - 1]
+    t2 = cbs.entries2[w2 - 1]
     X1 = lam1.mod_many(t1 - U1)
     X2 = lam2.mod_many(t2 + U2)
 
     # Relay: decode each block's sum, bin it for the next block.
     T_true = sum_codeword(t1, t2, U2, lam1, lam2)
     T_hat = relay_decode_sum(X1 + X2 + ZR, U1, U2, cbs, ch.NR)
-    sum_ok = np.all(np.isclose(T_hat, T_true, atol=1e-6), axis=1)
+    sum_ok = (codebook_index(cbs.sum_entries, T_hat, g)
+              == codebook_index(cbs.sum_entries, T_true, g))
     relay_s = np.concatenate([[1], cbs.bin_of_sum(T_hat)[:-1]])
     XR = cbs.relay_codebook[relay_s - 1]
 
@@ -307,19 +304,22 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
         U2p[np.concatenate([of1, of2])], lam1, lam2))
     bins1 = member_bins[:B * l1].reshape(B, l1)
     bins2 = member_bins[B * l1:].reshape(B, l2)
-    resolve1_ok = _unique_match_is(bins1 == s2_hat[1:, None], L1, t1p)
-    resolve2_ok = _unique_match_is(bins2 == s1_hat[1:, None], L2, t2p)
+    idx1 = codebook_index(cbs.entries1, L1.reshape(-1, n), g).reshape(B, l1)
+    idx2 = codebook_index(cbs.entries2, L2.reshape(-1, n), g).reshape(B, l2)
+    _, resolve1_ok = resolve(idx1, bins1, s2_hat[1:], w1[:B])
+    _, resolve2_ok = resolve(idx2, bins2, s1_hat[1:], w2[:B])
     prev_bin = cbs.bin_of_sum(T_true[:B])
     bin_ok = (s1_hat[1:] == prev_bin) & (s2_hat[1:] == prev_bin)
 
     transcript: list[TwrcBlockRecord] = []
     if keep_transcript:
         transcript = [
-            TwrcBlockRecord(b=b + 1, w1=w1s[b], w2=w2s[b], sum_ok=ok_s,
+            TwrcBlockRecord(b=b + 1, w1=m1, w2=m2, sum_ok=ok_s,
                             bin_ok=ok_b, list1_size=l1, list2_size=l2,
                             resolve1_ok=ok1, resolve2_ok=ok2)
-            for b, ok_s, ok_b, ok1, ok2 in zip(
-                range(B), sum_ok[:B].tolist(), bin_ok.tolist(),
+            for b, m1, m2, ok_s, ok_b, ok1, ok2 in zip(
+                range(B), w1[:B].tolist(), w2[:B].tolist(),
+                sum_ok[:B].tolist(), bin_ok.tolist(),
                 resolve1_ok.tolist(), resolve2_ok.tolist())]
     return TwrcRunResult(messages=B,
                          errors_dir1=B - int(np.count_nonzero(resolve1_ok)),

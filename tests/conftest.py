@@ -11,11 +11,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from latrelay import gf
 from latrelay.channel import ListDecodeResult
 from latrelay.errors import EnumerationBudgetExceeded
 from latrelay.lattice import DEFAULT_ENUM_BUDGET, TOL, ConstructionALattice
+
+# Property tests draw the same examples on every run and keep no example
+# database on disk.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def brute_force_nearest(lat: ConstructionALattice, y, reach: int = 3):

@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latrelay.channel import unique_decode
+from latrelay.channel import NestedListDecoder, unique_decode
 from latrelay.cli import main
 from latrelay.errors import DimensionMismatch
-from latrelay.lattice import ConstructionALattice
+from latrelay.lattice import ConstructionALattice, codebook_index
 from latrelay.rates import TwrcParams
 from latrelay.relay import (
     DegradedRelayParams,
@@ -67,6 +67,12 @@ TWRC_POINTS = {
 }
 
 
+# The FOUND case of CHANGES.md on TWRC losses: a rank-1 (non-cubic)
+# Lambda_2 and noiseless links.
+TWRC_FOUND = dict(P1=4.0, P2=1.0, PR=200.0, N1=1e-12, N2=1e-12, NR=1e-12,
+                  R1=0.8, R2=0.8, R=4.0, B=10)
+
+
 def _twrc_params(d):
     d = dict(d)
     ch = TwrcParams(**{k: d.pop(k) for k in ("P1", "P2", "PR", "N1", "N2",
@@ -106,6 +112,42 @@ def test_twrc_engine_matches_reference(point):
         assert _twrc_summary(got) == _twrc_summary(
             twrc_reference(cbs, params, seed))
     assert shows is None or shows(runs)
+
+
+def _list_decoders(kind, point):
+    """(decoder, message codebook) pairs of the DF or TWRC list decodes."""
+    if kind == "df":
+        d, p, n, cb_seed, _ = DF_POINTS[point]
+        cbs = build_df_codebooks(DegradedRelayParams(**d), p, n, seed=cb_seed)
+        lam1, lam_s1, lam_c1 = cbs.message_chain.lattices
+        return [(NestedListDecoder(lam1, lam_s1, lam_c1),
+                 cbs.message_entries)]
+    d, p, n, cb_seed, _ = (TWRC_POINTS[point] if point != "found"
+                           else (TWRC_FOUND, 3, 2, 0, None))
+    cbs = build_twrc_codebooks(_twrc_params(d), p, n, seed=cb_seed,
+                               enforce_broadcast_rate=False)
+    if point == "found":
+        assert cbs.lam2.k >= 1
+    return [(NestedListDecoder(cbs.lam1, cbs.lam_s1, cbs.lam_c1),
+             cbs.entries1),
+            (NestedListDecoder(cbs.lam2, cbs.lam_s2, cbs.lam_c2),
+             cbs.entries2)]
+
+
+@pytest.mark.parametrize(
+    "kind, point",
+    [("df", pt) for pt in sorted(DF_POINTS)]
+    + [("twrc", pt) for pt in sorted(TWRC_POINTS) + ["found"]])
+def test_list_members_are_codebook_rows(kind, point):
+    # Every list member has a nonzero message index, so the engines can
+    # resolve a block by comparing indices, with no point tolerance.
+    rng = np.random.default_rng(0)
+    for dec, entries in _list_decoders(kind, point):
+        g, half = dec.coarse.gamma, dec.coarse.gamma * dec.coarse.p / 2
+        Y = np.vstack([_half_grid(g),
+                       rng.uniform(-half, half, size=(2000, dec.coarse.n))])
+        members = dec.decode_many(Y).reshape(-1, dec.coarse.n)
+        assert np.all(codebook_index(entries, members, g) > 0)
 
 
 # sha256 of each output of `relay-sim` and `twrc-sim` on

@@ -9,9 +9,11 @@ from latrelay.channel import (
     CHUNK,
     AwgnParams,
     NestedListDecoder,
+    draw_messages,
     effective_noise,
     encode_dithered,
     receiver_front_end,
+    resolve,
     simulate_p2p,
     trial_rng,
     unique_decode,
@@ -299,3 +301,34 @@ class TestBatchedEngine:
         assert CHUNK < 300            # both runs cross a batch boundary
         assert long.log[:300] == short.log
         assert 0 < sum(rec[3] for rec in short.log) < 300
+
+
+class TestBlockSteps:
+    # name: (member indices, member bins, decoded bin, truth,
+    #        intersection size, resolved)
+    RESOLVE = {
+        "empty": ([1, 2, 3], [1, 2, 2], 3, 1, 0, False),
+        "ambiguous": ([1, 2, 3], [2, 2, 1], 2, 1, 2, False),
+        "unique_wrong": ([1, 2, 3], [1, 2, 3], 2, 1, 1, False),
+        "unique_right": ([1, 2, 3], [1, 2, 3], 1, 1, 1, True),
+        "index_0_not_counted": ([0, 2, 3], [1, 1, 3], 1, 2, 1, True),
+        "index_0_never_matches": ([0, 2, 3], [1, 2, 3], 1, 0, 0, False),
+    }
+
+    def test_resolve_table(self):
+        # One batched call over all cases, one block per row.
+        idx, bins, bin_hat, truth, size, ok = (
+            np.array(col) for col in zip(*self.RESOLVE.values()))
+        got_size, got_ok = resolve(idx, bins, bin_hat, truth)
+        assert dict(zip(self.RESOLVE, got_size.tolist())) == \
+            dict(zip(self.RESOLVE, size.tolist()))
+        assert dict(zip(self.RESOLVE, got_ok.tolist())) == \
+            dict(zip(self.RESOLVE, ok.tolist()))
+
+    def test_draw_messages_matches_scalar_draws(self):
+        sizes, blocks = (9, 1, 27), 12
+        rng = trial_rng(5, 0)
+        want = [[int(rng.integers(1, size + 1)) for _ in range(blocks)] + [1]
+                for size in sizes]
+        got = draw_messages(5, blocks, sizes)
+        assert [w.tolist() for w in got] == want

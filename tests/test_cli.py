@@ -2,6 +2,7 @@ import configparser
 import csv
 import math
 import re
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -282,7 +283,8 @@ def test_bad_numbers_in_example_config_exit_cleanly(tmp_path, capsys,
                                                     command):
     """Every numeric key of the example section, set to each of nan, inf,
     -inf, 0, -1 and 1e308, gives exit 0, 2 with a config error or 3 with
-    an infeasibility, never an exception out of main; a run that exits 0
+    an infeasibility, never an exception or a RuntimeWarning (numpy's
+    overflow and invalid-value warnings) out of main; a run that exits 0
     writes no nan or inf into its CSV files."""
     cfg = _example_config()
     faults = []
@@ -301,8 +303,10 @@ def test_bad_numbers_in_example_config_exit_cleanly(tmp_path, capsys,
                 "--trials", "1"]
             out = tmp_path / f"out_{key}_{bad}"
             try:
-                code = main([command, "--config", str(path), "--quiet",
-                             "--out", str(out), *flags])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    code = main([command, "--config", str(path), "--quiet",
+                                 "--out", str(out), *flags])
             except Exception as exc:    # escaped main: always a fault
                 code = repr(exc)
             err = capsys.readouterr().err

@@ -51,8 +51,10 @@ class TestBuildCodebooks:
     def test_shaping_powers_hit_targets(self):
         p = _params(P=2.0, alpha=0.5)
         cbs = build_df_codebooks(p, p=5, n=2, seed=0)
-        assert cbs.power1 == pytest.approx(1.0, rel=0.05)
-        assert cbs.power2 == pytest.approx(1.0, rel=0.05)
+        power1 = cbs.message_chain[0].second_moment_exact()
+        power2 = cbs.resolution_chain[0].second_moment_exact()
+        assert power1 == pytest.approx(1.0, rel=0.05)
+        assert power2 == pytest.approx(1.0, rel=0.05)
         mc1 = second_moment(cbs.message_chain[0], 20_000, seed=1)
         assert mc1 == pytest.approx(p.alpha * p.P, rel=0.05)
 
@@ -158,8 +160,8 @@ class TestRoundTrip:
         p = _params(B=20)
         cbs = build_df_codebooks(p, p=5, n=2, seed=4)
         res = df_round_trip(cbs, p, seed=5)
+        assert res.messages == 20
         assert 0 <= res.message_errors <= res.messages
-        assert res.error_rate == res.message_errors / 20
 
 
 class TestDfCapacity:

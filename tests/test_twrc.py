@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from latrelay.chain import build_chain
 from latrelay.errors import Infeasible, NotNested
-from latrelay.lattice import enumerate_codebook, integer_lattice
+from latrelay.lattice import enumerate_codebook, integer_lattice, is_sublattice
 from latrelay.rates import TwrcParams
 from latrelay.twrc import (
     TwrcSimParams,
@@ -131,8 +131,10 @@ class TestBuildCodebooks:
         params = TwrcSimParams(channel=ch, R1=0.79, R2=0.79, R=2.5, B=5)
         cbs = build_twrc_codebooks(params, p=3, n=2, seed=1,
                                    enforce_broadcast_rate=False)
-        vols = [cbs.lam1.gamma ** 2 * 3.0 ** (2 - k) for k in cbs.chain_order]
-        assert vols == sorted(vols, reverse=True)
+        # The six lattices, sorted coarse to fine by volume, form a chain.
+        lats = sorted([cbs.lam1, cbs.lam2, cbs.lam_s1, cbs.lam_s2,
+                       cbs.lam_c1, cbs.lam_c2], key=lambda lat: -lat.volume)
+        assert all(is_sublattice(a, b) for a, b in zip(lats, lats[1:]))
         assert cbs.lam2.k >= cbs.lam1.k   # smaller power, finer shaping
 
     def test_broadcast_rate_enforced(self):
