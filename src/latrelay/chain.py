@@ -10,12 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import gf
+from .channel import NestedListDecoder
 from .errors import Infeasible, InvalidRanks
-from .lattice import SCAN_ELEMENTS, ConstructionALattice, is_sublattice
+from .lattice import (
+    SCAN_ELEMENTS,
+    ConstructionALattice,
+    enumerate_codebook,
+    is_sublattice,
+)
 
 
 def shortest_vector_norm(p: int, rows: np.ndarray) -> tuple[float, int]:
@@ -101,7 +108,11 @@ def pick_generator_rows(p: int, n: int, kmax: int, seed: int = 0,
 
 @dataclass(frozen=True)
 class LatticeChain:
-    """Ordered nested lattices Lambda_1 subseteq ... subseteq Lambda_K."""
+    """Ordered nested lattices Lambda_1 subseteq ... subseteq Lambda_K.
+
+    A chain of three or more lattices builds its list decoder and its
+    codebook once, on first use, and keeps them.
+    """
 
     p: int
     n: int
@@ -118,6 +129,20 @@ class LatticeChain:
 
     def volume(self, i: int) -> float:
         return self.lattices[i].volume
+
+    @cached_property
+    def list_decoder(self) -> NestedListDecoder:
+        """List decoder of (Lambda_1, Lambda_2, Lambda_3): coarse, list
+        and fine lattice."""
+        return NestedListDecoder(self[0], self[1], self[2])
+
+    @cached_property
+    def codebook(self) -> np.ndarray:
+        """Codebook of (Lambda_1, Lambda_3), :func:`enumerate_codebook`'s
+        array, read-only."""
+        cb = enumerate_codebook(self[0], self[2])
+        cb.setflags(write=False)
+        return cb
 
     def rate(self, i: int, j: int) -> float:
         """Coding rate of the (Lambda_i, Lambda_j) pair in bits/dimension."""

@@ -229,7 +229,8 @@ def simulate_p2p(chain, awgn: AwgnParams, trials: int, seed: int,
                  keep_log: bool = False) -> P2PStats:
     """Dithered transmission + list decoding over AWGN, Monte Carlo.
 
-    ``chain`` is a 3-lattice LatticeChain (coarse, list, fine). Trials run
+    ``chain`` is a 3-lattice LatticeChain (coarse, list, fine); its list
+    decoder and codebook are built on first use and kept. Trials run
     in batches of CHUNK, each step one kernel call over the batch. Batch b
     draws CHUNK messages, dithers and noise, in that order, from
     ``trial_rng(seed, b)`` and uses as many as it has trials, so trial i
@@ -243,8 +244,7 @@ def simulate_p2p(chain, awgn: AwgnParams, trials: int, seed: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     coarse, mid, fine = chain[0], chain[1], chain[2]
-    decoder = NestedListDecoder(coarse, mid, fine)
-    codebook = enumerate_codebook(coarse, fine)
+    decoder, codebook = chain.list_decoder, chain.codebook
     n = coarse.n
     half = coarse.gamma * coarse.p / 2.0
     errors = 0

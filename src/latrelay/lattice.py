@@ -33,8 +33,9 @@ TOL = 1e-9
 # Cap on the number of candidate points any exact enumeration may touch.
 DEFAULT_ENUM_BUDGET = 2_000_000
 
-# Coordinates (rows x cosets x n) one step of the coset scan holds; keeps
-# the batched kernel's working set small whatever the batch size.
+# Entries of the (rows x cosets x n) distance table one step of the coset
+# scan gathers; keeps the batched kernel's working set small whatever the
+# batch size.
 SCAN_ELEMENTS = 16_384
 
 # Box draws the rejection sampler makes for one sample before it gives up.
@@ -46,25 +47,34 @@ def _round_ties_down(y: np.ndarray) -> np.ndarray:
     return np.ceil(y - 0.5)
 
 
-def _coset_scan(Y: np.ndarray, cw: np.ndarray, p: int) -> np.ndarray:
+def _coset_scan(Y: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
     """Nearest point of the unit-scale Construction-A lattice to each row
-    of ``Y`` (m x n), given all codewords ``cw`` (c x n).
+    of ``Y`` (m x n), given ``cols = cw + p * arange(n)`` (c x n) for all
+    codewords ``cw``.
 
-    Each coset's closest point ``cw + p z`` comes from rounding; among the
-    cosets within 1e-12 of the shortest distance the lexicographically
-    smallest point wins.
+    Coordinate j of coset cw + pZ^n rounds to the nearest point of
+    cw_j + pZ, which depends only on (y_j, cw_j). So one (m, n, p) table
+    holds the rounded lift of every residue and its squared distance, and
+    one ``take`` through ``cols`` gathers each coset's squared distances,
+    summed over the contiguous last axis. Among the cosets within 1e-12 of
+    the shortest distance the lexicographically smallest point wins.
     """
     # ufunc reductions rather than the array methods: this runs once per
     # single-vector call, where the methods' Python wrappers show.
-    Y3 = Y[:, None, :]
-    pts = cw + p * _round_ties_down((Y3 - cw) / p)
-    diff = pts - Y3
-    d = np.sqrt(np.add.reduce(diff * diff, axis=2))
+    m, n = Y.shape
+    r = np.arange(p)
+    Yr = Y[:, :, None]
+    lift = r + p * _round_ties_down((Yr - r) / p)
+    sq = lift - Yr
+    sq *= sq
+    d = np.sqrt(np.add.reduce(sq.reshape(m, n * p).take(cols, axis=1),
+                              axis=2))
     best = d <= (np.minimum.reduce(d, axis=1) + 1e-12)[:, None]
-    out = pts[np.arange(len(Y)), best.argmax(axis=1)]
-    if np.add.reduce(best, axis=None) > len(Y):
+    lift = lift.reshape(m, n * p)
+    out = lift[np.arange(m)[:, None], cols[best.argmax(axis=1)]]
+    if np.add.reduce(best, axis=None) > m:
         for i in np.flatnonzero(np.add.reduce(best, axis=1) > 1):
-            tied = pts[i][best[i]]
+            tied = lift[i].take(cols[best[i]])
             out[i] = tied[np.lexsort(tied[:, ::-1].T)[0]]
     return out
 
@@ -147,23 +157,26 @@ class ConstructionALattice(Lattice):
         self.gamma = float(gamma)
         self.rows = rows
         self.rows.setflags(write=False)
-        self._codewords: Optional[np.ndarray] = None
+        self._scan_cols: Optional[np.ndarray] = None
 
     @property
     def volume(self) -> float:
         return self.gamma ** self.n * float(self.p) ** (self.n - self.k)
 
-    def codewords(self) -> np.ndarray:
-        """All p^k codewords of the underlying code (cached)."""
-        if self._codewords is None:
+    def _scan_columns(self) -> np.ndarray:
+        """``cw + p * arange(n)`` for each of the p^k codewords cw of the
+        underlying code (p^k x n), cached: the column of each codeword
+        coordinate in the coset scan's flattened (n, p) cost table."""
+        if self._scan_cols is None:
             count = self.p ** self.k
             if count > DEFAULT_ENUM_BUDGET:
                 raise EnumerationBudgetExceeded(
                     f"p^k = {count} cosets exceed budget {DEFAULT_ENUM_BUDGET}")
-            cw = gf.all_codewords(self.rows, self.p)
-            cw.setflags(write=False)
-            self._codewords = cw
-        return self._codewords
+            cols = gf.all_codewords(self.rows, self.p) + self.p * np.arange(
+                self.n)
+            cols.setflags(write=False)
+            self._scan_cols = cols
+        return self._scan_cols
 
     def nearest(self, x: np.ndarray) -> np.ndarray:
         """Exact nearest point, ties broken lexicographically."""
@@ -182,19 +195,19 @@ class ConstructionALattice(Lattice):
 
         Rank 0 and rank n round coordinate by coordinate; otherwise every
         row scans all p^k cosets, in row chunks of at most SCAN_ELEMENTS
-        scanned coordinates.
+        gathered distances.
         """
         Y = X / self.gamma
         if self.k == 0:
             return self.gamma * self.p * _round_ties_down(Y / self.p)
         if self.k == self.n:
             return self.gamma * _round_ties_down(Y)
-        cw = self.codewords()
-        chunk = max(1, SCAN_ELEMENTS // cw.size)
+        cols = self._scan_columns()
+        chunk = max(1, SCAN_ELEMENTS // cols.size)
         if len(Y) <= chunk:
-            out = _coset_scan(Y, cw, self.p)
+            out = _coset_scan(Y, cols, self.p)
         else:
-            out = np.concatenate([_coset_scan(Y[lo:lo + chunk], cw, self.p)
+            out = np.concatenate([_coset_scan(Y[lo:lo + chunk], cols, self.p)
                                   for lo in range(0, len(Y), chunk)])
         return self.gamma * out
 
@@ -328,10 +341,8 @@ def enumerate_codebook(coarse: ConstructionALattice,
     if len(points) != expected:
         raise NotNested(
             f"enumerated {len(points)} codewords, expected V/Vc = {expected}")
-    # Sort a copy: the scan kernels' speed depends on this allocation.
-    arr = np.array(points)
-    keys = np.rint(arr / coarse.gamma)
-    return arr[np.lexsort(keys[:, ::-1].T)]
+    keys = np.rint(points / coarse.gamma)
+    return points[np.lexsort(keys[:, ::-1].T)]
 
 
 def codebook_index(codebook: np.ndarray, points: np.ndarray,

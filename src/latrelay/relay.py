@@ -23,7 +23,6 @@ import numpy as np
 from . import gf
 from .chain import LatticeChain, build_chain, rank_for_rate, size_list_lattice
 from .channel import (
-    NestedListDecoder,
     block_draws,
     draw_messages,
     resolve,
@@ -193,14 +192,14 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
     never aborts.
     """
     ch1, ch2 = codebooks.message_chain, codebooks.resolution_chain
-    lam1, lam_s1, lam_c1 = ch1[0], ch1[1], ch1[2]
+    lam1, lam_c1 = ch1[0], ch1[2]
     lam2, lam_c2 = ch2[0], ch2[1]
     kappa = params.kappa
     lam2k, lam_c2k = lam2.scaled(kappa), lam_c2.scaled(kappa)
     rho = math.sqrt(params.PR / (params.abar * params.P))
 
     binning = BinningMap(codebooks.num_messages, codebooks.num_bins, seed)
-    list_dec = NestedListDecoder(lam1, lam_s1, lam_c1)
+    list_dec = ch1.list_decoder
     msg_points = codebooks.message_entries
     res_points = codebooks.resolution_entries
 

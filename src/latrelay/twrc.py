@@ -94,6 +94,8 @@ class TwrcCodebooks:
     lam_c2: ConstructionALattice
     lam_s1: ConstructionALattice
     lam_s2: ConstructionALattice
+    dec1: NestedListDecoder               # (lam1, lam_s1, lam_c1): t1 at T2
+    dec2: NestedListDecoder               # (lam2, lam_s2, lam_c2): t2 at T1
     entries1: np.ndarray                  # row w-1 is terminal 1's message w
     entries2: np.ndarray                  # row w-1 is terminal 2's message w
     sum_entries: np.ndarray               # row i-1 is sum codeword i
@@ -126,7 +128,8 @@ def _rank_for_power(p: int, n: int, P1: float, P2: float) -> int:
 
 def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
                          enforce_broadcast_rate: bool = True) -> TwrcCodebooks:
-    """Build the nested 6-lattice family and the relay's bin codebook.
+    """Build the nested 6-lattice family, the terminals' two list decoders
+    and the relay's bin codebook.
 
     The shaping lattice for terminal 1 is rank 0 (exact power P1); terminal
     2's rank is chosen to approximate P2 on the volume grid and its
@@ -178,6 +181,8 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
     return TwrcCodebooks(
         lam1=lam1, lam2=lam2, lam_c1=lam_c1, lam_c2=lam_c2,
         lam_s1=lam_s1, lam_s2=lam_s2,
+        dec1=NestedListDecoder(lam1, lam_s1, lam_c1),
+        dec2=NestedListDecoder(lam2, lam_s2, lam_c2),
         entries1=enumerate_codebook(lam1, lam_c1),
         entries2=enumerate_codebook(lam2, lam_c2),
         sum_entries=sum_entries,
@@ -256,8 +261,6 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
     """
     ch = params.channel
     lam1, lam2 = cbs.lam1, cbs.lam2
-    dec1 = NestedListDecoder(lam1, cbs.lam_s1, cbs.lam_c1)   # decodes t1 at T2
-    dec2 = NestedListDecoder(lam2, cbs.lam_s2, cbs.lam_c2)   # decodes t2 at T1
     a1 = cbs.power1 / (cbs.power1 + ch.N2)
     a2 = cbs.power2 / (cbs.power2 + ch.N1)
 
@@ -293,8 +296,8 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
     t1p, t2p, U2p = t1[:B], t2[:B], U2[:B]
     ylist1 = lam1.mod_many(a1 * obs2[:B] + U1[:B])
     ylist2 = lam2.mod_many(a2 * obs1[:B] - U2p)
-    L1 = np.array([dec1.decode(y).points for y in ylist1])
-    L2 = np.array([dec2.decode(y).points for y in ylist2])
+    L1 = np.array([cbs.dec1.decode(y).points for y in ylist1])
+    L2 = np.array([cbs.dec2.decode(y).points for y in ylist2])
     l1, l2, n = L1.shape[1], L2.shape[1], lam1.n
     # The block of each list member, direction 1's members first.
     of1, of2 = np.repeat(np.arange(B), l1), np.repeat(np.arange(B), l2)

@@ -5,6 +5,8 @@ closest-point oracle scans an explicit integer box and the codebook
 oracle filters a grid through plain modular arithmetic, so agreement is
 meaningful. ``list_decode_q_form`` decodes by a box scan and a
 membership test instead of the coset walk of ``NestedListDecoder``.
+``direct_scan_nearest`` is the coset scan in its direct form, which the
+kernel's per-coordinate cost table must reproduce bit for bit.
 """
 
 import itertools
@@ -13,8 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from latrelay import gf
-from latrelay.channel import ListDecodeResult
+from latrelay.channel import NestedListDecoder
 from latrelay.errors import EnumerationBudgetExceeded
 from latrelay.lattice import DEFAULT_ENUM_BUDGET, TOL, ConstructionALattice
 
@@ -56,6 +57,30 @@ def brute_force_nearest(lat: ConstructionALattice, y, reach: int = 3):
     return out.reshape(y.shape)
 
 
+def direct_scan_nearest(lat: ConstructionALattice, X) -> np.ndarray:
+    """Nearest points to each row of X (m, n) by the direct coset scan.
+
+    Every row rounds into every coset c + pZ^n at once, as an (m, p^k, n)
+    array of points; among the cosets within 1e-12 of the shortest
+    distance the lexicographically smallest point wins. The float
+    expressions are those of the library kernel, so its results must
+    match bit for bit.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = X / lat.gamma
+    cw, p = np.array(_codeword_grid(lat)), lat.p
+    Y3 = Y[:, None, :]
+    pts = cw + p * np.ceil((Y3 - cw) / p - 0.5)
+    diff = pts - Y3
+    d = np.sqrt(np.sum(diff * diff, axis=2))
+    best = d <= d.min(axis=1, keepdims=True) + 1e-12
+    out = pts[np.arange(len(Y)), best.argmax(axis=1)]
+    for i in np.flatnonzero(best.sum(axis=1) > 1):
+        tied = pts[i][best[i]]
+        out[i] = tied[np.lexsort(tied[:, ::-1].T)[0]]
+    return lat.gamma * out
+
+
 def _codeword_grid(lat: ConstructionALattice):
     """All codewords of the underlying linear code, by direct span."""
     p, k, n = lat.p, lat.k, lat.n
@@ -80,47 +105,78 @@ def second_moment_quadrature(lat: ConstructionALattice, grid: int = 120):
     return float(np.sum(pts[inside] ** 2)) / np.count_nonzero(inside) / lat.n
 
 
-def _fine_points_in_box(fine: ConstructionALattice, center: np.ndarray,
-                        halfwidth: float, budget: int) -> np.ndarray:
-    """All fine-lattice points with coordinates in center +- halfwidth."""
-    g = fine.gamma
-    lo = np.ceil((center - halfwidth) / g - 1e-12).astype(int)
-    hi = np.floor((center + halfwidth) / g + 1e-12).astype(int)
-    counts = hi - lo + 1
-    if np.prod(counts.astype(float)) > budget:
-        raise EnumerationBudgetExceeded(
-            f"box scan of {np.prod(counts.astype(float)):.3g} points "
-            f"exceeds budget {budget}")
-    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, fine.n)
-    keep = gf.in_rowspan_many(fine.rows, grid % fine.p, fine.p)
-    return g * grid[keep].astype(float)
+# Box-scan candidates held at once by list_decode_q_form.
+Q_FORM_STEP = 1 << 16
 
 
-def list_decode_q_form(y_prime: np.ndarray, coarse: ConstructionALattice,
+def list_decode_q_form(Y, coarse: ConstructionALattice,
                        mid: ConstructionALattice, fine: ConstructionALattice
-                       ) -> ListDecodeResult:
-    """Alternate list decoder: membership test y_prime in (lambda_c + V_s).
+                       ) -> list:
+    """Alternate list decoder: membership test y_prime in (lambda_c + V_s),
+    for each row y_prime of a batch Y (m, n).
 
     Scans every fine point in the box around y_prime circumscribing V_s
     inflated by the fine lattice's covering box, keeps those lambda_c with
-    Q_s(y_prime - lambda_c) = 0, and reduces mod the coarse lattice. It
-    must agree with ``NestedListDecoder`` everywhere except cell
-    boundaries (measure zero).
+    Q_s(y_prime - lambda_c) = 0, and reduces mod the coarse lattice. The
+    boxes of many rows are scanned together, about Q_FORM_STEP candidates
+    at a time. Returns one array of distinct members per row. It must
+    agree with ``NestedListDecoder`` everywhere except cell boundaries
+    (measure zero).
     """
-    y_prime = np.asarray(y_prime, dtype=float)
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    m, n = Y.shape
+    g, p = fine.gamma, fine.p
     halfwidth = mid.voronoi_box_halfwidth() + fine.voronoi_box_halfwidth()
-    cand = _fine_points_in_box(fine, y_prime, halfwidth, DEFAULT_ENUM_BUDGET)
-    q = mid.nearest_many(y_prime[None, :] - cand)
-    keep = np.all(np.abs(q) <= TOL, axis=1)
-    members = coarse.mod_many(cand[keep])
-    members = np.unique(np.round(members, 9), axis=0)
-    return ListDecodeResult(points=members, size=len(members))
+    lo = np.ceil((Y - halfwidth) / g - 1e-12).astype(int)
+    hi = np.floor((Y + halfwidth) / g + 1e-12).astype(int)
+    counts = np.prod((hi - lo + 1).astype(float), axis=1)
+    if counts.max() > DEFAULT_ENUM_BUDGET:
+        raise EnumerationBudgetExceeded(
+            f"box scan of {counts.max():.3g} points exceeds budget "
+            f"{DEFAULT_ENUM_BUDGET}")
+    # Every box fits in one of width (hi - lo).max() + 1 from its corner lo.
+    width = int((hi - lo).max()) + 1
+    offsets = np.stack(np.meshgrid(*[np.arange(width)] * n, indexing="ij"),
+                       axis=-1).reshape(-1, n)
+    # A point is a fine point iff its residue mod p, read as a base-p
+    # number, is a codeword's.
+    radix = p ** np.arange(n)
+    is_word = np.zeros(p ** n, dtype=bool)
+    is_word[np.array(_codeword_grid(fine)) @ radix] = True
+    out = []
+    step = max(1, Q_FORM_STEP // len(offsets))
+    for first in range(0, m, step):
+        grid = lo[first:first + step, None, :] + offsets
+        keep = np.all(grid <= hi[first:first + step, None, :], axis=2)
+        keep[keep] = is_word[(grid[keep] % p) @ radix]
+        owner, _ = np.nonzero(keep)
+        cand = g * grid[keep].astype(float)
+        q = mid.nearest_many(Y[first + owner] - cand)
+        inside = np.all(np.abs(q) <= TOL, axis=1)
+        members = coarse.mod_many(cand[inside])
+        owner = owner[inside]
+        for i in range(len(grid)):
+            out.append(np.unique(np.round(members[owner == i], 9), axis=0))
+    return out
 
 
 @pytest.fixture
 def small_lattice():
     return ConstructionALattice(3, np.array([[1, 1]]), gamma=1.0, n=2)
+
+
+@pytest.fixture
+def decoder_builds(monkeypatch):
+    """A list that gains one entry per NestedListDecoder built during the
+    test."""
+    builds = []
+    original = NestedListDecoder.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(self)
+        original(self, *args, **kwargs)
+    monkeypatch.setattr(NestedListDecoder, "__init__", counting)
+    return builds
 
 
 # one line per acceptance criterion, echoed after the test summary so the

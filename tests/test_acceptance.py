@@ -72,10 +72,11 @@ def test_criterion_01_list_decoder_equivalence():
     for p, n in itertools.product((3, 5), (2, 4)):
         ch = build_chain(p, n, [0, n // 2, n], seed=1)
         dec = NestedListDecoder(ch[0], ch[1], ch[2])
-        for _ in range(250):
-            y = rng.uniform(-1.5 * p, 1.5 * p, size=n)
+        # One draw of 250 rows: the same numbers as 250 draws of one row.
+        Y = rng.uniform(-1.5 * p, 1.5 * p, size=(250, n))
+        lists = conftest.list_decode_q_form(Y, ch[0], ch[1], ch[2])
+        for y, b in zip(Y, lists):
             a = dec.decode(y).points
-            b = conftest.list_decode_q_form(y, ch[0], ch[1], ch[2]).points
             inputs += 1
             mismatches += not _same_point_sets(a, b)
     elapsed = time.time() - t0

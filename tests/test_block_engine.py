@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latrelay.channel import NestedListDecoder, unique_decode
+from latrelay.channel import unique_decode
 from latrelay.cli import main
 from latrelay.errors import DimensionMismatch
 from latrelay.lattice import ConstructionALattice, codebook_index
@@ -115,23 +115,36 @@ def test_twrc_engine_matches_reference(point):
 
 
 def _list_decoders(kind, point):
-    """(decoder, message codebook) pairs of the DF or TWRC list decodes."""
+    """(decoder, message codebook) pairs of the DF or TWRC list decodes:
+    the decoders the engines use."""
     if kind == "df":
         d, p, n, cb_seed, _ = DF_POINTS[point]
         cbs = build_df_codebooks(DegradedRelayParams(**d), p, n, seed=cb_seed)
-        lam1, lam_s1, lam_c1 = cbs.message_chain.lattices
-        return [(NestedListDecoder(lam1, lam_s1, lam_c1),
-                 cbs.message_entries)]
+        return [(cbs.message_chain.list_decoder, cbs.message_entries)]
     d, p, n, cb_seed, _ = (TWRC_POINTS[point] if point != "found"
                            else (TWRC_FOUND, 3, 2, 0, None))
     cbs = build_twrc_codebooks(_twrc_params(d), p, n, seed=cb_seed,
                                enforce_broadcast_rate=False)
     if point == "found":
         assert cbs.lam2.k >= 1
-    return [(NestedListDecoder(cbs.lam1, cbs.lam_s1, cbs.lam_c1),
-             cbs.entries1),
-            (NestedListDecoder(cbs.lam2, cbs.lam_s2, cbs.lam_c2),
-             cbs.entries2)]
+    return [(cbs.dec1, cbs.entries1), (cbs.dec2, cbs.entries2)]
+
+
+def test_round_trips_build_no_decoder(decoder_builds):
+    d, p, n, cb_seed, _ = DF_POINTS["block_markov"]
+    df_params = DegradedRelayParams(**d)
+    df_cbs = build_df_codebooks(df_params, p, n, seed=cb_seed)
+    d, p, n, cb_seed, _ = TWRC_POINTS["block_markov"]
+    tw_params = _twrc_params(d)
+    tw_cbs = build_twrc_codebooks(tw_params, p, n, seed=cb_seed)
+    assert len(decoder_builds) == 2                  # dec1 and dec2
+    dec = df_cbs.message_chain.list_decoder          # built on first use
+    assert len(decoder_builds) == 3
+    for seed in range(3):
+        df_round_trip(df_cbs, df_params, seed)
+        twrc_round_trip(tw_cbs, tw_params, seed)
+    assert len(decoder_builds) == 3
+    assert df_cbs.message_chain.list_decoder is dec
 
 
 @pytest.mark.parametrize(

@@ -151,7 +151,7 @@ class TestListDecode:
     def test_zero_in_both_lists_at_origin(self):
         ch = self._chain()
         a = NestedListDecoder(ch[0], ch[1], ch[2]).decode(np.zeros(2)).points
-        b = list_decode_q_form(np.zeros(2), ch[0], ch[1], ch[2]).points
+        b = list_decode_q_form(np.zeros((1, 2)), ch[0], ch[1], ch[2])[0]
         zero = np.zeros(2)
         assert any(np.allclose(pt, zero, atol=1e-9) for pt in a)
         assert any(np.allclose(pt, zero, atol=1e-9) for pt in b)
@@ -162,10 +162,9 @@ class TestListDecode:
             ranks = [0, 1, n]
             ch = self._chain(p, n, ranks, seed=2)
             dec = NestedListDecoder(ch[0], ch[1], ch[2])
-            for _ in range(40):
-                y = rng.uniform(-p, p, n)
+            Y = rng.uniform(-p, p, (40, n))
+            for y, b in zip(Y, list_decode_q_form(Y, ch[0], ch[1], ch[2])):
                 a = dec.decode(y).points
-                b = list_decode_q_form(y, ch[0], ch[1], ch[2]).points
                 assert _points_equal(a, b), (p, n, y)
 
     def test_members_reduced_mod_coarse(self):
@@ -221,6 +220,16 @@ class TestSimulateP2p:
         a = simulate_p2p(ch, AwgnParams(1.0, 0.7), trials=200, seed=9)
         b = simulate_p2p(ch, AwgnParams(1.0, 0.7), trials=200, seed=9)
         assert a.pe_hat == b.pe_hat
+
+    def test_decoder_built_once_per_chain(self, decoder_builds):
+        awgn = AwgnParams(1.0, 0.6)
+        ch = build_chain(3, 4, [0, 2, 3], seed=2)
+        simulate_p2p(ch, awgn, trials=300, seed=5)
+        reused = simulate_p2p(ch, awgn, trials=300, seed=6, keep_log=True)
+        assert len(decoder_builds) == 1
+        fresh = simulate_p2p(build_chain(3, 4, [0, 2, 3], seed=2), awgn,
+                             trials=300, seed=6, keep_log=True)
+        assert reused == fresh
 
     def test_csv_row_order(self):
         ch = build_chain(3, 2, [0, 1, 2])

@@ -19,6 +19,7 @@ from latrelay.errors import (
 )
 from latrelay.lattice import (
     DEFAULT_ENUM_BUDGET,
+    SCAN_ELEMENTS,
     ConstructionALattice,
     codebook_index,
     enumerate_codebook,
@@ -26,7 +27,11 @@ from latrelay.lattice import (
     is_sublattice,
     second_moment,
 )
-from conftest import brute_force_nearest, second_moment_quadrature
+from conftest import (
+    brute_force_nearest,
+    direct_scan_nearest,
+    second_moment_quadrature,
+)
 
 
 def _rand_lattice(rng, p=None, n=None):
@@ -117,14 +122,36 @@ class TestNearestPoint:
                     lat.mod_many(X)
 
     def test_enumeration_budget(self):
-        # p^k = 101^4 cosets exceed the budget; codewords() raises before
-        # it enumerates any of them.
+        # p^k = 101^4 cosets exceed the budget; the scan raises before it
+        # enumerates any of them.
         rng = np.random.default_rng(0)
         rows = _rand_rows(rng, 101, 5, 4)
         lat = ConstructionALattice(101, rows, gamma=1.0, n=5)
         assert 101 ** 4 > DEFAULT_ENUM_BUDGET
         with pytest.raises(EnumerationBudgetExceeded):
             lat.nearest(np.full(5, 0.3))
+
+
+class TestCosetScanKernel:
+    """The kernel's per-coordinate cost table against the direct coset
+    scan, bit for bit, ties included, at batch sizes around one chunk."""
+
+    @pytest.mark.parametrize("p, n, k", [
+        (3, 2, 1), (3, 4, 2), (3, 8, 4), (3, 8, 6), (3, 12, 6),
+        (2, 8, 4), (5, 8, 4), (7, 8, 4)])
+    def test_matches_direct_scan(self, p, n, k):
+        lat = build_chain(p, n, [k], gamma=0.5, seed=3)[0]
+        chunk = max(1, SCAN_ELEMENTS // (p ** k * n))
+        rng = np.random.default_rng(100 * p + 10 * n + k)
+        for m in (chunk - 1, chunk, chunk + 1):
+            ties = rng.integers(-2 * p, 2 * p + 1, size=(m, n)) / 2.0
+            draws = rng.uniform(-p, p, size=(m, n))
+            for X in (lat.gamma * ties, lat.gamma * draws):
+                want = direct_scan_nearest(lat, X)
+                assert np.array_equal(lat.nearest_many(X), want)
+                assert np.array_equal(lat.mod_many(X), X - want)
+                single = np.array([lat.nearest(x) for x in X])
+                assert np.array_equal(single.reshape(want.shape), want)
 
 
 class TestModLattice:
