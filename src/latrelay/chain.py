@@ -106,12 +106,12 @@ def pick_generator_rows(p: int, n: int, kmax: int, seed: int = 0,
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeChain:
     """Ordered nested lattices Lambda_1 subseteq ... subseteq Lambda_K.
 
     A chain of three or more lattices builds its list decoder and its
-    codebook once, on first use, and keeps them.
+    codebook once, on first use, and keeps them. Chains compare by identity.
     """
 
     p: int

@@ -1,10 +1,11 @@
 """Command line experiment runner.
 
 Subcommands: chain-info, p2p-sim, relay-sim, twrc-sim, regions, gaps.
-Configuration is an INI file (one section per subcommand, ``key = value``);
-the flags --seed / --trials / --out override the file. All outputs are
-CSV with '.' decimals and LF endings plus, for regions and gaps, an SVG
-figure. A fixed config and seed produce byte-identical outputs.
+Configuration is an INI file with one section per subcommand, read raw
+and checked against SCHEMA: a key the subcommand does not read is a
+config error. The flags --seed / --trials / --out override the file. All
+outputs are CSV with '.' decimals and LF endings plus, for regions and
+gaps, an SVG figure. A fixed config and seed give byte-identical outputs.
 
 Exit codes: 0 success, 2 config error, 3 runtime infeasibility.
 """
@@ -13,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import difflib
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -55,54 +58,101 @@ from .twrc import (
 )
 
 
-class _Section:
-    """Typed accessors over one config section, naming the failing field."""
+def _bool(v: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[v.lower()]
 
-    def __init__(self, cfg: configparser.ConfigParser, name: str):
-        if not cfg.has_section(name) and name != cfg.default_section:
-            raise ConfigInvalid(f"config is missing section [{name}]")
-        self.raw = cfg[name]
-        self.name = name
 
-    def _get(self, key, default):
-        if key in self.raw:
-            return self.raw[key]
-        if default is not None:
-            return default
-        raise ConfigInvalid(f"[{self.name}] is missing required key '{key}'")
+def _ints(v: str) -> list:
+    return [int(tok) for tok in v.replace(" ", "").split(",") if tok]
 
-    def get_int(self, key, default=None) -> int:
-        v = self._get(key, default)
-        try:
-            return int(str(v))
-        except ValueError:
-            raise ConfigInvalid(f"[{self.name}] {key} = {v!r} is not an integer")
 
-    def get_float(self, key, default=None) -> float:
-        v = self._get(key, default)
-        try:
-            return float(str(v))
-        except ValueError:
-            raise ConfigInvalid(f"[{self.name}] {key} = {v!r} is not a number")
+_NOUNS = {int: "an integer", float: "a number", _bool: "a boolean",
+          _ints: "a comma-separated int list"}
+REQUIRED = object()
 
-    def get_bool(self, key, default=None) -> bool:
-        v = str(self._get(key, default)).strip().lower()
-        if v in ("1", "true", "yes", "on"):
-            return True
-        if v in ("0", "false", "no", "off"):
-            return False
-        raise ConfigInvalid(f"[{self.name}] {key} = {v!r} is not a boolean")
 
-    def get_str(self, key, default=None) -> str:
-        return str(self._get(key, default))
+def _floats(*keys) -> dict:
+    return dict.fromkeys(keys, (float, REQUIRED))
 
-    def get_ints(self, key, default=None) -> list:
-        v = self._get(key, default)
-        try:
-            return [int(tok) for tok in str(v).replace(" ", "").split(",") if tok]
-        except ValueError:
-            raise ConfigInvalid(
-                f"[{self.name}] {key} = {v!r} is not a comma-separated int list")
+
+_CODE = dict.fromkeys(("p", "n"), (int, REQUIRED))
+_BLOCKS = {**_CODE, "B": (int, 10), "runs": (int, 1)}
+_TWRC_POWERS = _floats("P1", "P2", "PR", "NR")
+_REGIONS = {"mode": (str, "none"), **_TWRC_POWERS}
+
+# section -> key -> (parser, default or REQUIRED). A p2p-sim gamma of None
+# stands for sqrt(12 P) / p, the cubic shaping of power P.
+SCHEMA = {
+    "chain-info": {**_CODE, "ranks": (_ints, REQUIRED), "gamma": (float, 1.0)},
+    "p2p-sim": {**_CODE, "ranks": (_ints, REQUIRED), **_floats("P", "N"),
+                "gamma": (float, None), "trials": (int, 1000)},
+    "relay-sim": {**_BLOCKS,
+                  **_floats("P", "PR", "NR", "N", "alpha", "R", "RR")},
+    "twrc-sim": {**_BLOCKS, **_TWRC_POWERS,
+                 **_floats("N1", "N2", "R1", "R2", "R"),
+                 "enforce_broadcast_rate": (_bool, True)},
+    "regions": {**_REGIONS, **_floats("N1", "N2")},
+    "gaps": {"scenario": (int, REQUIRED), "draws": (int, 1000),
+             "lo": (float, 0.01), "hi": (float, 100.0)},
+}
+# [regions] with mode = physical reads N1p and N2p in place of N1 and N2.
+_PHYSICAL_REGIONS = {**_REGIONS, **_floats("N1p", "N2p")}
+# The key of each section that --trials overrides.
+COUNT = {"p2p-sim": "trials", "relay-sim": "runs", "twrc-sim": "runs",
+         "gaps": "draws"}
+
+
+def section_keys(command: str, section) -> dict:
+    """The schema of the keys ``command`` reads from ``section``."""
+    if command == "regions" and section.get("mode") == "physical":
+        return _PHYSICAL_REGIONS
+    return SCHEMA[command]
+
+
+def read_section(cfg: configparser.ConfigParser, command: str,
+                 trials=None) -> dict:
+    """Parse the keys of section ``command``, fill in the defaults and
+    apply the --trials override. A missing section, a missing required
+    key, a value its parser rejects, a count below 1, and a key the
+    command does not read (including one from [DEFAULT]) are config
+    errors."""
+    if not cfg.has_section(command):
+        raise ConfigInvalid(f"config is missing section [{command}]")
+    raw = cfg[command]
+    keys = section_keys(command, raw)
+    lower = {k.lower(): k for k in keys}
+    for key in raw:
+        if key not in keys:
+            close = difflib.get_close_matches(key.lower(), lower, cutoff=0)
+            raise ConfigInvalid(f"[{command}] unknown key '{key}'; "
+                                f"did you mean '{lower[close[0]]}'?")
+    values = {}
+    for key, (parse, default) in keys.items():
+        if key in raw:
+            try:
+                values[key] = parse(raw[key])
+            except (KeyError, ValueError):
+                raise ConfigInvalid(f"[{command}] {key} = {raw[key]!r} is "
+                                    f"not {_NOUNS[parse]}")
+        elif default is REQUIRED:
+            raise ConfigInvalid(f"[{command}] is missing required key '{key}'")
+        else:
+            values[key] = default
+    count = COUNT.get(command)
+    if trials is not None:
+        if count is None:
+            raise ConfigInvalid(f"[{command}] has no count for --trials")
+        values[count] = trials
+    if count and values[count] < 1:
+        raise ConfigInvalid(
+            f"[{command}] {count} must be >= 1, got {values[count]}")
+    return values
+
+
+def _build(cls, values: dict):
+    """``cls`` built from the entries of ``values`` named as its fields."""
+    return cls(**{f.name: values[f.name] for f in fields(cls)
+                  if f.name in values})
 
 
 def _write_text(path: Path, text: str):
@@ -122,13 +172,10 @@ def _say(args, msg: str):
         print(msg)
 
 
-def cmd_chain_info(sec: _Section, args) -> int:
-    p = sec.get_int("p")
-    n = sec.get_int("n")
-    ranks = sec.get_ints("ranks")
-    gamma = sec.get_float("gamma", "1.0")
+def cmd_chain_info(c: dict, args) -> int:
     try:
-        chain = build_chain(p, n, ranks, gamma=gamma, seed=args.seed)
+        chain = build_chain(c["p"], c["n"], c["ranks"], gamma=c["gamma"],
+                            seed=args.seed)
     except ValueError as exc:
         raise ConfigInvalid(str(exc))
     rows = []
@@ -145,39 +192,24 @@ def cmd_chain_info(sec: _Section, args) -> int:
     return 0
 
 
-def cmd_p2p_sim(sec: _Section, args) -> int:
-    p = sec.get_int("p")
-    n = sec.get_int("n")
-    ranks = sec.get_ints("ranks")
-    P = sec.get_float("P")
-    N = sec.get_float("N")
-    if len(ranks) != 3:
+def cmd_p2p_sim(c: dict, args) -> int:
+    p = c["p"]
+    if len(c["ranks"]) != 3:
         raise ConfigInvalid("[p2p-sim] ranks must list exactly 3 ranks")
     check_prime(p)
     try:
-        awgn = AwgnParams(P=P, N=N)
+        awgn = _build(AwgnParams, c)
+        gamma = (math.sqrt(12.0 * awgn.P) / p if c["gamma"] is None
+                 else c["gamma"])
+        chain = build_chain(p, c["n"], c["ranks"], gamma=gamma,
+                            seed=args.seed)
     except ValueError as exc:
         raise ConfigInvalid(str(exc))
-    gamma = sec.get_float("gamma", repr(math.sqrt(12.0 * P) / p))
-    trials = args.trials if args.trials else sec.get_int("trials", "1000")
-    if trials < 1:
-        raise ConfigInvalid(f"[p2p-sim] trials must be >= 1, got {trials}")
-    try:
-        chain = build_chain(p, n, ranks, gamma=gamma, seed=args.seed)
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc))
-    stats = simulate_p2p(chain, awgn, trials=trials, seed=args.seed)
+    stats = simulate_p2p(chain, awgn, trials=c["trials"], seed=args.seed)
     _write_csv(args.out / "p2p.csv", P2PStats.CSV_COLUMNS, [stats.csv_row()])
     _say(args, f"pe_hat={stats.pe_hat:.6g} ci95={stats.pe_ci95:.3g} "
                f"list_size={stats.list_size} trials={stats.trials}")
     return 0
-
-
-def _runs(sec: _Section, args) -> int:
-    runs = args.trials if args.trials else sec.get_int("runs", "1")
-    if runs < 1:
-        raise ConfigInvalid(f"[{sec.name}] runs must be >= 1, got {runs}")
-    return runs
 
 
 def _run_round_trips(round_trip, cbs, params, seed: int, runs: int,
@@ -198,21 +230,14 @@ def _run_round_trips(round_trip, cbs, params, seed: int, runs: int,
     return totals, transcript_rows
 
 
-def cmd_relay_sim(sec: _Section, args) -> int:
-    p = sec.get_int("p")
-    n = sec.get_int("n")
-    runs = _runs(sec, args)
+def cmd_relay_sim(c: dict, args) -> int:
     try:
-        params = DegradedRelayParams(
-            P=sec.get_float("P"), PR=sec.get_float("PR"),
-            NR=sec.get_float("NR"), N=sec.get_float("N"),
-            alpha=sec.get_float("alpha"), B=sec.get_int("B", "10"),
-            R=sec.get_float("R"), RR=sec.get_float("RR"))
-        cbs = build_df_codebooks(params, p, n, seed=args.seed)
+        params = _build(DegradedRelayParams, c)
+        cbs = build_df_codebooks(params, c["p"], c["n"], seed=args.seed)
     except ValueError as exc:
         raise ConfigInvalid(str(exc))
     (msg, err, relay_err, bin_err), transcript_rows = _run_round_trips(
-        df_round_trip, cbs, params, args.seed, runs,
+        df_round_trip, cbs, params, args.seed, c["runs"],
         ("messages", "message_errors", "relay_errors", "bin_errors"))
     _write_csv(args.out / "relay_blocks.csv", BlockRecord.CSV_COLUMNS,
                transcript_rows)
@@ -222,65 +247,43 @@ def cmd_relay_sim(sec: _Section, args) -> int:
                ("runs", "messages", "message_errors", "relay_errors",
                 "bin_errors", "error_rate", "ci95", "rate_achieved",
                 "bin_rate_achieved", "seed"),
-               [f"{runs},{msg},{err},{relay_err},{bin_err},{pe!r},{ci!r},"
+               [f"{c['runs']},{msg},{err},{relay_err},{bin_err},{pe!r},{ci!r},"
                 f"{cbs.rate_achieved!r},{cbs.bin_rate_achieved!r},{args.seed}"])
     _say(args, f"messages={msg} errors={err} error_rate={pe:.6g} "
                f"rate={cbs.rate_achieved:.4g}")
     return 0
 
 
-def cmd_twrc_sim(sec: _Section, args) -> int:
-    p = sec.get_int("p")
-    n = sec.get_int("n")
-    runs = _runs(sec, args)
-    enforce = sec.get_bool("enforce_broadcast_rate", "true")
+def cmd_twrc_sim(c: dict, args) -> int:
     try:
-        channel = TwrcParams(
-            P1=sec.get_float("P1"), P2=sec.get_float("P2"),
-            PR=sec.get_float("PR"), N1=sec.get_float("N1"),
-            N2=sec.get_float("N2"), NR=sec.get_float("NR"))
-        params = TwrcSimParams(channel=channel, R1=sec.get_float("R1"),
-                               R2=sec.get_float("R2"), R=sec.get_float("R"),
-                               B=sec.get_int("B", "10"))
-        cbs = build_twrc_codebooks(params, p, n, seed=args.seed,
-                                   enforce_broadcast_rate=enforce)
+        params = _build(TwrcSimParams,
+                        {**c, "channel": _build(TwrcParams, c)})
+        cbs = build_twrc_codebooks(
+            params, c["p"], c["n"], seed=args.seed,
+            enforce_broadcast_rate=c["enforce_broadcast_rate"])
     except ValueError as exc:
         raise ConfigInvalid(str(exc))
     (msg, e1, e2, se), transcript_rows = _run_round_trips(
-        twrc_round_trip, cbs, params, args.seed, runs,
+        twrc_round_trip, cbs, params, args.seed, c["runs"],
         ("messages", "errors_dir1", "errors_dir2", "sum_errors"))
     _write_csv(args.out / "twrc_blocks.csv", TwrcBlockRecord.CSV_COLUMNS,
                transcript_rows)
     _write_csv(args.out / "twrc_summary.csv",
                ("runs", "messages", "errors_dir1", "errors_dir2",
                 "sum_errors", "rate1_achieved", "rate2_achieved", "seed"),
-               [f"{runs},{msg},{e1},{e2},{se},{cbs.rate1_achieved!r},"
+               [f"{c['runs']},{msg},{e1},{e2},{se},{cbs.rate1_achieved!r},"
                 f"{cbs.rate2_achieved!r},{args.seed}"])
     _say(args, f"messages={msg} errors_dir1={e1} errors_dir2={e2} "
                f"sum_errors={se}")
     return 0
 
 
-def _channel_from_section(sec: _Section) -> TwrcParams:
-    mode = sec.get_str("mode", "none")
+def cmd_regions(c: dict, args) -> int:
+    physical = c["mode"] == "physical"
     try:
-        if mode == "physical":
-            return TwrcParams.physically_degraded(
-                P1=sec.get_float("P1"), P2=sec.get_float("P2"),
-                PR=sec.get_float("PR"), NR=sec.get_float("NR"),
-                N1p=sec.get_float("N1p"), N2p=sec.get_float("N2p"))
-        return TwrcParams(
-            P1=sec.get_float("P1"), P2=sec.get_float("P2"),
-            PR=sec.get_float("PR"), N1=sec.get_float("N1"),
-            N2=sec.get_float("N2"), NR=sec.get_float("NR"), mode=mode)
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc))
-
-
-def cmd_regions(sec: _Section, args) -> int:
-    params = _channel_from_section(sec)
-    physical = params.mode == "physical"
-    try:
+        params = (TwrcParams.physically_degraded(
+            **{k: v for k, v in c.items() if k != "mode"}) if physical
+            else _build(TwrcParams, c))
         ach = twrc_region(params)
         norelay = two_way_no_relay(params)
         outer = (cutset_degraded if physical else cutset_general)(params)
@@ -302,15 +305,10 @@ def cmd_regions(sec: _Section, args) -> int:
     return 0
 
 
-def cmd_gaps(sec: _Section, args) -> int:
-    scenario = sec.get_int("scenario")
+def cmd_gaps(c: dict, args) -> int:
+    scenario, draws, lo, hi = c["scenario"], c["draws"], c["lo"], c["hi"]
     if scenario not in (1, 2):
         raise ConfigInvalid("[gaps] scenario must be 1 or 2")
-    draws = args.trials if args.trials else sec.get_int("draws", "1000")
-    if draws < 1:
-        raise ConfigInvalid(f"[gaps] draws must be >= 1, got {draws}")
-    lo = sec.get_float("lo", "0.01")
-    hi = sec.get_float("hi", "100.0")
     if not (math.isfinite(hi) and 0.0 < lo < hi):
         raise ConfigInvalid(
             f"[gaps] needs finite 0 < lo < hi, got lo = {lo!r}, hi = {hi!r}")
@@ -367,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory")
-    parser.add_argument("--trials", type=int, default=0,
-                        help="override trial/run/draw count")
+    parser.add_argument("--trials", type=int, help="override the run count")
     parser.add_argument("--quiet", action="store_true")
     return parser
 
@@ -376,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = configparser.ConfigParser()
+        cfg = configparser.ConfigParser(interpolation=None)
         cfg.optionxform = str   # keys are case-sensitive (P vs p)
         try:
             read = cfg.read(args.config)
@@ -384,12 +381,10 @@ def main(argv=None) -> int:
             raise ConfigInvalid(str(exc))
         if not read:
             raise ConfigInvalid(f"cannot read config file {args.config}")
-        sec = _Section(cfg, args.subcommand)
-        if args.trials < 0:
-            raise ConfigInvalid("--trials must be nonnegative")
+        values = read_section(cfg, args.subcommand, args.trials)
         if args.seed < 0:
             raise ConfigInvalid("--seed must be nonnegative")
-        return _COMMANDS[args.subcommand](sec, args)
+        return _COMMANDS[args.subcommand](values, args)
     except (ConfigInvalid, InvalidRanks, NotPrime) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -102,6 +102,8 @@ class TwrcParams:
             raise ValueError("powers and noise variances must be positive")
         if self.P1 < self.P2:
             raise ValueError("convention requires P1 >= P2")
+        if self.mode not in ("none", "stochastic", "physical"):
+            raise ValueError(f"unknown degradation mode {self.mode!r}")
         if self.mode == "physical":
             if self.N1p is None or self.N2p is None:
                 raise ValueError("physical degradation requires N1p and N2p")

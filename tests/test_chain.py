@@ -75,6 +75,13 @@ class TestBuildChain:
         assert back.gamma == pytest.approx(ch.gamma, rel=1e-12)
         assert np.array_equal(back.rows, ch.rows)
 
+    def test_identity_equality_and_hash(self):
+        a, b = build_chain(3, 2, [0, 1, 2]), build_chain(3, 2, [0, 1, 2])
+        assert a == a and a != b and {a: 1, b: 2}[a] == 1
+        assert hash(a) == hash(a)
+        assert a.to_record() == b.to_record()
+        assert a.list_decoder is a.list_decoder
+
 
 class TestPickGeneratorRows:
     def test_deterministic(self):

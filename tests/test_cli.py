@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latrelay.cli import main
+from latrelay.cli import COUNT, REQUIRED, main, section_keys
 
 
 def _write_cfg(tmp_path, body):
@@ -25,7 +25,7 @@ def _rows(path):
 
 def _config_error(tmp_path, capsys, command, output, body, *flags):
     """The command exits 2 with a one-line config error and writes no
-    output file."""
+    output file; returns the error."""
     cfg = _write_cfg(tmp_path, body)
     code = main([command, "--config", cfg, "--out", str(tmp_path),
                  "--quiet", *flags])
@@ -33,6 +33,7 @@ def _config_error(tmp_path, capsys, command, output, body, *flags):
     assert code == 2
     assert err.startswith("config error:") and "Traceback" not in err
     assert not (tmp_path / output).exists()
+    return err
 
 
 class TestChainInfo:
@@ -68,6 +69,12 @@ class TestChainInfo:
         _config_error(tmp_path, capsys, "chain-info", "chain_info.csv",
                       self.CFG + "gamma = nan\n")
 
+    def test_trials_flag_without_count_is_config_error(self, tmp_path,
+                                                       capsys):
+        err = _config_error(tmp_path, capsys, "chain-info", "chain_info.csv",
+                            self.CFG, "--trials", "5")
+        assert "no count for --trials" in err
+
 
 class TestP2pSim:
     CFG = ("[p2p-sim]\np = 3\nn = 2\nranks = 0,1,2\n"
@@ -88,7 +95,8 @@ class TestP2pSim:
         assert _rows(tmp_path / "p2p.csv")[0]["trials"] == "37"
 
     def _config_error(self, tmp_path, capsys, body, *flags):
-        _config_error(tmp_path, capsys, "p2p-sim", "p2p.csv", body, *flags)
+        return _config_error(tmp_path, capsys, "p2p-sim", "p2p.csv", body,
+                             *flags)
 
     def test_nan_noise_is_config_error(self, tmp_path, capsys):
         self._config_error(tmp_path, capsys,
@@ -107,8 +115,13 @@ class TestP2pSim:
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_nonpositive_trials_is_config_error(self, tmp_path, capsys,
                                                 trials):
-        self._config_error(tmp_path, capsys, self.CFG.replace(
+        # --trials 0 is an override like any other, not "use the file's".
+        in_file = self._config_error(tmp_path, capsys, self.CFG.replace(
             "trials = 100", f"trials = {trials}"))
+        by_flag = self._config_error(tmp_path, capsys, self.CFG,
+                                     "--trials", trials)
+        assert in_file == by_flag
+        assert f"trials must be >= 1, got {trials}" in by_flag
 
     def test_p_zero_is_config_error(self, tmp_path, capsys):
         self._config_error(tmp_path, capsys, self.CFG.replace("p = 3", "p = 0"))
@@ -221,6 +234,15 @@ class TestRegions:
         _config_error(tmp_path, capsys, "regions", "regions.csv",
                       self.CFG.replace("N1p = 1.0", "N1p = -0.5"))
 
+    def test_misspelt_mode_is_config_error(self, tmp_path, capsys):
+        # N1 = N2 < NR: with mode = stochastic this is a config error too,
+        # so a misspelt mode must not skip the stochastic check.
+        err = _config_error(tmp_path, capsys, "regions", "regions.csv",
+                            "[regions]\nmode = stochastc\nP1 = 4.0\n"
+                            "P2 = 2.0\nPR = 8.0\nN1 = 0.5\nN2 = 0.5\n"
+                            "NR = 1.0\n")
+        assert "'stochastc'" in err
+
 
 class TestGaps:
     CFG = "[gaps]\nscenario = 1\ndraws = 150\n"
@@ -258,6 +280,12 @@ class TestGaps:
         _config_error(tmp_path, capsys, "gaps", "gaps.csv",
                       self.CFG + "hi = 1e308\n")
 
+    @pytest.mark.parametrize("lo", ["1%", "%(hi)s"])
+    def test_percent_is_a_plain_character(self, tmp_path, capsys, lo):
+        err = _config_error(tmp_path, capsys, "gaps", "gaps.csv",
+                            self.CFG + f"lo = {lo}\n")
+        assert f"lo = {lo!r} is not a number" in err
+
     def test_zero_draws_is_config_error(self, tmp_path, capsys):
         _config_error(tmp_path, capsys, "gaps", "gaps.csv",
                       self.CFG.replace("draws = 150", "draws = 0"))
@@ -269,10 +297,13 @@ class TestGaps:
 
 
 EXAMPLE_INI = Path(__file__).resolve().parents[1] / "scripts/configs/example.ini"
+OUTPUT = {"chain-info": "chain_info.csv", "p2p-sim": "p2p.csv",
+          "relay-sim": "relay_summary.csv", "twrc-sim": "twrc_summary.csv",
+          "regions": "regions.csv", "gaps": "gaps.csv"}
 
 
 def _example_config() -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str
     cfg.read(EXAMPLE_INI)
     return cfg
@@ -281,26 +312,29 @@ def _example_config() -> configparser.ConfigParser:
 @pytest.mark.parametrize("command", _example_config().sections())
 def test_bad_numbers_in_example_config_exit_cleanly(tmp_path, capsys,
                                                     command):
-    """Every numeric key of the example section, set to each of nan, inf,
-    -inf, 0, -1 and 1e308, gives exit 0, 2 with a config error or 3 with
-    an infeasibility, never an exception or a RuntimeWarning (numpy's
-    overflow and invalid-value warnings) out of main; a run that exits 0
-    writes no nan or inf into its CSV files."""
+    """Every numeric key the schema declares for the example section, set
+    to each of nan, inf, -inf, 0, -1, 1e308 and 1%, gives exit 0, 2 with a
+    config error or 3 with an infeasibility, never an exception or a
+    RuntimeWarning (numpy's overflow and invalid-value warnings) out of
+    main; a run that exits 0 writes no nan or inf into its CSV files."""
     cfg = _example_config()
+    section = cfg[command]
+    keys = section_keys(command, section)
+    numeric = [k for k, (parse, _) in keys.items() if parse in (int, float)]
     faults = []
-    for key, value in cfg[command].items():
-        try:
-            float(value)
-        except ValueError:
-            continue
-        for bad in ("nan", "inf", "-inf", "0", "-1", "1e308"):
-            cfg[command][key] = bad
+    for key in numeric:
+        value = section.get(key)
+        for bad in ("nan", "inf", "-inf", "0", "-1", "1e308", "1%"):
+            section[key] = bad
             path = tmp_path / "cfg.ini"
             with open(path, "w") as fh:
                 cfg.write(fh)
-            cfg[command][key] = value
-            flags = [] if key in ("trials", "runs", "draws") else [
-                "--trials", "1"]
+            if value is None:
+                del section[key]
+            else:
+                section[key] = value
+            count = COUNT.get(command)
+            flags = ["--trials", "1"] if count not in (None, key) else []
             out = tmp_path / f"out_{key}_{bad}"
             try:
                 with warnings.catch_warnings():
@@ -318,6 +352,55 @@ def test_bad_numbers_in_example_config_exit_cleanly(tmp_path, capsys,
                 if re.search(r"\b(nan|inf)\b", table.read_text(), re.I):
                     faults.append(f"{key} = {bad}: nan or inf in {table.name}")
     assert not faults
+
+
+@pytest.mark.parametrize("command", _example_config().sections())
+def test_missing_required_keys_are_config_errors(tmp_path, capsys, command):
+    cfg = _example_config()
+    section = cfg[command]
+    required = [k for k, (_, default) in section_keys(command,
+                                                      section).items()
+                if default is REQUIRED]
+    assert required or command == "gaps"
+    for key in required:
+        body = "".join(f"{k} = {v}\n" for k, v in section.items() if k != key)
+        err = _config_error(tmp_path, capsys, command, OUTPUT[command],
+                            f"[{command}]\n{body}")
+        assert f"missing required key '{key}'" in err
+
+
+@pytest.mark.parametrize("command, line, suggestion", [
+    ("chain-info", "gama = 1.0", "gamma"),
+    ("p2p-sim", "trails = 10", "trials"),
+    ("relay-sim", "b = 40", "B"),
+    ("relay-sim", "rnus = 5", "runs"),
+    ("twrc-sim", "enforce_broadcast = false", "enforce_broadcast_rate"),
+    ("regions", "N1 = 1.5", "N1p"),     # N1 is read only without physical
+    ("gaps", "draw = 5", "draws"),
+])
+def test_unknown_key_is_config_error(tmp_path, capsys, command, line,
+                                     suggestion):
+    body = EXAMPLE_INI.read_text().replace(f"[{command}]\n",
+                                           f"[{command}]\n{line}\n")
+    err = _config_error(tmp_path, capsys, command, OUTPUT[command], body)
+    key = line.split(" = ")[0]
+    assert f"[{command}] unknown key '{key}'" in err
+    assert f"did you mean '{suggestion}'?" in err
+
+
+def test_default_section_keys_are_checked(tmp_path, capsys):
+    """configparser merges [DEFAULT] into every section: its keys are read
+    like the section's own, and an unknown one is rejected."""
+    body = "[DEFAULT]\np = 3\nn = 2\n\n" + TestChainInfo.CFG.replace(
+        "p = 3\nn = 2\n", "")
+    cfg = _write_cfg(tmp_path, body)
+    assert main(["chain-info", "--config", cfg, "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    assert len(_rows(tmp_path / "chain_info.csv")) == 3
+    (tmp_path / "chain_info.csv").unlink()
+    err = _config_error(tmp_path, capsys, "chain-info", "chain_info.csv",
+                        "[DEFAULT]\nrnus = 5\n\n" + TestChainInfo.CFG)
+    assert "unknown key 'rnus'" in err
 
 
 def test_csv_lf_endings_and_dot_decimals(tmp_path):

@@ -99,6 +99,19 @@ class TestCapacityC:
         assert capacity_c(lo) <= capacity_c(hi) + 1e-12
 
 
+class TestTwrcParams:
+    @pytest.mark.parametrize("mode", ["stochastc", "Physical", ""])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="mode"):
+            TwrcParams(P1=4.0, P2=2.0, PR=8.0, N1=0.5, N2=0.5, NR=1.0,
+                       mode=mode)
+
+    @pytest.mark.parametrize("mode", ["none", "stochastic"])
+    def test_known_modes_accepted(self, mode):
+        assert TwrcParams(P1=4.0, P2=2.0, PR=8.0, N1=1.5, N2=1.5, NR=1.0,
+                          mode=mode).mode == mode
+
+
 class TestTwoWayNoRelay:
     def test_examples(self):
         p = TwrcParams(P1=3.0, P2=3.0, PR=1.0, N1=1.0, N2=3.0, NR=1.0)
