@@ -33,9 +33,9 @@ TOL = 1e-9
 # Cap on the number of candidate points any exact enumeration may touch.
 DEFAULT_ENUM_BUDGET = 2_000_000
 
-# Entries of the (rows x cosets x n) distance table one step of the coset
-# scan gathers; keeps the batched kernel's working set small whatever the
-# batch size.
+# Entries of the (rows x cosets) distance table one step of the coset scan
+# holds, so a step takes SCAN_ELEMENTS // p^k rows (at least one); keeps
+# the batched kernel's working set small whatever the batch size.
 SCAN_ELEMENTS = 16_384
 
 # Box draws the rejection sampler makes for one sample before it gives up.
@@ -47,17 +47,26 @@ def _round_ties_down(y: np.ndarray) -> np.ndarray:
     return np.ceil(y - 0.5)
 
 
-def _coset_scan(Y: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
+def _coset_scan(Y: np.ndarray, cols: np.ndarray, onehot: np.ndarray,
+                p: int) -> np.ndarray:
     """Nearest point of the unit-scale Construction-A lattice to each row
     of ``Y`` (m x n), given ``cols = cw + p * arange(n)`` (c x n) for all
-    codewords ``cw``.
+    codewords ``cw`` and its one-hot matrix ``onehot`` (n p x c), which is
+    1 at ``[cols[c, j], c]``.
 
     Coordinate j of coset cw + pZ^n rounds to the nearest point of
     cw_j + pZ, which depends only on (y_j, cw_j). So one (m, n, p) table
-    holds the rounded lift of every residue and its squared distance, and
-    one ``take`` through ``cols`` gathers each coset's squared distances,
-    summed over the contiguous last axis. Among the cosets within 1e-12 of
-    the shortest distance the lexicographically smallest point wins.
+    holds the rounded lift of every residue and its squared distance.
+    Coset c's squared distance, the sum over j of the table's entry
+    (j, cw_j), is column c of one matrix product of the flattened table
+    with ``onehot``. Among the cosets within 1e-12 of the shortest
+    distance the lexicographically smallest point wins.
+
+    Where a coordinate's squared distance is inf at every residue (finite
+    |y_j| >~ 1e170), inf * 0 makes the whole product row NaN; every coset
+    is infinitely far there, so all tie. A row with a non-finite y_j reads
+    NaN in every coset too, and gets the first coset's lift, whatever rows
+    share its batch.
     """
     # ufunc reductions rather than the array methods: this runs once per
     # single-vector call, where the methods' Python wrappers show.
@@ -67,15 +76,17 @@ def _coset_scan(Y: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
     lift = r + p * _round_ties_down((Yr - r) / p)
     sq = lift - Yr
     sq *= sq
-    d = np.sqrt(np.add.reduce(sq.reshape(m, n * p).take(cols, axis=1),
-                              axis=2))
-    best = d <= (np.minimum.reduce(d, axis=1) + 1e-12)[:, None]
+    d = sq.reshape(m, n * p) @ onehot
+    np.sqrt(d, out=d)   # one (m, c) table, not two
+    # Not-greater rather than less-or-equal: a NaN row marks every coset.
+    best = ~(d > (np.minimum.reduce(d, axis=1) + 1e-12)[:, None])
     lift = lift.reshape(m, n * p)
     out = lift[np.arange(m)[:, None], cols[best.argmax(axis=1)]]
     if np.add.reduce(best, axis=None) > m:
         for i in np.flatnonzero(np.add.reduce(best, axis=1) > 1):
-            tied = lift[i].take(cols[best[i]])
-            out[i] = tied[np.lexsort(tied[:, ::-1].T)[0]]
+            if np.logical_and.reduce(np.isfinite(Y[i])):   # else coset 0
+                tied = lift[i].take(cols[best[i]])
+                out[i] = tied[np.lexsort(tied[:, ::-1].T)[0]]
     return out
 
 
@@ -158,15 +169,18 @@ class ConstructionALattice(Lattice):
         self.rows = rows
         self.rows.setflags(write=False)
         self._scan_cols: Optional[np.ndarray] = None
+        self._scan_onehot: Optional[np.ndarray] = None
 
     @property
     def volume(self) -> float:
         return self.gamma ** self.n * float(self.p) ** (self.n - self.k)
 
-    def _scan_columns(self) -> np.ndarray:
-        """``cw + p * arange(n)`` for each of the p^k codewords cw of the
-        underlying code (p^k x n), cached: the column of each codeword
-        coordinate in the coset scan's flattened (n, p) cost table."""
+    def _scan_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """``cols = cw + p * arange(n)`` for each of the p^k codewords cw of
+        the underlying code (p^k x n), the column of each codeword
+        coordinate in the coset scan's flattened (n, p) cost table, and the
+        one-hot matrix (n p x p^k) that is 1 at ``[cols[c, j], c]``; both
+        cached."""
         if self._scan_cols is None:
             count = self.p ** self.k
             if count > DEFAULT_ENUM_BUDGET:
@@ -174,9 +188,12 @@ class ConstructionALattice(Lattice):
                     f"p^k = {count} cosets exceed budget {DEFAULT_ENUM_BUDGET}")
             cols = gf.all_codewords(self.rows, self.p) + self.p * np.arange(
                 self.n)
+            onehot = np.zeros((self.n * self.p, count))
+            onehot[cols, np.arange(count)[:, None]] = 1.0
             cols.setflags(write=False)
-            self._scan_cols = cols
-        return self._scan_cols
+            onehot.setflags(write=False)
+            self._scan_cols, self._scan_onehot = cols, onehot
+        return self._scan_cols, self._scan_onehot
 
     def nearest(self, x: np.ndarray) -> np.ndarray:
         """Exact nearest point, ties broken lexicographically."""
@@ -195,20 +212,21 @@ class ConstructionALattice(Lattice):
 
         Rank 0 and rank n round coordinate by coordinate; otherwise every
         row scans all p^k cosets, in row chunks of at most SCAN_ELEMENTS
-        gathered distances.
+        coset distances.
         """
         Y = X / self.gamma
         if self.k == 0:
             return self.gamma * self.p * _round_ties_down(Y / self.p)
         if self.k == self.n:
             return self.gamma * _round_ties_down(Y)
-        cols = self._scan_columns()
-        chunk = max(1, SCAN_ELEMENTS // cols.size)
+        cols, onehot = self._scan_columns()
+        chunk = max(1, SCAN_ELEMENTS // len(cols))
         if len(Y) <= chunk:
-            out = _coset_scan(Y, cols, self.p)
+            out = _coset_scan(Y, cols, onehot, self.p)
         else:
-            out = np.concatenate([_coset_scan(Y[lo:lo + chunk], cols, self.p)
-                                  for lo in range(0, len(Y), chunk)])
+            out = np.concatenate([
+                _coset_scan(Y[lo:lo + chunk], cols, onehot, self.p)
+                for lo in range(0, len(Y), chunk)])
         return self.gamma * out
 
     def voronoi_box_halfwidth(self) -> float:

@@ -5,8 +5,8 @@ closest-point oracle scans an explicit integer box and the codebook
 oracle filters a grid through plain modular arithmetic, so agreement is
 meaningful. ``list_decode_q_form`` decodes by a box scan and a
 membership test instead of the coset walk of ``NestedListDecoder``.
-``direct_scan_nearest`` is the coset scan in its direct form, which the
-kernel's per-coordinate cost table must reproduce bit for bit.
+``direct_scan_nearest`` is the coset scan in its direct form, whose
+points the kernel's matrix-product scan must reproduce bit for bit.
 """
 
 import itertools
@@ -62,9 +62,13 @@ def direct_scan_nearest(lat: ConstructionALattice, X) -> np.ndarray:
 
     Every row rounds into every coset c + pZ^n at once, as an (m, p^k, n)
     array of points; among the cosets within 1e-12 of the shortest
-    distance the lexicographically smallest point wins. The float
-    expressions are those of the library kernel, so its results must
-    match bit for bit.
+    distance the lexicographically smallest point wins. The library kernel
+    sums each coset's squared distances in another order (a matrix
+    product), so the distances may differ in the last bits, but its
+    points must match bit for bit: a rounding difference can move a
+    point only inside the 1e-12 window. That holds while a row's lift is
+    exact in float64 (|y_j| / gamma well below 2^52), and where a huge
+    coordinate (about 1e150 and up) swamps every other term.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = X / lat.gamma

@@ -133,15 +133,15 @@ class TestNearestPoint:
 
 
 class TestCosetScanKernel:
-    """The kernel's per-coordinate cost table against the direct coset
-    scan, bit for bit, ties included, at batch sizes around one chunk."""
+    """The kernel's matrix-product scan against the direct coset scan, bit
+    for bit, ties included, at batch sizes around one chunk."""
 
     @pytest.mark.parametrize("p, n, k", [
         (3, 2, 1), (3, 4, 2), (3, 8, 4), (3, 8, 6), (3, 12, 6),
         (2, 8, 4), (5, 8, 4), (7, 8, 4)])
     def test_matches_direct_scan(self, p, n, k):
         lat = build_chain(p, n, [k], gamma=0.5, seed=3)[0]
-        chunk = max(1, SCAN_ELEMENTS // (p ** k * n))
+        chunk = max(1, SCAN_ELEMENTS // p ** k)
         rng = np.random.default_rng(100 * p + 10 * n + k)
         for m in (chunk - 1, chunk, chunk + 1):
             ties = rng.integers(-2 * p, 2 * p + 1, size=(m, n)) / 2.0
@@ -152,6 +152,38 @@ class TestCosetScanKernel:
                 assert np.array_equal(lat.mod_many(X), X - want)
                 single = np.array([lat.nearest(x) for x in X])
                 assert np.array_equal(single.reshape(want.shape), want)
+                # A row's point does not depend on the rows around it.
+                perm = rng.permutation(m)
+                assert np.array_equal(lat.nearest_many(X[perm]), want[perm])
+
+    @pytest.mark.parametrize("p, n, k", [
+        (3, 8, 4), (3, 12, 6), (2, 8, 4), (5, 8, 4)])
+    def test_huge_and_non_finite_rows(self, p, n, k):
+        # Tie points with coordinates of magnitude 1e150-1e300 (whose
+        # squares overflow to inf from about 1e170 on) and with inf or nan
+        # coordinates, in one batch. A huge coordinate's squared distance
+        # is the same at every residue and swamps the others, so the
+        # product and the direct sum see the same ties.
+        lat = build_chain(p, n, [k], gamma=0.5, seed=3)[0]
+        rng = np.random.default_rng(10 * p + n + k)
+        m = 300
+        X = lat.gamma * rng.integers(-2 * p, 2 * p + 1, size=(m, n)) / 2.0
+        huge = rng.random((m, n)) < 0.2
+        X[huge] = (rng.choice([-1.0, 1.0], size=huge.sum())
+                   * 10.0 ** rng.uniform(150, 300, size=huge.sum()))
+        bad = rng.random((m, n)) < 0.05
+        X[bad] = rng.choice([np.inf, -np.inf, np.nan], size=bad.sum())
+        with np.errstate(all="ignore"):
+            want = direct_scan_nearest(lat, X)
+            assert np.array_equal(lat.nearest_many(X), want, equal_nan=True)
+            assert np.array_equal(lat.mod_many(X), X - want, equal_nan=True)
+            single = np.array([lat.nearest(x) for x in X])
+            # Next to a non-finite row, every row keeps its own point.
+            nan_row = X[~np.isfinite(X).all(axis=1)][0]
+            beside = np.array([lat.nearest_many(np.stack([nan_row, x]))[1]
+                               for x in X])
+        assert np.array_equal(single, want, equal_nan=True)
+        assert np.array_equal(beside, want, equal_nan=True)
 
 
 class TestModLattice:

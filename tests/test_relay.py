@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import latrelay.relay as relay
+from latrelay.chain import rank_for_rate
 from latrelay.errors import Infeasible
 from latrelay.lattice import second_moment
 from latrelay.relay import (
@@ -75,6 +76,17 @@ class TestBuildCodebooks:
         step = math.log2(5) / 2
         assert cbs.rate_achieved % step == pytest.approx(0.0, abs=1e-9)
         assert cbs.num_messages == 5 ** round(cbs.rate_achieved / step)
+
+    def test_rate_below_half_step_rounds_up_to_one_step(self):
+        # The nearest step is rank 0; DF sends one step instead, in both
+        # the message code and the bin code.
+        step = math.log2(3) / 2
+        assert rank_for_rate(3, 2, 0.4 * step) == 0
+        p = _params(R=0.4 * step, RR=0.4 * step)
+        cbs = build_df_codebooks(p, p=3, n=2, seed=0)
+        assert cbs.rate_achieved == pytest.approx(step)
+        assert cbs.bin_rate_achieved == pytest.approx(step)
+        assert (cbs.num_messages, cbs.num_bins) == (3, 3)
 
 
 class TestRoundTrip:

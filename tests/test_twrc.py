@@ -126,6 +126,19 @@ class TestBuildCodebooks:
         assert cbs.lam_c2.k == cbs.lam2.k
         assert len(cbs.entries2) == 1
 
+    def test_rate_below_half_step_is_silent(self):
+        # The nearest step is rank 0, and TWRC keeps it: terminal 2 sends
+        # one codeword while terminal 1 keeps its rank.
+        step = math.log2(3) / 2
+        params = TwrcSimParams(channel=_sym_params(), R1=0.8,
+                               R2=0.4 * step, R=3.0, B=5)
+        cbs = build_twrc_codebooks(params, p=3, n=2, seed=0,
+                                   enforce_broadcast_rate=False)
+        assert cbs.lam_c2.k == cbs.lam2.k
+        assert len(cbs.entries2) == 1
+        assert cbs.rate2_achieved == 0.0
+        assert cbs.lam_c1.k == cbs.lam1.k + 1
+
     def test_chain_order_sorted_by_volume(self):
         ch = TwrcParams(P1=4.0, P2=1.0, PR=10.0, N1=0.5, N2=0.5, NR=0.5)
         params = TwrcSimParams(channel=ch, R1=0.79, R2=0.79, R=2.5, B=5)
