@@ -20,8 +20,6 @@ from .lattice import (
     ConstructionALattice,
     enumerate_codebook,
     is_sublattice,
-    mod_rows,
-    nearest_rows,
 )
 
 
@@ -121,8 +119,7 @@ def resolve(member_idx: np.ndarray, member_bins: np.ndarray,
     return intersect_size, (intersect_size == 1) & (first == truth_idx)
 
 
-# The maps below, and unique_decode, take one vector (n,) or a batch of
-# rows (m, n).
+# The maps below, and unique_decode, take a batch of rows (m, n).
 
 def encode_dithered(t: np.ndarray, U: np.ndarray,
                     coarse: ConstructionALattice) -> np.ndarray:
@@ -130,21 +127,21 @@ def encode_dithered(t: np.ndarray, U: np.ndarray,
     t = np.asarray(t, dtype=float)
     if not np.allclose(coarse.nearest_many(t), 0.0, atol=TOL):
         raise NotACodeword("t does not lie in the coarse fundamental region")
-    return mod_rows(coarse, t - U)
+    return coarse.mod_many(t - U)
 
 
 def receiver_front_end(Y: np.ndarray, U: np.ndarray, P: float, N: float,
                        coarse: ConstructionALattice) -> np.ndarray:
     """Y' = (alpha Y + U) mod Lambda with the MMSE coefficient."""
     alpha = P / (P + N)
-    return mod_rows(coarse, alpha * np.asarray(Y, dtype=float) + U)
+    return coarse.mod_many(alpha * np.asarray(Y, dtype=float) + U)
 
 
 def effective_noise(X: np.ndarray, Z: np.ndarray, P: float, N: float,
                     coarse: ConstructionALattice) -> np.ndarray:
     """Z' = (-(1-alpha) X + alpha Z) mod Lambda."""
     alpha = P / (P + N)
-    return mod_rows(coarse, -(1.0 - alpha) * X + alpha * Z)
+    return coarse.mod_many(-(1.0 - alpha) * X + alpha * Z)
 
 
 def _rows_in_lists(T: np.ndarray, lists: np.ndarray) -> np.ndarray:
@@ -193,10 +190,9 @@ class NestedListDecoder:
 
 def unique_decode(y_prime: np.ndarray, coarse: ConstructionALattice,
                   fine: ConstructionALattice) -> np.ndarray:
-    """Classic nested-lattice point decoder: Q_c(Y') mod Lambda, of one
-    observation (n,) or of each row of a batch (m, n)."""
-    return mod_rows(coarse,
-                    nearest_rows(fine, np.asarray(y_prime, dtype=float)))
+    """Classic nested-lattice point decoder: Q_c(Y') mod Lambda, of each
+    row of a batch (m, n)."""
+    return coarse.mod_many(fine.nearest_many(y_prime))
 
 
 @dataclass

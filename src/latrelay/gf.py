@@ -59,10 +59,6 @@ def rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[:r], pivots
 
 
-def rank(rows: np.ndarray, p: int) -> int:
-    return rref(rows, p)[0].shape[0]
-
-
 def in_rowspan_many(rows: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
     """Vectorized row-span membership for many vectors (m x n), mod p."""
     vecs = np.asarray(vecs, dtype=np.int64) % p

@@ -119,7 +119,8 @@ class Lattice:
         return x - self.nearest(x)
 
     def mod_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """Row-wise :meth:`mod` for a batch (m x n), bit for bit."""
+        X = np.asarray(X, dtype=float)
         return X - self.nearest_many(X)
 
     def sample_voronoi(self, rng: np.random.Generator) -> np.ndarray:
@@ -201,7 +202,7 @@ class ConstructionALattice(Lattice):
 
     def nearest_many(self, X: np.ndarray) -> np.ndarray:
         """Row-wise :meth:`nearest` for a batch (m x n), bit for bit."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise DimensionMismatch(
                 f"expected rows of length {self.n}, got shape {X.shape}")
@@ -251,42 +252,9 @@ class ConstructionALattice(Lattice):
         return ConstructionALattice(self.p, self.rows[:k], gamma=self.gamma,
                                     n=self.n)
 
-    def to_record(self) -> str:
-        """Serialize to the flat text record {p, n, k, rows, gamma}."""
-        rows = ";".join(",".join(str(int(v)) for v in r) for r in self.rows)
-        return f"p={self.p} n={self.n} k={self.k} rows={rows} gamma={self.gamma!r}"
-
-    @classmethod
-    def from_record(cls, record: str) -> "ConstructionALattice":
-        fields = dict(tok.split("=", 1) for tok in record.split())
-        p = int(fields["p"])
-        n = int(fields["n"])
-        k = int(fields["k"])
-        rows_txt = fields.get("rows", "")
-        if rows_txt:
-            rows = np.array([[int(v) for v in r.split(",")]
-                             for r in rows_txt.split(";")], dtype=np.int64)
-        else:
-            rows = np.zeros((0, n), dtype=np.int64)
-        if rows.shape != (k, n):
-            raise ValueError(f"rows shape {rows.shape} does not match k={k}, n={n}")
-        return cls(p, rows, gamma=float(fields["gamma"]), n=n)
-
     def __repr__(self) -> str:
         return (f"ConstructionALattice(p={self.p}, n={self.n}, k={self.k}, "
                 f"gamma={self.gamma!r})")
-
-
-def nearest_rows(lattice: Lattice, x: np.ndarray) -> np.ndarray:
-    """:meth:`Lattice.nearest` of one vector (n,), or
-    :meth:`Lattice.nearest_many` of each row of a batch (m, n)."""
-    return lattice.nearest_many(x) if np.ndim(x) == 2 else lattice.nearest(x)
-
-
-def mod_rows(lattice: Lattice, x: np.ndarray) -> np.ndarray:
-    """:meth:`Lattice.mod` of one vector (n,), or :meth:`Lattice.mod_many`
-    of each row of a batch (m, n)."""
-    return lattice.mod_many(x) if np.ndim(x) == 2 else lattice.mod(x)
 
 
 def second_moment(lattice: ConstructionALattice, samples: int, seed: int) -> float:
@@ -369,7 +337,11 @@ def codebook_index(codebook: np.ndarray, points: np.ndarray,
     ``codebook`` (:func:`enumerate_codebook` at scale ``gamma``) equal to
     it as integer multiples of gamma, or 0 where none is. A lexicographic
     binary search over the sorted rows; nothing is built per call."""
-    Q = np.rint(np.asarray(points, dtype=float) / gamma)
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != codebook.shape[1]:
+        raise DimensionMismatch(f"expected rows of length {codebook.shape[1]},"
+                                f" got shape {points.shape}")
+    Q = np.rint(points / gamma)
     target, half = gamma * Q, 0.5 * gamma
     ahead = np.zeros(len(Q), dtype=np.int64)   # rows known to sort before
     each = np.arange(len(Q))

@@ -29,8 +29,6 @@ from .lattice import (
     codebook_index,
     enumerate_codebook,
     is_sublattice,
-    mod_rows,
-    nearest_rows,
     second_moment,
 )
 from .rates import TwrcParams, capacity_c
@@ -42,28 +40,29 @@ POWER_SAMPLES = 2000
 def sum_codeword(t1: np.ndarray, t2: np.ndarray, U2: np.ndarray,
                  lam1: ConstructionALattice, lam2: ConstructionALattice
                  ) -> np.ndarray:
-    """T = (t1 + t2 - Q2(t2 + U2)) mod Lambda_1, of one vector (n,) or of
-    each row of a batch (m, n)."""
-    return mod_rows(lam1, t1 + t2 - nearest_rows(lam2, t2 + U2))
+    """T = (t1 + t2 - Q2(t2 + U2)) mod Lambda_1, of each row of a batch
+    (m, n)."""
+    return lam1.mod_many(t1 + t2 - lam2.nearest_many(t2 + U2))
 
 
 def recover_t1_from_sum(T: np.ndarray, t2: np.ndarray, U2: np.ndarray,
                         lam1: ConstructionALattice, lam2: ConstructionALattice
                         ) -> np.ndarray:
-    """t1 = (T - t2 + Q2(t2 + U2)) mod Lambda_1, exact algebra."""
+    """t1 = (T - t2 + Q2(t2 + U2)) mod Lambda_1, exact algebra, of each
+    row of a batch (m, n)."""
     if not is_sublattice(lam1, lam2):
         raise NotNested("Lambda_1 must be a sublattice of Lambda_2")
-    return lam1.mod(T - t2 + lam2.nearest(t2 + U2))
+    return lam1.mod_many(T - t2 + lam2.nearest_many(t2 + U2))
 
 
 def recover_t2_from_sum(T: np.ndarray, t1: np.ndarray,
                         lam1: ConstructionALattice, lam2: ConstructionALattice
                         ) -> np.ndarray:
-    """t2 = (T mod Lambda_2 - t1) mod Lambda_2, using the distributive
-    mod law for Lambda_1 subseteq Lambda_2."""
+    """t2 = (T mod Lambda_2 - t1) mod Lambda_2, of each row of a batch
+    (m, n), using the distributive mod law for Lambda_1 subseteq Lambda_2."""
     if not is_sublattice(lam1, lam2):
         raise NotNested("Lambda_1 must be a sublattice of Lambda_2")
-    return lam2.mod(lam2.mod(T) - t1)
+    return lam2.mod_many(lam2.mod_many(T) - t1)
 
 
 @dataclass(frozen=True)
@@ -110,15 +109,12 @@ class TwrcCodebooks:
     def num_bins(self) -> int:
         return self.relay_codebook.shape[0]
 
-    def bin_of_sum(self, T: np.ndarray):
-        """Bin (1-based) of a sum codeword (n,), as an int, or of each row
-        of a batch (m, n), as an integer array."""
-        index = codebook_index(self.sum_entries, np.atleast_2d(T),
-                               self.lam1.gamma)
+    def bin_of_sum(self, T: np.ndarray) -> np.ndarray:
+        """Bin (1-based) of each sum codeword in a batch (m, n)."""
+        index = codebook_index(self.sum_entries, T, self.lam1.gamma)
         if not index.all():
             raise NotACodeword("not a sum codeword")
-        bins = self.bin_table[index - 1]
-        return int(bins[0]) if np.ndim(T) == 1 else bins
+        return self.bin_table[index - 1]
 
 
 def _rank_for_power(p: int, n: int, P1: float, P2: float) -> int:
@@ -194,13 +190,13 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
 
 def relay_decode_sum(YR: np.ndarray, U1: np.ndarray, U2: np.ndarray,
                      cbs: TwrcCodebooks, NR: float) -> np.ndarray:
-    """MMSE-scaled lattice decode of the dithered sum codeword, from one
-    observation (n,) or from each row of a batch (m, n)."""
+    """MMSE-scaled lattice decode of the dithered sum codeword, from each
+    row of a batch of observations (m, n)."""
     fine = cbs.lam_c1 if cbs.lam_c1.k >= cbs.lam_c2.k else cbs.lam_c2
     psum = cbs.power1 + cbs.power2
     alpha = psum / (psum + NR)
-    y = mod_rows(cbs.lam1, alpha * YR + U1 - U2)
-    return mod_rows(cbs.lam1, nearest_rows(fine, y))
+    y = cbs.lam1.mod_many(alpha * YR + U1 - U2)
+    return cbs.lam1.mod_many(fine.nearest_many(y))
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Per-block reference loops for the block-Markov simulators.
 
 These are the DF and TWRC round trips written one block at a time from
-the single-vector functions (``Lattice.mod``, ``unique_decode``,
-``sum_codeword``, ``relay_decode_sum``), each block drawing U1, U2 and
+the single-vector lattice operations ``Lattice.nearest`` and
+``Lattice.mod`` alone: the unique decode, the sum codeword and the relay's
+sum decode are written out below from their formulas, so the reference
+shares none of the batched maps it checks. Each block draws U1, U2 and
 then its noises from ``trial_rng(seed, b)``. Points map back to their
 message, bin or sum indices through dicts built here (``_index_of``), so
 no index code is shared with the engines. The batched engines in
@@ -17,14 +19,29 @@ from typing import Optional
 
 import numpy as np
 
-from latrelay.channel import NestedListDecoder, trial_rng, unique_decode
+from latrelay.channel import NestedListDecoder, trial_rng
 from latrelay.relay import BinningMap, BlockRecord, DfRunResult
-from latrelay.twrc import (
-    TwrcBlockRecord,
-    TwrcRunResult,
-    relay_decode_sum,
-    sum_codeword,
-)
+from latrelay.twrc import TwrcBlockRecord, TwrcRunResult
+
+
+def unique_decode(y, coarse, fine):
+    """Q_fine(y) mod coarse, of one vector."""
+    return coarse.mod(fine.nearest(y))
+
+
+def sum_codeword(t1, t2, U2, lam1, lam2):
+    """(t1 + t2 - Q2(t2 + U2)) mod Lambda_1, of one vector."""
+    return lam1.mod(t1 + t2 - lam2.nearest(t2 + U2))
+
+
+def relay_decode_sum(YR, U1, U2, cbs, NR):
+    """The relay's MMSE-scaled decode of the dithered sum, of one vector:
+    Q_fine((alpha YR + U1 - U2) mod Lambda_1) mod Lambda_1, with the finer
+    of the two terminals' codebook lattices as fine."""
+    fine = cbs.lam_c1 if cbs.lam_c1.k >= cbs.lam_c2.k else cbs.lam_c2
+    psum = cbs.power1 + cbs.power2
+    alpha = psum / (psum + NR)
+    return unique_decode(cbs.lam1.mod(alpha * YR + U1 - U2), cbs.lam1, fine)
 
 
 def _key(pt, scale):
@@ -34,6 +51,14 @@ def _key(pt, scale):
 def _index_of(codebook, scale) -> dict:
     """1-based row of each codebook point, keyed by ``_key``."""
     return {_key(t, scale): w for w, t in enumerate(codebook, start=1)}
+
+
+def sum_bin_lookup(cbs):
+    """The bin of one sum codeword of ``cbs``, through a dict of its
+    points."""
+    sum_of_point = _index_of(cbs.sum_entries, cbs.lam1.gamma)
+    return lambda T: int(
+        cbs.bin_table[sum_of_point[_key(T, cbs.lam1.gamma)] - 1])
 
 
 def df_reference(codebooks, params, seed: int) -> DfRunResult:
@@ -134,10 +159,7 @@ def twrc_reference(cbs, params, seed: int) -> TwrcRunResult:
     dec2 = NestedListDecoder(lam2, cbs.lam_s2, cbs.lam_c2)
     a1 = cbs.power1 / (cbs.power1 + ch.N2)
     a2 = cbs.power2 / (cbs.power2 + ch.N1)
-    sum_of_point = _index_of(cbs.sum_entries, lam1.gamma)
-
-    def bin_of_sum(T) -> int:
-        return int(cbs.bin_table[sum_of_point[_key(T, lam1.gamma)] - 1])
+    bin_of_sum = sum_bin_lookup(cbs)
 
     rng_msg = trial_rng(seed, 0)
     B = params.B

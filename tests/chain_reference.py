@@ -1,9 +1,10 @@
 """Candidate-by-candidate reference for ``chain.pick_generator_rows``.
 
 This is the row search written one candidate at a time: every sampled
-candidate is checked for independence with ``gf.rank`` and scored by
-enumerating all codewords of the enlarged code. The incremental search in
-``latrelay.chain`` must pick the same rows for every seed.
+candidate is checked for independence by its rank (the pivot count of
+``gf.rref``) and scored by enumerating all codewords of the enlarged code.
+The incremental search in ``latrelay.chain`` must pick the same rows for
+every seed.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def pick_generator_rows_reference(p: int, n: int, kmax: int, seed: int = 0,
         for _ in range(candidates):
             cand = rng.integers(0, p, size=n, dtype=np.int64)
             trial = np.vstack([rows, cand[None, :]])
-            if gf.rank(trial, p) != trial.shape[0]:
+            if len(gf.rref(trial, p)[1]) != trial.shape[0]:
                 continue
             norm, mult = shortest_vector_norm(p, trial)
             score = (norm, -mult)

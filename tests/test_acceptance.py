@@ -149,36 +149,37 @@ def test_criterion_04_mmse_effective_noise_variance():
 def test_criterion_05_sum_recovery():
     """Exhaustive exactness at p=3, n=2 over all pairs and 100 dithers;
     randomized exactness at p=5, n=4."""
-    bad = 0
-    checked = 0
+    def misses(t1, t2, U2, lam1, lam2):
+        """Rows whose sum does not give back both codewords."""
+        T = sum_codeword(t1, t2, U2, lam1, lam2)
+        r1 = recover_t1_from_sum(T, t2, U2, lam1, lam2)
+        r2 = recover_t2_from_sum(T, t1, lam1, lam2)
+        return int(np.count_nonzero(
+            ~(np.isclose(r1, lam1.mod_many(t1), atol=1e-9).all(axis=1)
+              & np.isclose(r2, lam2.mod_many(t2), atol=1e-9).all(axis=1))))
+
     ch = build_chain(3, 2, [0, 1, 2], seed=0)
     lam1, lam2, fine = ch.lattices
     cb1 = enumerate_codebook(lam1, fine)
     cb2 = enumerate_codebook(lam2, fine)
     rng = np.random.default_rng(41)
-    dithers = [lam2.sample_voronoi(rng) for _ in range(100)]
-    for t1, t2 in itertools.product(cb1, cb2):
-        for U2 in dithers:
-            T = sum_codeword(t1, t2, U2, lam1, lam2)
-            r1 = recover_t1_from_sum(T, t2, U2, lam1, lam2)
-            r2 = recover_t2_from_sum(T, t1, lam1, lam2)
-            bad += not (np.allclose(r1, lam1.mod(t1), atol=1e-9)
-                        and np.allclose(r2, lam2.mod(t2), atol=1e-9))
-            checked += 1
+    dithers = np.array([lam2.sample_voronoi(rng) for _ in range(100)])
+    i1, i2, iu = (i.ravel() for i in np.meshgrid(
+        range(len(cb1)), range(len(cb2)), range(len(dithers)), indexing="ij"))
+    t1, t2, U2 = cb1[i1], cb2[i2], dithers[iu]
+    bad = misses(t1, t2, U2, lam1, lam2)
+    checked = len(t1)
     ch5 = build_chain(5, 4, [0, 1, 2], seed=3)
     m1, m2, f5 = ch5.lattices
     cb1r = enumerate_codebook(m1, f5)
     cb2r = enumerate_codebook(m2, f5)
-    for _ in range(1000):
-        t1 = cb1r[int(rng.integers(len(cb1r)))]
-        t2 = cb2r[int(rng.integers(len(cb2r)))]
-        U2 = m2.sample_voronoi(rng)
-        T = sum_codeword(t1, t2, U2, m1, m2)
-        bad += not (np.allclose(recover_t1_from_sum(T, t2, U2, m1, m2),
-                                m1.mod(t1), atol=1e-9)
-                    and np.allclose(recover_t2_from_sum(T, t1, m1, m2),
-                                    m2.mod(t2), atol=1e-9))
-        checked += 1
+    t1, t2, U2 = (np.empty((1000, 4)) for _ in range(3))
+    for i in range(1000):
+        t1[i] = cb1r[int(rng.integers(len(cb1r)))]
+        t2[i] = cb2r[int(rng.integers(len(cb2r)))]
+        U2[i] = m2.sample_voronoi(rng)
+    bad += misses(t1, t2, U2, m1, m2)
+    checked += len(t1)
     _verdict(5, bad == 0, f"{bad} failures over {checked} recoveries")
 
 

@@ -1,9 +1,10 @@
 """The block-batched DF and TWRC engines against per-block references.
 
 ``block_reference`` runs each protocol one block at a time through the
-single-vector functions; the engines must give the same counts and
-transcripts, record for record. The CLI outputs on the shipped example
-config are pinned to hashes taken before the engines were batched.
+single-vector lattice operations; the engines must give the same counts
+and transcripts, record for record, and each batched protocol map must
+equal its one-vector reference row by row. The CLI outputs on the shipped
+example config are pinned to hashes taken before the engines were batched.
 """
 
 import hashlib
@@ -13,7 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latrelay.channel import unique_decode
+from latrelay.channel import (
+    effective_noise,
+    encode_dithered,
+    receiver_front_end,
+    unique_decode,
+)
 from latrelay.cli import main
 from latrelay.errors import DimensionMismatch
 from latrelay.lattice import ConstructionALattice, codebook_index
@@ -26,10 +32,13 @@ from latrelay.relay import (
 from latrelay.twrc import (
     TwrcSimParams,
     build_twrc_codebooks,
+    recover_t1_from_sum,
+    recover_t2_from_sum,
     relay_decode_sum,
     sum_codeword,
     twrc_round_trip,
 )
+import block_reference as ref
 from block_reference import df_reference, twrc_reference
 
 SEEDS = range(50)
@@ -196,7 +205,7 @@ def test_example_cli_outputs_pinned(tmp_path, seed):
         assert got == digest, name
 
 
-# --- one vector or a batch of rows ------------------------------------------
+# --- batch-only protocol maps ---------------------------------------------
 
 def _half_grid(gamma=1.0):
     """The 169 points of the half-integer grid on [-3, 3]^2: many are ties
@@ -205,10 +214,12 @@ def _half_grid(gamma=1.0):
     return gamma * np.array(list(itertools.product(g, g)))
 
 
-def _batch_equals_single(fn, *arrays):
-    """fn on the batches equals fn row by row, bit for bit."""
-    batch = fn(*arrays)
-    assert np.array_equal(batch, np.array([fn(*row) for row in zip(*arrays)]))
+def _batch_matches_reference(fn, reference, arrays, *args):
+    """fn on the batches equals its one-vector reference row by row, bit
+    for bit; ``args`` go to both."""
+    batch = fn(*arrays, *args)
+    assert np.array_equal(batch, np.array(
+        [reference(*row, *args) for row in zip(*arrays)]))
     return batch
 
 
@@ -217,9 +228,8 @@ def test_unique_decode_batch_matches_single():
     fine = ConstructionALattice(3, [[1, 1], [0, 1]], n=2)
     rng = np.random.default_rng(0)
     Y = np.vstack([_half_grid(), rng.uniform(-4, 4, size=(200, 2))])
-    _batch_equals_single(lambda y: unique_decode(y, coarse, fine), Y)
-    with pytest.raises(DimensionMismatch):
-        unique_decode(np.zeros(3), coarse, fine)
+    _batch_matches_reference(unique_decode, ref.unique_decode, (Y,),
+                             coarse, fine)
 
 
 def test_sum_codeword_batch_matches_single():
@@ -228,16 +238,18 @@ def test_sum_codeword_batch_matches_single():
     grid = _half_grid()
     rng = np.random.default_rng(1)
     idx = rng.integers(0, len(grid), size=(3, 400))
-    t1, t2, U2 = (grid[i] for i in idx)
-    _batch_equals_single(lambda a, b, u: sum_codeword(a, b, u, lam1, lam2),
-                         t1, t2, U2)
-    with pytest.raises(DimensionMismatch):
-        sum_codeword(np.zeros(3), np.zeros(3), np.zeros(3), lam1, lam2)
+    _batch_matches_reference(sum_codeword, ref.sum_codeword,
+                             tuple(grid[i] for i in idx), lam1, lam2)
 
 
-def test_relay_decode_sum_and_bins_batch_match_single():
-    params = _twrc_params(TWRC_BM)
-    cbs = build_twrc_codebooks(params, 3, 2, seed=0)
+@pytest.fixture(scope="module")
+def bm_codebooks():
+    """The TWRC codebooks of the benchmark's block_markov point (n = 2)."""
+    return build_twrc_codebooks(_twrc_params(TWRC_BM), 3, 2, seed=0)
+
+
+def test_relay_decode_sum_and_bins_batch_match_single(bm_codebooks):
+    cbs = bm_codebooks
     g = cbs.lam1.gamma
     rng = np.random.default_rng(2)
     grid = _half_grid(g)
@@ -246,10 +258,41 @@ def test_relay_decode_sum_and_bins_batch_match_single():
     YR = np.vstack([YR, rng.uniform(-3 * g, 3 * g, size=(300, 2))])
     U1 = np.vstack([U1, rng.uniform(-g, g, size=(300, 2))])
     U2 = np.vstack([U2, rng.uniform(-g, g, size=(300, 2))])
-    T = _batch_equals_single(
-        lambda y, a, b: relay_decode_sum(y, a, b, cbs, 0.01), YR, U1, U2)
+    T = _batch_matches_reference(relay_decode_sum, ref.relay_decode_sum,
+                                 (YR, U1, U2), cbs, 0.01)
     sums = np.vstack([T, cbs.sum_entries])
     bins = cbs.bin_of_sum(sums)
-    assert bins.shape == (len(sums),)
-    assert bins.tolist() == [cbs.bin_of_sum(t) for t in sums]
-    assert all(type(cbs.bin_of_sum(t)) is int for t in sums[:5])
+    assert bins.shape == (len(sums),) and bins.dtype.kind == "i"
+    assert bins.tolist() == list(map(ref.sum_bin_lookup(cbs), sums))
+
+
+# name: the map applied to array arguments all of one shape, on the
+# block_markov TWRC codebooks.
+BATCH_ONLY = {
+    "encode_dithered": lambda c, a: encode_dithered(a, a, c.lam1),
+    "receiver_front_end":
+        lambda c, a: receiver_front_end(a, a, 1.0, 1.0, c.lam1),
+    "effective_noise": lambda c, a: effective_noise(a, a, 1.0, 1.0, c.lam1),
+    "unique_decode": lambda c, a: unique_decode(a, c.lam1, c.lam_c1),
+    "sum_codeword": lambda c, a: sum_codeword(a, a, a, c.lam1, c.lam2),
+    "relay_decode_sum": lambda c, a: relay_decode_sum(a, a, a, c, 0.01),
+    "recover_t1_from_sum":
+        lambda c, a: recover_t1_from_sum(a, a, a, c.lam1, c.lam2),
+    "recover_t2_from_sum":
+        lambda c, a: recover_t2_from_sum(a, a, c.lam1, c.lam2),
+    "bin_of_sum": lambda c, a: c.bin_of_sum(a),
+    "nearest_many": lambda c, a: c.lam2.nearest_many(a),
+    "mod_many": lambda c, a: c.lam2.mod_many(a),
+    "codebook_index":
+        lambda c, a: codebook_index(c.sum_entries, a, c.lam1.gamma),
+}
+
+
+@pytest.mark.parametrize("shape", [(2,), (4, 3), (4, 1)],
+                         ids=["vector", "wide_batch", "narrow_batch"])
+@pytest.mark.parametrize("name", sorted(BATCH_ONLY))
+def test_batch_only_map_rejects_other_shapes(bm_codebooks, name, shape):
+    fn = BATCH_ONLY[name]
+    assert len(fn(bm_codebooks, np.zeros((4, 2)))) == 4
+    with pytest.raises(DimensionMismatch):
+        fn(bm_codebooks, np.zeros(shape))

@@ -35,19 +35,20 @@ class TestEncodeDithered:
     def test_zero_dither(self):
         ch = build_chain(3, 2, [0, 2])
         t = enumerate_codebook(ch[0], ch[1])[4]
-        assert np.allclose(encode_dithered(t, np.zeros(2), ch[0]), t)
+        assert np.allclose(encode_dithered(t[None], np.zeros((1, 2)), ch[0]),
+                           t)
 
     def test_zero_codeword_gives_negated_dither(self):
         ch = build_chain(3, 2, [0, 2])
         rng = np.random.default_rng(1)
         U = ch[0].sample_voronoi(rng)
-        X = encode_dithered(np.zeros(2), U, ch[0])
+        X = encode_dithered(np.zeros((1, 2)), U[None], ch[0])
         assert np.allclose(X, ch[0].mod(-U), atol=1e-9)
 
     def test_rejects_non_codeword(self):
         ch = build_chain(3, 2, [0, 2])
         with pytest.raises(NotACodeword):
-            encode_dithered(np.array([10.0, 10.0]), np.zeros(2), ch[0])
+            encode_dithered(np.array([[10.0, 10.0]]), np.zeros((1, 2)), ch[0])
 
     def test_output_power_matches_second_moment(self):
         ch = build_chain(3, 2, [0, 2])
@@ -87,23 +88,24 @@ class TestFrontEnd:
         t = enumerate_codebook(ch[0], ch[1])[2]
         rng = np.random.default_rng(3)
         U = ch[0].sample_voronoi(rng)
-        X = encode_dithered(t, U, ch[0])
-        y_prime = receiver_front_end(X, U, P=1.0, N=1e-15, coarse=ch[0])
+        X = encode_dithered(t[None], U[None], ch[0])
+        y_prime = receiver_front_end(X, U[None], P=1.0, N=1e-15, coarse=ch[0])
         assert np.allclose(y_prime, t, atol=1e-6)
 
     def test_decomposition_identity(self):
         ch = build_chain(3, 2, [0, 2])
         cb = enumerate_codebook(ch[0], ch[1])
         P, N = 1.3, 0.6
+        t, U, Z = (np.empty((200, 2)) for _ in range(3))
         for trial in range(200):
             rng = trial_rng(42, trial)
-            t = cb[int(rng.integers(len(cb)))]
-            U = ch[0].sample_voronoi(rng)
-            Z = rng.normal(0, math.sqrt(N), 2)
-            X = encode_dithered(t, U, ch[0])
-            y_prime = receiver_front_end(X + Z, U, P, N, ch[0])
-            z_eff = effective_noise(X, Z, P, N, ch[0])
-            assert np.allclose(y_prime, ch[0].mod(t + z_eff), atol=1e-9)
+            t[trial] = cb[int(rng.integers(len(cb)))]
+            U[trial] = ch[0].sample_voronoi(rng)
+            Z[trial] = rng.normal(0, math.sqrt(N), 2)
+        X = encode_dithered(t, U, ch[0])
+        y_prime = receiver_front_end(X + Z, U, P, N, ch[0])
+        z_eff = effective_noise(X, Z, P, N, ch[0])
+        assert np.allclose(y_prime, ch[0].mod_many(t + z_eff), atol=1e-9)
 
     def test_mmse_variance(self):
         # per-dimension variance of -(1-a)X + aZ matches PN/(P+N)
@@ -130,8 +132,8 @@ class TestListDecode:
         y = np.array([0.7, -0.2])
         res = NestedListDecoder(ch[0], ch[1], ch[2]).decode(y)
         assert res.size == 1
-        assert np.allclose(res.points[0], unique_decode(y, ch[0], ch[2]),
-                           atol=1e-9)
+        assert np.allclose(res.points[0],
+                           unique_decode(y[None], ch[0], ch[2])[0], atol=1e-9)
 
     def test_full_codebook_when_mid_equals_coarse(self):
         ch = self._chain(ranks=(0, 0, 2))
@@ -285,11 +287,11 @@ class TestBatchedEngine:
             y_primes, lists = [], []
             for i in range(m):
                 t = codebook[w[i]]
-                U = coarse.mod(U_raw[i])
-                X = encode_dithered(t, U, coarse)
-                y_prime = receiver_front_end(X + Z[i], U, P, N, coarse)
+                U = coarse.mod(U_raw[i])[None]
+                X = encode_dithered(t[None], U, coarse)
+                y_prime = receiver_front_end(X + Z[i], U, P, N, coarse)[0]
                 res = dec.decode(y_prime, truth=t)
-                z_eff = effective_noise(X, Z[i], P, N, coarse)
+                z_eff = effective_noise(X, Z[i], P, N, coarse)[0]
                 outside = not np.allclose(mid.nearest(z_eff), 0.0, atol=1e-9)
                 assert (not res.contains_truth) == outside
                 log.append((batch * CHUNK + i, int(w[i]) + 1, res.size,

@@ -37,24 +37,25 @@ class TestSumCodeword:
         cb1 = enumerate_codebook(lam1, fine)
         cb2 = enumerate_codebook(lam2, fine)
         rng = np.random.default_rng(0)
-        for t1, t2 in itertools.product(cb1[:4], cb2):
-            U2 = lam2.sample_voronoi(rng)
-            T = sum_codeword(t1, t2, U2, lam1, lam2)
-            assert np.allclose(lam1.nearest(T), 0.0, atol=1e-9)
+        t1, t2 = map(np.array, zip(*itertools.product(cb1[:4], cb2)))
+        U2 = np.array([lam2.sample_voronoi(rng) for _ in t1])
+        T = sum_codeword(t1, t2, U2, lam1, lam2)
+        assert np.allclose(lam1.nearest_many(T), 0.0, atol=1e-9)
 
     def test_trivial_case(self):
         lam1, lam2, fine = _chain_p3()
         t1 = enumerate_codebook(lam1, fine)[2]
-        T = sum_codeword(t1, np.zeros(2), np.zeros(2), lam1, lam2)
+        T = sum_codeword(t1[None], np.zeros((1, 2)), np.zeros((1, 2)),
+                         lam1, lam2)
         assert np.allclose(T, lam1.mod(t1), atol=1e-9)
 
     def test_deterministic(self):
         lam1, lam2, fine = _chain_p3()
         t1 = enumerate_codebook(lam1, fine)[1]
         t2 = enumerate_codebook(lam2, fine)[1]
-        U2 = np.array([0.3, -0.2])
-        a = sum_codeword(t1, t2, U2, lam1, lam2)
-        b = sum_codeword(t1, t2, U2, lam1, lam2)
+        U2 = np.array([[0.3, -0.2]])
+        a = sum_codeword(t1[None], t2[None], U2, lam1, lam2)
+        b = sum_codeword(t1[None], t2[None], U2, lam1, lam2)
         assert np.array_equal(a, b)
 
 
@@ -64,14 +65,15 @@ class TestRecovery:
         cb1 = enumerate_codebook(lam1, fine)
         cb2 = enumerate_codebook(lam2, fine)
         rng = np.random.default_rng(1)
-        for t1, t2 in itertools.product(cb1, cb2):
-            for _ in range(5):
-                U2 = lam2.sample_voronoi(rng)
-                T = sum_codeword(t1, t2, U2, lam1, lam2)
-                r1 = recover_t1_from_sum(T, t2, U2, lam1, lam2)
-                r2 = recover_t2_from_sum(T, t1, lam1, lam2)
-                assert np.allclose(r1, lam1.mod(t1), atol=1e-9)
-                assert np.allclose(r2, lam2.mod(t2), atol=1e-9)
+        pairs = [pair for pair in itertools.product(cb1, cb2)
+                 for _ in range(5)]
+        t1, t2 = map(np.array, zip(*pairs))
+        U2 = np.array([lam2.sample_voronoi(rng) for _ in pairs])
+        T = sum_codeword(t1, t2, U2, lam1, lam2)
+        r1 = recover_t1_from_sum(T, t2, U2, lam1, lam2)
+        r2 = recover_t2_from_sum(T, t1, lam1, lam2)
+        assert np.allclose(r1, lam1.mod_many(t1), atol=1e-9)
+        assert np.allclose(r2, lam2.mod_many(t2), atol=1e-9)
 
     def test_random_p5(self):
         ch = build_chain(5, 2, [0, 1, 2], seed=3)
@@ -79,24 +81,25 @@ class TestRecovery:
         cb1 = enumerate_codebook(lam1, fine)
         cb2 = enumerate_codebook(lam2, fine)
         rng = np.random.default_rng(2)
-        for _ in range(1000):
-            t1 = cb1[int(rng.integers(len(cb1)))]
-            t2 = cb2[int(rng.integers(len(cb2)))]
-            U2 = lam2.sample_voronoi(rng)
-            T = sum_codeword(t1, t2, U2, lam1, lam2)
-            assert np.allclose(recover_t1_from_sum(T, t2, U2, lam1, lam2),
-                               lam1.mod(t1), atol=1e-9)
-            assert np.allclose(recover_t2_from_sum(T, t1, lam1, lam2),
-                               lam2.mod(t2), atol=1e-9)
+        t1, t2, U2 = (np.empty((1000, 2)) for _ in range(3))
+        for i in range(1000):
+            t1[i] = cb1[int(rng.integers(len(cb1)))]
+            t2[i] = cb2[int(rng.integers(len(cb2)))]
+            U2[i] = lam2.sample_voronoi(rng)
+        T = sum_codeword(t1, t2, U2, lam1, lam2)
+        assert np.allclose(recover_t1_from_sum(T, t2, U2, lam1, lam2),
+                           lam1.mod_many(t1), atol=1e-9)
+        assert np.allclose(recover_t2_from_sum(T, t1, lam1, lam2),
+                           lam2.mod_many(t2), atol=1e-9)
 
     def test_not_nested_raises(self):
         fine = integer_lattice(2)
         coarse = fine.with_rank(0)
+        z = np.zeros((1, 2))
         with pytest.raises(NotNested):
-            recover_t1_from_sum(np.zeros(2), np.zeros(2), np.zeros(2),
-                                fine, coarse)
+            recover_t1_from_sum(z, z, z, fine, coarse)
         with pytest.raises(NotNested):
-            recover_t2_from_sum(np.zeros(2), np.zeros(2), fine, coarse)
+            recover_t2_from_sum(z, z, fine, coarse)
 
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2))
     @settings(max_examples=60, deadline=None)
@@ -173,16 +176,17 @@ class TestRelayDecodeSum:
         cbs = build_twrc_codebooks(params, p=3, n=2, seed=0,
                                    enforce_broadcast_rate=False)
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            t1 = cbs.entries1[int(rng.integers(len(cbs.entries1)))]
-            t2 = cbs.entries2[int(rng.integers(len(cbs.entries2)))]
-            U1 = cbs.lam1.sample_voronoi(rng)
-            U2 = cbs.lam2.sample_voronoi(rng)
-            X1 = cbs.lam1.mod(t1 - U1)
-            X2 = cbs.lam2.mod(t2 + U2)
-            T = sum_codeword(t1, t2, U2, cbs.lam1, cbs.lam2)
-            T_hat = relay_decode_sum(X1 + X2, U1, U2, cbs, NR=1e-12)
-            assert np.allclose(T_hat, T, atol=1e-6)
+        t1, t2, U1, U2 = (np.empty((50, 2)) for _ in range(4))
+        for i in range(50):
+            t1[i] = cbs.entries1[int(rng.integers(len(cbs.entries1)))]
+            t2[i] = cbs.entries2[int(rng.integers(len(cbs.entries2)))]
+            U1[i] = cbs.lam1.sample_voronoi(rng)
+            U2[i] = cbs.lam2.sample_voronoi(rng)
+        X1 = cbs.lam1.mod_many(t1 - U1)
+        X2 = cbs.lam2.mod_many(t2 + U2)
+        T = sum_codeword(t1, t2, U2, cbs.lam1, cbs.lam2)
+        T_hat = relay_decode_sum(X1 + X2, U1, U2, cbs, NR=1e-12)
+        assert np.allclose(T_hat, T, atol=1e-6)
 
 
 class TestRoundTrip:
