@@ -157,20 +157,6 @@ class LatticeChain:
         return (f"p={self.p} n={self.n} ranks={ranks}{rows_part} "
                 f"gamma={self.gamma!r}")
 
-    @classmethod
-    def from_record(cls, record: str) -> "LatticeChain":
-        fields = dict(tok.split("=", 1) for tok in record.split())
-        p = int(fields["p"])
-        n = int(fields["n"])
-        ranks = [int(v) for v in fields["ranks"].split(",")]
-        rows_txt = fields.get("rows", "")
-        if rows_txt:
-            rows = np.array([[int(v) for v in r.split(",")]
-                             for r in rows_txt.split(";")], dtype=np.int64)
-        else:
-            rows = np.zeros((0, n), dtype=np.int64)
-        return build_chain(p, n, ranks, float(fields["gamma"]), rows=rows)
-
 
 def build_chain(p: int, n: int, ranks, gamma: float = 1.0,
                 rows: np.ndarray = None, seed: int = 0) -> LatticeChain:

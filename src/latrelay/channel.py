@@ -2,8 +2,9 @@
 
 The decoder outputs the fixed-size set of fine-lattice points falling in
 the intermediate lattice's cell around the MMSE-scaled observation,
-reduced mod the coarse lattice. It walks the V_s/V_c cosets of the
-intermediate lattice inside the fine lattice.
+reduced mod the coarse lattice: one point in each of the V_s/V_c cosets
+of the intermediate lattice inside the fine lattice, found by one coset
+scan of the fine code grouped by those cosets.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotACodeword, NotNested
+from .errors import DimensionMismatch, NotACodeword, NotNested
 from .lattice import (
     TOL,
     ConstructionALattice,
+    _coset_scan,
+    _scan_tables,
     enumerate_codebook,
     is_sublattice,
 )
@@ -125,7 +128,8 @@ def encode_dithered(t: np.ndarray, U: np.ndarray,
                     coarse: ConstructionALattice) -> np.ndarray:
     """X = (t - U) mod Lambda. Requires t to lie in the coarse cell."""
     t = np.asarray(t, dtype=float)
-    if not np.allclose(coarse.nearest_many(t), 0.0, atol=TOL):
+    # np.allclose(Q(t), 0, atol=TOL) without its per-call cost.
+    if not (np.abs(coarse.nearest_many(t)) <= TOL).all():
         raise NotACodeword("t does not lie in the coarse fundamental region")
     return coarse.mod_many(t - U)
 
@@ -153,8 +157,13 @@ def _rows_in_lists(T: np.ndarray, lists: np.ndarray) -> np.ndarray:
 class NestedListDecoder:
     """List decoder for a chain Lambda subseteq Lambda_s subseteq Lambda_c.
 
-    Precomputes the coset representatives of Lambda_s inside Lambda_c, so a
-    decode costs |L| = V_s/V_c nearest-point operations.
+    The list of y' is the |L| = V_s/V_c fine points in y' + V_s, one in
+    each coset of Lambda_s in Lambda_c: the nearest point to y' of that
+    coset. In units of gamma, coset ``reps[g]`` + Lambda_s is the union of
+    the cosets cw + pZ^n over the codewords cw of ``reps[g]`` + C_s. So a
+    decode is one coset scan of all p^(k_c) fine codewords, grouped by
+    list coset, built once here. A list of one is the fine lattice's own
+    nearest point, with its rank-n rounding and cached scan.
     """
 
     def __init__(self, coarse: ConstructionALattice, mid: ConstructionALattice,
@@ -165,17 +174,26 @@ class NestedListDecoder:
         self.mid = mid
         self.fine = fine
         self.reps = enumerate_codebook(mid, fine)
-        self.list_size = int(round(mid.volume / fine.volume))
+        self.list_size = len(self.reps)
+        if self.list_size > 1:
+            shifts = np.rint(self.reps / fine.gamma).astype(np.int64) % fine.p
+            self._cols, self._onehot = _scan_tables(fine.p, mid.rows, shifts)
 
     def decode_many(self, Y_prime: np.ndarray) -> np.ndarray:
         """Lists for a batch of observations (m, n), as an (m, size, n)
-        array: row i holds the fine points in (Y_prime[i] + V_s), reduced
-        mod the coarse lattice."""
-        shifts = np.asarray(Y_prime, dtype=float)[:, None, :] - self.reps
-        n = shifts.shape[2]
-        anchors = self.reps + self.mid.nearest_many(
-            shifts.reshape(-1, n)).reshape(shifts.shape)
-        return self.coarse.mod_many(anchors.reshape(-1, n)).reshape(shifts.shape)
+        array: row i holds the fine points in (Y_prime[i] + V_s), member g
+        in ``reps[g]`` + Lambda_s, reduced mod the coarse lattice."""
+        Y = np.asarray(Y_prime, dtype=float)
+        n, gamma = self.fine.n, self.fine.gamma
+        if Y.ndim != 2 or Y.shape[1] != n:
+            raise DimensionMismatch(
+                f"expected rows of length {n}, got shape {Y.shape}")
+        if self.list_size == 1:   # Lambda_s = Lambda_c: the list is Q_c(y')
+            points = self.fine.nearest_many(Y)
+        else:
+            points = gamma * _coset_scan(Y / gamma, self._cols, self._onehot,
+                                         self.fine.p, self.list_size)
+        return self.coarse.mod_many(points).reshape(len(Y), -1, n)
 
     def decode(self, y_prime: np.ndarray,
                truth: Optional[np.ndarray] = None) -> ListDecodeResult:
@@ -249,10 +267,11 @@ def simulate_p2p(chain, awgn: AwgnParams, trials: int, seed: int,
     for batch, first in enumerate(range(0, trials, CHUNK)):
         m = min(CHUNK, trials - first)
         rng = trial_rng(seed, batch)
-        # Full-batch draws, so a short last batch sees the same prefix.
+        # Full-batch draws, so a short last batch sees the same prefix; the
+        # noise is the last draw, so its m rows are that prefix already.
         w = rng.integers(0, len(codebook), size=CHUNK)[:m]
         U = coarse.mod_many(rng.uniform(-half, half, size=(CHUNK, n))[:m])
-        Z = rng.normal(0.0, math.sqrt(awgn.N), size=(CHUNK, n))[:m]
+        Z = rng.normal(0.0, math.sqrt(awgn.N), size=(m, n))
         t = codebook[w]
         X = encode_dithered(t, U, coarse)
         y_prime = receiver_front_end(X + Z, U, awgn.P, awgn.N, coarse)

@@ -47,27 +47,69 @@ def _round_ties_down(y: np.ndarray) -> np.ndarray:
     return np.ceil(y - 0.5)
 
 
-def _coset_scan(Y: np.ndarray, cols: np.ndarray, onehot: np.ndarray,
-                p: int) -> np.ndarray:
-    """Nearest point of the unit-scale Construction-A lattice to each row
-    of ``Y`` (m x n), given ``cols = cw + p * arange(n)`` (c x n) for all
-    codewords ``cw`` and its one-hot matrix ``onehot`` (n p x c), which is
-    1 at ``[cols[c, j], c]``.
+def _scan_tables(p: int, rows: np.ndarray, shifts: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of the coset scan over the cosets ``shift + C`` of the code C
+    generated by ``rows``, one group per row of ``shifts`` (g x n, residues
+    mod p), group by group.
+
+    Returns ``cols = cw + p * arange(n)`` for each of the g p^k codewords
+    cw (g p^k x n), the column of each codeword coordinate in the scan's
+    flattened (n, p) cost table, and the one-hot matrix (n p x g p^k) that
+    is 1 at ``[cols[c, j], c]``; both read-only. Raises
+    EnumerationBudgetExceeded before it enumerates anything when g p^k
+    exceeds DEFAULT_ENUM_BUDGET.
+    """
+    k, n = rows.shape
+    count = len(shifts) * p ** k
+    if count > DEFAULT_ENUM_BUDGET:
+        raise EnumerationBudgetExceeded(
+            f"{count} cosets exceed budget {DEFAULT_ENUM_BUDGET}")
+    words = (shifts[:, None, :] + gf.all_codewords(rows, p)) % p
+    cols = words.reshape(count, n) + p * np.arange(n)
+    onehot = np.zeros((n * p, count))
+    onehot[cols, np.arange(count)[:, None]] = 1.0
+    cols.setflags(write=False)
+    onehot.setflags(write=False)
+    return cols, onehot
+
+
+def _coset_scan(Y: np.ndarray, cols: np.ndarray, onehot: np.ndarray, p: int,
+                groups: int = 1) -> np.ndarray:
+    """Nearest point of each group of cosets of the unit-scale lattice
+    pZ^n to each row of ``Y`` (m x n), as an (m groups, n) array whose row
+    i groups + g is group g of row i, given
+    :func:`_scan_tables`'s ``cols`` and ``onehot`` for ``groups`` groups of
+    equal size. One group of all codewords of a code is the nearest point
+    of its Construction-A lattice. Rows go in chunks of SCAN_ELEMENTS //
+    (number of cosets) rows (at least one).
 
     Coordinate j of coset cw + pZ^n rounds to the nearest point of
     cw_j + pZ, which depends only on (y_j, cw_j). So one (m, n, p) table
     holds the rounded lift of every residue and its squared distance.
     Coset c's squared distance, the sum over j of the table's entry
     (j, cw_j), is column c of one matrix product of the flattened table
-    with ``onehot``. Among the cosets within 1e-12 of the shortest
-    distance the lexicographically smallest point wins.
+    with ``onehot``. Within each group, among the cosets within 1e-12 of
+    the group's shortest distance the lexicographically smallest point
+    wins.
 
     Where a coordinate's squared distance is inf at every residue (finite
     |y_j| >~ 1e170), inf * 0 makes the whole product row NaN; every coset
     is infinitely far there, so all tie. A row with a non-finite y_j reads
-    NaN in every coset too, and gets the first coset's lift, whatever rows
-    share its batch.
+    NaN in every coset too, and gets each group's first coset's lift,
+    whatever rows share its batch.
     """
+    chunk = max(1, SCAN_ELEMENTS // len(cols))
+    if len(Y) <= chunk:
+        return _scan_chunk(Y, cols, onehot, p, groups)
+    return np.concatenate([_scan_chunk(Y[lo:lo + chunk], cols, onehot, p,
+                                       groups)
+                           for lo in range(0, len(Y), chunk)])
+
+
+def _scan_chunk(Y: np.ndarray, cols: np.ndarray, onehot: np.ndarray, p: int,
+                groups: int) -> np.ndarray:
+    """:func:`_coset_scan` of one chunk of rows."""
     # ufunc reductions rather than the array methods: this runs once per
     # single-vector call, where the methods' Python wrappers show.
     m, n = Y.shape
@@ -78,15 +120,24 @@ def _coset_scan(Y: np.ndarray, cols: np.ndarray, onehot: np.ndarray,
     sq *= sq
     d = sq.reshape(m, n * p) @ onehot
     np.sqrt(d, out=d)   # one (m, c) table, not two
+    size = d.shape[1] // groups
+    d = d.reshape(m * groups, size)   # row i * groups + g: group g of row i
     # Not-greater rather than less-or-equal: a NaN row marks every coset.
     best = ~(d > (np.minimum.reduce(d, axis=1) + 1e-12)[:, None])
-    lift = lift.reshape(m, n * p)
-    out = lift[np.arange(m)[:, None], cols[best.argmax(axis=1)]]
-    if np.add.reduce(best, axis=None) > m:
-        for i in np.flatnonzero(np.add.reduce(best, axis=1) > 1):
-            if np.logical_and.reduce(np.isfinite(Y[i])):   # else coset 0
-                tied = lift[i].take(cols[best[i]])
-                out[i] = tied[np.lexsort(tied[:, ::-1].T)[0]]
+    pick = best.argmax(axis=1)
+    if groups > 1:
+        pick = pick.reshape(m, groups)
+        pick += np.arange(0, size * groups, size)   # each group's first column
+    index = cols[pick].reshape(m, -1)   # entries of row i's (n, p) lift
+    if m > 1:               # row i's lift starts at entry i n p, row 0's at 0
+        index += n * p * np.arange(m)[:, None]
+    out = lift.take(index).reshape(m * groups, n)
+    if np.count_nonzero(best) > m * groups:
+        for i in np.flatnonzero(np.add.reduce(best, axis=1) > 1).tolist():
+            row, g = divmod(i, groups)
+            if np.logical_and.reduce(np.isfinite(Y[row])):  # else coset 0
+                tied = lift[row].take(cols[size * g:size * (g + 1)][best[i]])
+                out[i] = min(tied.tolist())   # lists compare lexicographically
     return out
 
 
@@ -177,23 +228,11 @@ class ConstructionALattice(Lattice):
         return self.gamma ** self.n * float(self.p) ** (self.n - self.k)
 
     def _scan_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """``cols = cw + p * arange(n)`` for each of the p^k codewords cw of
-        the underlying code (p^k x n), the column of each codeword
-        coordinate in the coset scan's flattened (n, p) cost table, and the
-        one-hot matrix (n p x p^k) that is 1 at ``[cols[c, j], c]``; both
+        """:func:`_scan_tables` of the code's p^k codewords as one group;
         cached."""
         if self._scan_cols is None:
-            count = self.p ** self.k
-            if count > DEFAULT_ENUM_BUDGET:
-                raise EnumerationBudgetExceeded(
-                    f"p^k = {count} cosets exceed budget {DEFAULT_ENUM_BUDGET}")
-            cols = gf.all_codewords(self.rows, self.p) + self.p * np.arange(
-                self.n)
-            onehot = np.zeros((self.n * self.p, count))
-            onehot[cols, np.arange(count)[:, None]] = 1.0
-            cols.setflags(write=False)
-            onehot.setflags(write=False)
-            self._scan_cols, self._scan_onehot = cols, onehot
+            self._scan_cols, self._scan_onehot = _scan_tables(
+                self.p, self.rows, np.zeros((1, self.n), dtype=np.int64))
         return self._scan_cols, self._scan_onehot
 
     def nearest(self, x: np.ndarray) -> np.ndarray:
@@ -212,8 +251,7 @@ class ConstructionALattice(Lattice):
         """Nearest points to each row of a batch (m, n).
 
         Rank 0 and rank n round coordinate by coordinate; otherwise every
-        row scans all p^k cosets, in row chunks of at most SCAN_ELEMENTS
-        coset distances.
+        row scans all p^k cosets as one group of :func:`_coset_scan`.
         """
         Y = X / self.gamma
         if self.k == 0:
@@ -221,14 +259,7 @@ class ConstructionALattice(Lattice):
         if self.k == self.n:
             return self.gamma * _round_ties_down(Y)
         cols, onehot = self._scan_columns()
-        chunk = max(1, SCAN_ELEMENTS // len(cols))
-        if len(Y) <= chunk:
-            out = _coset_scan(Y, cols, onehot, self.p)
-        else:
-            out = np.concatenate([
-                _coset_scan(Y[lo:lo + chunk], cols, onehot, self.p)
-                for lo in range(0, len(Y), chunk)])
-        return self.gamma * out
+        return self.gamma * _coset_scan(Y, cols, onehot, self.p)
 
     def voronoi_box_halfwidth(self) -> float:
         # gamma*p*Z^n is a sublattice, so the cell sits inside its cube cell.

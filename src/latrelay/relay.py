@@ -90,9 +90,6 @@ class BinningMap:
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
-    def bin_of(self, w: int) -> int:
-        return int(self.table[w - 1])
-
 
 @dataclass
 class DfCodebooks:

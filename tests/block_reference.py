@@ -69,7 +69,7 @@ def df_reference(codebooks, params, seed: int) -> DfRunResult:
     lam2k, lam_c2k = lam2.scaled(kappa), lam_c2.scaled(kappa)
     rho = math.sqrt(params.PR / (params.abar * params.P))
 
-    binning = BinningMap(codebooks.num_messages, codebooks.num_bins, seed)
+    bins = BinningMap(codebooks.num_messages, codebooks.num_bins, seed).table
     list_dec = NestedListDecoder(lam1, lam_s1, lam_c1)
     msg_of_point = _index_of(codebooks.message_entries, lam1.gamma)
     res_of_point = _index_of(codebooks.resolution_entries, lam2.gamma)
@@ -93,8 +93,8 @@ def df_reference(codebooks, params, seed: int) -> DfRunResult:
     for b in range(1, params.B + 2):
         rng = trial_rng(seed, b)
         w_b = w_true[b - 1]
-        s_b = binning.bin_of(w_true[b - 2]) if b > 1 else 1
-        s_relay = binning.bin_of(relay_w_hat) if b > 1 and relay_w_hat else 1
+        s_b = int(bins[w_true[b - 2] - 1]) if b > 1 else 1
+        s_relay = int(bins[relay_w_hat - 1]) if b > 1 and relay_w_hat else 1
 
         U1 = lam1.sample_voronoi(rng)
         U2 = lam2.sample_voronoi(rng)
@@ -134,11 +134,11 @@ def df_reference(codebooks, params, seed: int) -> DfRunResult:
             if s_hat is None:
                 cands = set()
             else:
-                cands = {w for w in prev_members if binning.bin_of(w) == s_hat}
+                cands = {w for w in prev_members if bins[w - 1] == s_hat}
             resolved_ok = len(cands) == 1 and next(iter(cands)) == w_prev
             msg_errors += not resolved_ok
             transcript.append(BlockRecord(
-                b=b_prev, w=w_prev, s=binning.bin_of(w_prev),
+                b=b_prev, w=w_prev, s=int(bins[w_prev - 1]),
                 relay_ok=prev_relay_ok, bin_ok=bin_ok, list_size=prev_size,
                 intersect_size=len(cands), resolved_ok=resolved_ok))
         pending = (b, w_b, members, relay_ok, lres.size)

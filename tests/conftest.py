@@ -4,9 +4,11 @@ The oracles here deliberately avoid the library's own fast paths: the
 closest-point oracle scans an explicit integer box and the codebook
 oracle filters a grid through plain modular arithmetic, so agreement is
 meaningful. ``list_decode_q_form`` decodes by a box scan and a
-membership test instead of the coset walk of ``NestedListDecoder``.
-``direct_scan_nearest`` is the coset scan in its direct form, whose
-points the kernel's matrix-product scan must reproduce bit for bit.
+membership test instead of the grouped coset scan of
+``NestedListDecoder``. ``direct_scan_nearest`` is the coset scan in its
+direct form, whose points the kernel's matrix-product scan must reproduce
+bit for bit, and ``shift_rescan_decode`` is the list decode as |L| such
+scans of the list lattice, whose members the grouped scan must reproduce.
 """
 
 import itertools
@@ -17,7 +19,12 @@ from hypothesis import settings
 
 from latrelay.channel import NestedListDecoder
 from latrelay.errors import EnumerationBudgetExceeded
-from latrelay.lattice import DEFAULT_ENUM_BUDGET, TOL, ConstructionALattice
+from latrelay.lattice import (
+    DEFAULT_ENUM_BUDGET,
+    TOL,
+    ConstructionALattice,
+    enumerate_codebook,
+)
 
 # Property tests draw the same examples on every run and keep no example
 # database on disk.
@@ -83,6 +90,29 @@ def direct_scan_nearest(lat: ConstructionALattice, X) -> np.ndarray:
         tied = pts[i][best[i]]
         out[i] = tied[np.lexsort(tied[:, ::-1].T)[0]]
     return lat.gamma * out
+
+
+def shift_rescan_decode(Y, coarse: ConstructionALattice,
+                        mid: ConstructionALattice, fine: ConstructionALattice
+                        ) -> np.ndarray:
+    """The list decode by shifting and rescanning, for each row of Y (m, n),
+    as an (m, |L|, n) array.
+
+    With ``reps = enumerate_codebook(mid, fine)``, member g of row y is the
+    point reps[g] + Q_s(y - reps[g]) of coset reps[g] + Lambda_s nearest
+    to y, reduced mod the coarse lattice; both nearest points are
+    :func:`direct_scan_nearest`'s. This is one Lambda_s scan per list
+    member, where ``NestedListDecoder`` makes one grouped scan of the fine
+    code; translation by reps[g] keeps the lexicographic tie rule, so the
+    two agree in integer units of gamma.
+    """
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    reps = enumerate_codebook(mid, fine)
+    shape = (len(Y),) + reps.shape
+    shifts = (Y[:, None, :] - reps).reshape(-1, Y.shape[1])
+    anchors = (reps + direct_scan_nearest(mid, shifts).reshape(shape)
+               ).reshape(shifts.shape)
+    return (anchors - direct_scan_nearest(coarse, anchors)).reshape(shape)
 
 
 def _codeword_grid(lat: ConstructionALattice):

@@ -172,11 +172,14 @@ def test_list_members_are_codebook_rows(kind, point):
         assert np.all(codebook_index(entries, members, g) > 0)
 
 
-# sha256 of each output of `relay-sim` and `twrc-sim` on
-# scripts/configs/example.ini, taken from the per-block engines.
+# sha256 of each output of `p2p-sim`, `relay-sim` and `twrc-sim` on
+# scripts/configs/example.ini: the relay and TWRC files taken from the
+# per-block engines, p2p.csv from the shift-and-rescan list decoder.
 EXAMPLE = Path(__file__).resolve().parents[1] / "scripts/configs/example.ini"
 PINNED = {
-    0: {"relay_blocks.csv": "371adcc5a2fde26d6d20b472466e06b2"
+    0: {"p2p.csv": "984fa9b5f6bca25ce698040890c6d097"
+                   "1160f6c7c9a44a56549e54ac930b79b9",
+        "relay_blocks.csv": "371adcc5a2fde26d6d20b472466e06b2"
                             "f48be0646a00ef96f04dd93dd1bfad5d",
         "relay_summary.csv": "c4682522c4d29e11a3d890604b5100a9"
                              "a9bdd3ea093006b89189de13f790b540",
@@ -184,7 +187,9 @@ PINNED = {
                            "3be00bac64fb52ebe6f3408432f0311d",
         "twrc_summary.csv": "b30448375b46d0acf72675472234a3e9"
                             "b2fd588c9a5e059eadef4da12dff8f64"},
-    3: {"relay_blocks.csv": "28b4ac3f0d6a7c87bc40f175fc9b086d"
+    3: {"p2p.csv": "d99b0462f8d0df80940e235a1deb3caf"
+                   "b9532496811e4f8f91671a58a1607135",
+        "relay_blocks.csv": "28b4ac3f0d6a7c87bc40f175fc9b086d"
                             "0affeccd81cd124a74dda65aae13ba94",
         "relay_summary.csv": "81a49ae34899a48dfc06de156209279d"
                              "7d50856d39c262dfd64127883af5790b",
@@ -197,7 +202,7 @@ PINNED = {
 
 @pytest.mark.parametrize("seed", sorted(PINNED))
 def test_example_cli_outputs_pinned(tmp_path, seed):
-    for command in ("relay-sim", "twrc-sim"):
+    for command in ("p2p-sim", "relay-sim", "twrc-sim"):
         assert main([command, "--config", str(EXAMPLE), "--seed", str(seed),
                      "--out", str(tmp_path), "--quiet"]) == 0
     for name, digest in PINNED[seed].items():

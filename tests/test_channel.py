@@ -18,9 +18,9 @@ from latrelay.channel import (
     trial_rng,
     unique_decode,
 )
-from latrelay.errors import NotACodeword
-from latrelay.lattice import enumerate_codebook
-from conftest import list_decode_q_form
+from latrelay.errors import DimensionMismatch, NotACodeword
+from latrelay.lattice import SCAN_ELEMENTS, enumerate_codebook
+from conftest import _codeword_grid, list_decode_q_form, shift_rescan_decode
 
 
 def _points_equal(a, b):
@@ -46,9 +46,13 @@ class TestEncodeDithered:
         assert np.allclose(X, ch[0].mod(-U), atol=1e-9)
 
     def test_rejects_non_codeword(self):
+        # One bad row rejects the batch; NaN and inf rows are bad rows.
         ch = build_chain(3, 2, [0, 2])
-        with pytest.raises(NotACodeword):
-            encode_dithered(np.array([[10.0, 10.0]]), np.zeros((1, 2)), ch[0])
+        t = enumerate_codebook(ch[0], ch[1])[4]
+        for row in ([10.0, 10.0], [np.nan, 0.0], [0.0, np.inf],
+                    [-np.inf, 0.0]):
+            with np.errstate(invalid="ignore"), pytest.raises(NotACodeword):
+                encode_dithered(np.array([t, row]), np.zeros((2, 2)), ch[0])
 
     def test_output_power_matches_second_moment(self):
         ch = build_chain(3, 2, [0, 2])
@@ -175,6 +179,47 @@ class TestListDecode:
             np.array([1.9, -1.1]))
         for pt in res.points:
             assert np.allclose(ch[0].nearest(pt), 0.0, atol=1e-9)
+
+
+class TestGroupedDecode:
+    """The grouped coset scan against the shift-and-rescan decode, in
+    integer units of gamma, at batch sizes around one chunk."""
+
+    # p in {2, 3, 5, 7}; coarse rank >= 1 (the TWRC dec2 shape (1, 1, 2)),
+    # fine rank n (the DF and p2p_n2 shape) and a list of one.
+    SHAPES = [(2, 4, (1, 2, 4)), (3, 2, (1, 1, 2)), (3, 4, (0, 2, 4)),
+              (3, 6, (1, 3, 5)), (5, 3, (1, 2, 3)), (7, 3, (0, 1, 3)),
+              (3, 3, (1, 3, 3))]
+
+    @pytest.mark.parametrize("p, n, ranks", SHAPES)
+    def test_matches_shift_rescan(self, p, n, ranks):
+        ch = build_chain(p, n, list(ranks), gamma=2 / 3 ** 0.5, seed=1)
+        dec, gamma = ch.list_decoder, ch.gamma
+        chunk = max(1, SCAN_ELEMENTS // p ** ranks[2])
+        rng = np.random.default_rng(10 * p + n)
+        sub = {tuple(c) for c in _codeword_grid(ch[1])}
+        rep_words = np.rint(dec.reps / gamma).astype(int)
+        for m in (chunk - 1, chunk, chunk + 1):
+            ties = rng.integers(-2 * p, 2 * p + 1, size=(m, n)) / 2.0
+            draws = rng.uniform(-p, p, size=(m, n))
+            for Y in (gamma * ties, gamma * draws):
+                got = dec.decode_many(Y)
+                want = shift_rescan_decode(Y, ch[0], ch[1], ch[2])
+                assert got.shape == (m, dec.list_size, n)
+                assert np.array_equal(np.rint(got / gamma),
+                                      np.rint(want / gamma))
+                assert np.allclose(got, want, rtol=0, atol=1e-9)
+                # Member g lies in reps[g] + Lambda_s.
+                words = (np.rint(got / gamma).astype(int) - rep_words) % p
+                assert all(tuple(w) in sub for w in words.reshape(-1, n))
+                for i in range(0, m, max(1, m // 10)):
+                    assert np.array_equal(dec.decode(Y[i]).points, got[i])
+
+    def test_rejects_wrong_shape(self):
+        dec = build_chain(3, 2, [0, 1, 2]).list_decoder
+        for Y in (np.zeros(2), np.zeros((3, 3))):
+            with pytest.raises(DimensionMismatch):
+                dec.decode_many(Y)
 
 
 class TestAwgnParams:
@@ -305,12 +350,13 @@ class TestBatchedEngine:
 
     def test_log_is_prefix_across_trial_counts(self):
         ch = build_chain(3, 2, [0, 1, 2], gamma=2 / 3 ** 0.5)
-        short = simulate_p2p(ch, AwgnParams(1.0, 0.5), 300, seed=5,
-                             keep_log=True)
         long = simulate_p2p(ch, AwgnParams(1.0, 0.5), 600, seed=5,
                             keep_log=True)
-        assert CHUNK < 300            # both runs cross a batch boundary
-        assert long.log[:300] == short.log
+        assert CHUNK < 300            # 300 and 600 cross a batch boundary
+        for trials in (1, 40, CHUNK - 1, CHUNK, 300):
+            short = simulate_p2p(ch, AwgnParams(1.0, 0.5), trials, seed=5,
+                                 keep_log=True)
+            assert long.log[:trials] == short.log
         assert 0 < sum(rec[3] for rec in short.log) < 300
 
 
