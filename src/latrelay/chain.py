@@ -20,7 +20,6 @@ from .errors import Infeasible, InvalidRanks
 from .lattice import (
     SCAN_ELEMENTS,
     ConstructionALattice,
-    enumerate_codebook,
     is_sublattice,
 )
 
@@ -110,8 +109,9 @@ def pick_generator_rows(p: int, n: int, kmax: int, seed: int = 0,
 class LatticeChain:
     """Ordered nested lattices Lambda_1 subseteq ... subseteq Lambda_K.
 
-    A chain of three or more lattices builds its list decoder and its
-    codebook once, on first use, and keeps them. Chains compare by identity.
+    A chain of three or more lattices builds its list decoder, which owns
+    the codebook, once, on first use, and keeps it. Chains compare by
+    identity.
     """
 
     p: int
@@ -136,13 +136,11 @@ class LatticeChain:
         and fine lattice."""
         return NestedListDecoder(self[0], self[1], self[2])
 
-    @cached_property
+    @property
     def codebook(self) -> np.ndarray:
-        """Codebook of (Lambda_1, Lambda_3), :func:`enumerate_codebook`'s
-        array, read-only."""
-        cb = enumerate_codebook(self[0], self[2])
-        cb.setflags(write=False)
-        return cb
+        """Codebook of (Lambda_1, Lambda_3): the list decoder's
+        :func:`enumerate_codebook` array, read-only."""
+        return self.list_decoder.codebook
 
     def rate(self, i: int, j: int) -> float:
         """Coding rate of the (Lambda_i, Lambda_j) pair in bits/dimension."""

@@ -4,7 +4,8 @@ The decoder outputs the fixed-size set of fine-lattice points falling in
 the intermediate lattice's cell around the MMSE-scaled observation,
 reduced mod the coarse lattice: one point in each of the V_s/V_c cosets
 of the intermediate lattice inside the fine lattice, found by one coset
-scan of the fine code grouped by those cosets.
+scan of the fine code grouped by those cosets, and named by the message
+indices of their codewords.
 """
 
 from __future__ import annotations
@@ -15,12 +16,20 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotACodeword, NotNested
+from . import gf
+from .errors import (
+    DimensionMismatch,
+    EnumerationBudgetExceeded,
+    NotACodeword,
+    NotNested,
+)
 from .lattice import (
+    DEFAULT_ENUM_BUDGET,
     TOL,
     ConstructionALattice,
     _coset_scan,
     _scan_tables,
+    codebook_index,
     enumerate_codebook,
     is_sublattice,
 )
@@ -52,6 +61,7 @@ class AwgnParams:
 @dataclass
 class ListDecodeResult:
     points: np.ndarray          # (size, n), each reduced mod the coarse lattice
+    indices: np.ndarray         # (size,) message indices of the points
     size: int
     contains_truth: Optional[bool] = None
 
@@ -73,21 +83,35 @@ def block_draws(seed: int, blocks: int, dither_lattices, noise_vars
                 ) -> list[np.ndarray]:
     """Per-block draws of the block-Markov simulators.
 
-    Block b = 1..``blocks`` draws one dither from each lattice's Voronoi
-    cell (``sample_voronoi``), then one Gaussian noise vector per variance,
-    in that order, from ``trial_rng(seed, b)``. Returns one (blocks, n)
-    array per draw, dithers first; row b-1 holds block b.
+    Block b = 1..``blocks`` draws one dither for each lattice, then one
+    Gaussian noise vector per variance, in that order, from
+    ``trial_rng(seed, b)``. Returns one (blocks, n) array per draw, dithers
+    first; row b-1 holds block b.
+
+    A cubic (rank-0) lattice's cell is the cube of side gamma p, so its
+    dither is one ``rng.uniform(-h, h, n)`` row, h = gamma p / 2: the box
+    draw ``sample_voronoi`` makes and, but on the face u_j = -h, accepts
+    at once. All rows are reduced mod the lattice by one ``mod_many``
+    call after the loop; that maps the face -h to +h, where
+    ``sample_voronoi`` would draw again, so the two agree but on a set of
+    measure zero. Other lattices draw by ``sample_voronoi``'s rejection.
     """
     n = dither_lattices[0].n
     out = [np.empty((blocks, n))
            for _ in range(len(dither_lattices) + len(noise_vars))]
     dithers, noises = out[:len(dither_lattices)], out[len(dither_lattices):]
+    halves = [lat.voronoi_box_halfwidth() if lat.k == 0 else None
+              for lat in dither_lattices]
     for i in range(blocks):
         rng = trial_rng(seed, i + 1)
-        for arr, lat in zip(dithers, dither_lattices):
-            arr[i] = lat.sample_voronoi(rng)
+        for arr, lat, h in zip(dithers, dither_lattices, halves):
+            arr[i] = (rng.uniform(-h, h, size=n) if h is not None
+                      else lat.sample_voronoi(rng))
         for arr, var in zip(noises, noise_vars):
             arr[i] = rng.normal(0.0, math.sqrt(var), size=n)
+    for arr, lat, h in zip(dithers, dither_lattices, halves):
+        if h is not None:
+            arr[:] = lat.mod_many(arr)
     return out
 
 
@@ -148,12 +172,6 @@ def effective_noise(X: np.ndarray, Z: np.ndarray, P: float, N: float,
     return coarse.mod_many(-(1.0 - alpha) * X + alpha * Z)
 
 
-def _rows_in_lists(T: np.ndarray, lists: np.ndarray) -> np.ndarray:
-    """Whether each row of T (m, n) is a point of its list (m, size, n)."""
-    return np.any(np.all(np.abs(lists - T[:, None, :]) <= 1e-6, axis=2),
-                  axis=1)
-
-
 class NestedListDecoder:
     """List decoder for a chain Lambda subseteq Lambda_s subseteq Lambda_c.
 
@@ -164,6 +182,12 @@ class NestedListDecoder:
     decode is one coset scan of all p^(k_c) fine codewords, grouped by
     list coset, built once here. A list of one is the fine lattice's own
     nearest point, with its rank-n rounding and cached scan.
+
+    The decoder owns ``codebook``, :func:`enumerate_codebook` of (coarse,
+    fine), read-only: row w-1 is message w. A member's class mod the
+    coarse lattice depends only on its codeword, so one table, built
+    here, holds the message index of each fine codeword's class, and a
+    decode answers in message indices.
     """
 
     def __init__(self, coarse: ConstructionALattice, mid: ConstructionALattice,
@@ -173,37 +197,65 @@ class NestedListDecoder:
         self.coarse = coarse
         self.mid = mid
         self.fine = fine
+        self.codebook = enumerate_codebook(coarse, fine)
+        self.codebook.setflags(write=False)
         self.reps = enumerate_codebook(mid, fine)
         self.list_size = len(self.reps)
+        p, gamma = fine.p, fine.gamma
         if self.list_size > 1:
-            shifts = np.rint(self.reps / fine.gamma).astype(np.int64) % fine.p
-            self._cols, self._onehot = _scan_tables(fine.p, mid.rows, shifts)
+            # The fine codewords in scan-column order, group by group.
+            shifts = np.rint(self.reps / gamma).astype(np.int64) % p
+            self._cols, self._onehot = _scan_tables(p, mid.rows, shifts)
+            words = self._cols - p * np.arange(fine.n)
+        else:
+            # In the order of their coefficients on the echelon rows, which
+            # are a fine point's residues on the pivot coordinates.
+            if p ** fine.k > DEFAULT_ENUM_BUDGET:
+                raise EnumerationBudgetExceeded(
+                    f"{p ** fine.k} codewords exceed budget "
+                    f"{DEFAULT_ENUM_BUDGET}")
+            echelon, self._pivots = gf.rref(fine.rows, p)
+            self._radix = p ** np.arange(fine.k - 1, -1, -1)
+            words = gf.all_codewords(echelon, p)
+        # Message index of each codeword's class: its lift reduced mod the
+        # coarse lattice, looked up in the codebook.
+        self._classes = codebook_index(
+            self.codebook, coarse.mod_many(gamma * words.astype(float)), gamma)
+        self._classes.setflags(write=False)
 
     def decode_many(self, Y_prime: np.ndarray) -> np.ndarray:
-        """Lists for a batch of observations (m, n), as an (m, size, n)
-        array: row i holds the fine points in (Y_prime[i] + V_s), member g
-        in ``reps[g]`` + Lambda_s, reduced mod the coarse lattice."""
+        """Lists for a batch of observations (m, n), as an (m, size) array
+        of message indices: row i holds the classes mod the coarse lattice
+        of the fine points in (Y_prime[i] + V_s), member g in ``reps[g]`` +
+        Lambda_s. ``codebook[idx - 1]`` are their points."""
         Y = np.asarray(Y_prime, dtype=float)
         n, gamma = self.fine.n, self.fine.gamma
         if Y.ndim != 2 or Y.shape[1] != n:
             raise DimensionMismatch(
                 f"expected rows of length {n}, got shape {Y.shape}")
-        if self.list_size == 1:   # Lambda_s = Lambda_c: the list is Q_c(y')
-            points = self.fine.nearest_many(Y)
-        else:
-            points = gamma * _coset_scan(Y / gamma, self._cols, self._onehot,
-                                         self.fine.p, self.list_size)
-        return self.coarse.mod_many(points).reshape(len(Y), -1, n)
+        if self.list_size > 1:
+            return _coset_scan(Y / gamma, self._cols, self._onehot,
+                               self.fine.p, self.list_size, self._classes
+                               ).reshape(len(Y), self.list_size)
+        # Lambda_s = Lambda_c: the list is Q_c(y').
+        words = np.rint(self.fine.nearest_many(Y) / gamma).astype(np.int64)
+        keys = (words[:, self._pivots] % self.fine.p) @ self._radix
+        return self._classes.take(keys).reshape(len(Y), 1)
 
     def decode(self, y_prime: np.ndarray,
                truth: Optional[np.ndarray] = None) -> ListDecodeResult:
-        """All fine points in (y_prime + V_s), reduced mod the coarse lattice."""
-        members = self.decode_many(np.asarray(y_prime, dtype=float)[None, :])
-        contains = bool(_rows_in_lists(np.asarray(truth, dtype=float)[None, :],
-                                       members)[0]) \
-            if truth is not None else None
-        return ListDecodeResult(points=members[0], size=members.shape[1],
-                                contains_truth=contains)
+        """The list of one observation (n,): its message indices and their
+        points, reduced mod the coarse lattice. ``truth``, a codebook
+        point, is matched by its message index."""
+        idx = self.decode_many(np.asarray(y_prime, dtype=float)[None, :])[0]
+        contains = None
+        if truth is not None:
+            w = codebook_index(self.codebook,
+                               np.asarray(truth, dtype=float)[None, :],
+                               self.fine.gamma)[0]
+            contains = bool(w and np.any(idx == w))
+        return ListDecodeResult(points=self.codebook[idx - 1], indices=idx,
+                                size=len(idx), contains_truth=contains)
 
 
 def unique_decode(y_prime: np.ndarray, coarse: ConstructionALattice,
@@ -244,16 +296,16 @@ def simulate_p2p(chain, awgn: AwgnParams, trials: int, seed: int,
     """Dithered transmission + list decoding over AWGN, Monte Carlo.
 
     ``chain`` is a 3-lattice LatticeChain (coarse, list, fine); its list
-    decoder and codebook are built on first use and kept. Trials run
-    in batches of CHUNK, each step one kernel call over the batch. Batch b
-    draws CHUNK messages, dithers and noise, in that order, from
-    ``trial_rng(seed, b)`` and uses as many as it has trials, so trial i
-    sees the same draws whatever the trial count. The dither is the coarse
-    reduction of a uniform draw from the cube [-gamma p/2, gamma p/2)^n,
-    exactly uniform on the coarse cell because gamma p Z^n is a sublattice.
-    Per trial the membership event (t not in L) is cross-checked against
-    the direct effective-noise event (Z' not in V_s); a mismatch is a bug
-    and raises.
+    decoder, which owns the codebook, is built on first use and kept.
+    Trials run in batches of CHUNK, each step one kernel call over the
+    batch. Batch b draws CHUNK messages, dithers and noise, in that order,
+    from ``trial_rng(seed, b)`` and uses as many as it has trials, so
+    trial i sees the same draws whatever the trial count. The dither is
+    the coarse reduction of a uniform draw from the cube
+    [-gamma p/2, gamma p/2)^n, exactly uniform on the coarse cell because
+    gamma p Z^n is a sublattice. Per trial the membership event (message
+    w not among the list's indices) is cross-checked against the direct
+    effective-noise event (Z' not in V_s); a mismatch is a bug and raises.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -278,7 +330,7 @@ def simulate_p2p(chain, awgn: AwgnParams, trials: int, seed: int,
         lists = decoder.decode_many(y_prime)
         z_eff = effective_noise(X, Z, awgn.P, awgn.N, coarse)
         z_outside = np.any(np.abs(mid.nearest_many(z_eff)) > TOL, axis=1)
-        miss = ~_rows_in_lists(t, lists)
+        miss = ~np.any(lists == (w + 1)[:, None], axis=1)
         if np.any(miss != z_outside):
             raise AssertionError(
                 "error-event identity violated: (t not in L) != (Z' not in V_s)")

@@ -75,14 +75,17 @@ def _scan_tables(p: int, rows: np.ndarray, shifts: np.ndarray
 
 
 def _coset_scan(Y: np.ndarray, cols: np.ndarray, onehot: np.ndarray, p: int,
-                groups: int = 1) -> np.ndarray:
+                groups: int = 1, classes: Optional[np.ndarray] = None
+                ) -> np.ndarray:
     """Nearest point of each group of cosets of the unit-scale lattice
     pZ^n to each row of ``Y`` (m x n), as an (m groups, n) array whose row
     i groups + g is group g of row i, given
     :func:`_scan_tables`'s ``cols`` and ``onehot`` for ``groups`` groups of
     equal size. One group of all codewords of a code is the nearest point
-    of its Construction-A lattice. Rows go in chunks of SCAN_ELEMENTS //
-    (number of cosets) rows (at least one).
+    of its Construction-A lattice. With ``classes``, one entry per coset
+    column, returns the entry of each winning column instead, as an
+    (m groups,) array, and gathers no point. Rows go in chunks of
+    SCAN_ELEMENTS // (number of cosets) rows (at least one).
 
     Coordinate j of coset cw + pZ^n rounds to the nearest point of
     cw_j + pZ, which depends only on (y_j, cw_j). So one (m, n, p) table
@@ -101,14 +104,14 @@ def _coset_scan(Y: np.ndarray, cols: np.ndarray, onehot: np.ndarray, p: int,
     """
     chunk = max(1, SCAN_ELEMENTS // len(cols))
     if len(Y) <= chunk:
-        return _scan_chunk(Y, cols, onehot, p, groups)
+        return _scan_chunk(Y, cols, onehot, p, groups, classes)
     return np.concatenate([_scan_chunk(Y[lo:lo + chunk], cols, onehot, p,
-                                       groups)
+                                       groups, classes)
                            for lo in range(0, len(Y), chunk)])
 
 
 def _scan_chunk(Y: np.ndarray, cols: np.ndarray, onehot: np.ndarray, p: int,
-                groups: int) -> np.ndarray:
+                groups: int, classes: Optional[np.ndarray]) -> np.ndarray:
     """:func:`_coset_scan` of one chunk of rows."""
     # ufunc reductions rather than the array methods: this runs once per
     # single-vector call, where the methods' Python wrappers show.
@@ -124,21 +127,25 @@ def _scan_chunk(Y: np.ndarray, cols: np.ndarray, onehot: np.ndarray, p: int,
     d = d.reshape(m * groups, size)   # row i * groups + g: group g of row i
     # Not-greater rather than less-or-equal: a NaN row marks every coset.
     best = ~(d > (np.minimum.reduce(d, axis=1) + 1e-12)[:, None])
-    pick = best.argmax(axis=1)
+    pick = best.argmax(axis=1)   # the winning column of each row and group
     if groups > 1:
         pick = pick.reshape(m, groups)
         pick += np.arange(0, size * groups, size)   # each group's first column
-    index = cols[pick].reshape(m, -1)   # entries of row i's (n, p) lift
-    if m > 1:               # row i's lift starts at entry i n p, row 0's at 0
-        index += n * p * np.arange(m)[:, None]
-    out = lift.take(index).reshape(m * groups, n)
+        pick = pick.reshape(m * groups)
     if np.count_nonzero(best) > m * groups:
         for i in np.flatnonzero(np.add.reduce(best, axis=1) > 1).tolist():
             row, g = divmod(i, groups)
             if np.logical_and.reduce(np.isfinite(Y[row])):  # else coset 0
-                tied = lift[row].take(cols[size * g:size * (g + 1)][best[i]])
-                out[i] = min(tied.tolist())   # lists compare lexicographically
-    return out
+                tied = size * g + np.flatnonzero(best[i])
+                pts = lift[row].take(cols[tied]).tolist()
+                # Lists compare lexicographically.
+                pick[i] = tied[min(range(len(pts)), key=pts.__getitem__)]
+    if classes is not None:
+        return classes.take(pick)
+    index = cols[pick].reshape(m, -1)   # entries of row i's (n, p) lift
+    if m > 1:               # row i's lift starts at entry i n p, row 0's at 0
+        index += n * p * np.arange(m)[:, None]
+    return lift.take(index).reshape(m * groups, n)
 
 
 class Lattice:

@@ -98,7 +98,7 @@ class DfCodebooks:
     resolution_chain: LatticeChain   # (Lambda_2, Lambda_c2)
     rate_achieved: float
     bin_rate_achieved: float
-    message_entries: np.ndarray      # (num_messages, n); row w-1 is w
+    message_entries: np.ndarray      # message_chain.codebook; row w-1 is w
     resolution_entries: np.ndarray   # (num_bins, n); row s-1 is bin s
 
     @property
@@ -141,7 +141,7 @@ def build_df_codebooks(params: DegradedRelayParams, p: int, n: int,
         resolution_chain=chain2,
         rate_achieved=chain1.rate(0, 2),
         bin_rate_achieved=chain2.rate(0, 1),
-        message_entries=enumerate_codebook(chain1[0], chain1[2]),
+        message_entries=chain1.codebook,
         resolution_entries=enumerate_codebook(chain2[0], chain2[1]),
     )
 
@@ -183,10 +183,10 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
     flushes the last resolution index. Block b draws U1, U2, ZR, Z2' from
     ``trial_rng(seed, b)`` (``block_draws``); every later step is one
     batched call over all blocks, except the destination's list decodes,
-    which run block by block. Block b resolves when exactly one message
-    index of its list lies in the bin decoded in block b+1 and it is w_b
-    (``resolve``); empty or ambiguous intersections count as block errors,
-    never aborts.
+    which run block by block and give message indices. Block b resolves
+    when exactly one message index of its list lies in the bin decoded in
+    block b+1 and it is w_b (``resolve``); empty or ambiguous
+    intersections count as block errors, never aborts.
     """
     ch1, ch2 = codebooks.message_chain, codebooks.resolution_chain
     lam1, lam_c1 = ch1[0], ch1[2]
@@ -258,10 +258,8 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
     bin_ok = s_hat == s_true
     X2_hat = kappa * lam2.mod_many(res_points[np.maximum(s_hat, 1) - 1] - U2)
     y_list = lam1.mod_many(alpha_list * (Y2 - X2_hat) + U1)
-    lists = np.array([list_dec.decode(y).points for y in y_list])
-    size = lists.shape[1]
-    members = codebook_index(msg_points, lists.reshape(-1, lam1.n),
-                             lam1.gamma).reshape(B + 1, size)
+    members = np.array([list_dec.decode(y).indices for y in y_list])
+    size = members.shape[1]
 
     # Block b+1 resolves block b (rows :B) with the bin it decoded.
     intersect_size, resolved_ok = resolve(members[:B], bins_of(members[:B]),

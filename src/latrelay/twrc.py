@@ -95,8 +95,8 @@ class TwrcCodebooks:
     lam_s2: ConstructionALattice
     dec1: NestedListDecoder               # (lam1, lam_s1, lam_c1): t1 at T2
     dec2: NestedListDecoder               # (lam2, lam_s2, lam_c2): t2 at T1
-    entries1: np.ndarray                  # row w-1 is terminal 1's message w
-    entries2: np.ndarray                  # row w-1 is terminal 2's message w
+    entries1: np.ndarray                  # dec1.codebook; row w-1 is message w
+    entries2: np.ndarray                  # dec2.codebook; row w-1 is message w
     sum_entries: np.ndarray               # row i-1 is sum codeword i
     relay_codebook: np.ndarray            # (num_bins, n), Gaussian, power PR
     bin_table: np.ndarray                 # sum index -> bin index (1-based)
@@ -163,6 +163,8 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
         raise Infeasible(
             f"broadcast rate {params.R:g} below required {max(mi1, mi2):g}")
 
+    dec1 = NestedListDecoder(lam1, lam_s1, lam_c1)
+    dec2 = NestedListDecoder(lam2, lam_s2, lam_c2)
     sum_entries = enumerate_codebook(lam1, by_rank[kmax])
     # 2^(nR) bins, at most one per sum: capped before the power overflows.
     num_bins = max(1, round(2.0 ** min(n * params.R,
@@ -177,10 +179,7 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
     return TwrcCodebooks(
         lam1=lam1, lam2=lam2, lam_c1=lam_c1, lam_c2=lam_c2,
         lam_s1=lam_s1, lam_s2=lam_s2,
-        dec1=NestedListDecoder(lam1, lam_s1, lam_c1),
-        dec2=NestedListDecoder(lam2, lam_s2, lam_c2),
-        entries1=enumerate_codebook(lam1, lam_c1),
-        entries2=enumerate_codebook(lam2, lam_c2),
+        dec1=dec1, dec2=dec2, entries1=dec1.codebook, entries2=dec2.codebook,
         sum_entries=sum_entries,
         relay_codebook=relay_codebook, bin_table=bin_table,
         power1=power1, power2=power2,
@@ -250,10 +249,11 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
     draws U1, U2, ZR, Z1, Z2 from ``trial_rng(seed, b)`` (``block_draws``).
     The relay's sum decode in a block does not depend on earlier blocks, so
     every step after the draws is one batched call over all blocks; only
-    the list decodes run block by block. Per direction, block b-1 resolves
-    at the end of block b by ``resolve`` on message indices; empty or
-    ambiguous intersections count as errors. Sums are compared by their
-    index in ``sum_entries``.
+    the list decodes run block by block, and they give message indices,
+    whose points the terminals' codebooks hold. Per direction, block b-1
+    resolves at the end of block b by ``resolve`` on message indices;
+    empty or ambiguous intersections count as errors. Sums are compared
+    by their index in ``sum_entries``.
     """
     ch = params.channel
     lam1, lam2 = cbs.lam1, cbs.lam2
@@ -292,19 +292,17 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
     t1p, t2p, U2p = t1[:B], t2[:B], U2[:B]
     ylist1 = lam1.mod_many(a1 * obs2[:B] + U1[:B])
     ylist2 = lam2.mod_many(a2 * obs1[:B] - U2p)
-    L1 = np.array([cbs.dec1.decode(y).points for y in ylist1])
-    L2 = np.array([cbs.dec2.decode(y).points for y in ylist2])
-    l1, l2, n = L1.shape[1], L2.shape[1], lam1.n
+    idx1 = np.array([cbs.dec1.decode(y).indices for y in ylist1])
+    idx2 = np.array([cbs.dec2.decode(y).indices for y in ylist2])
+    l1, l2 = idx1.shape[1], idx2.shape[1]
     # The block of each list member, direction 1's members first.
     of1, of2 = np.repeat(np.arange(B), l1), np.repeat(np.arange(B), l2)
     member_bins = cbs.bin_of_sum(sum_codeword(
-        np.concatenate([L1.reshape(-1, n), t1p[of2]]),
-        np.concatenate([t2p[of1], L2.reshape(-1, n)]),
+        np.concatenate([cbs.entries1[idx1.ravel() - 1], t1p[of2]]),
+        np.concatenate([t2p[of1], cbs.entries2[idx2.ravel() - 1]]),
         U2p[np.concatenate([of1, of2])], lam1, lam2))
     bins1 = member_bins[:B * l1].reshape(B, l1)
     bins2 = member_bins[B * l1:].reshape(B, l2)
-    idx1 = codebook_index(cbs.entries1, L1.reshape(-1, n), g).reshape(B, l1)
-    idx2 = codebook_index(cbs.entries2, L2.reshape(-1, n), g).reshape(B, l2)
     _, resolve1_ok = resolve(idx1, bins1, s2_hat[1:], w1[:B])
     _, resolve2_ok = resolve(idx2, bins2, s1_hat[1:], w2[:B])
     prev_bin = cbs.bin_of_sum(T_true[:B])

@@ -44,6 +44,20 @@ def relay_decode_sum(YR, U1, U2, cbs, NR):
     return unique_decode(cbs.lam1.mod(alpha * YR + U1 - U2), cbs.lam1, fine)
 
 
+def block_draws(seed, blocks, dither_lattices, noise_vars):
+    """The per-block draws of both references as (blocks, n) arrays: block
+    b draws each dither by ``sample_voronoi``, then each noise, from
+    ``trial_rng(seed, b)``."""
+    n = dither_lattices[0].n
+    rows = []
+    for b in range(1, blocks + 1):
+        rng = trial_rng(seed, b)
+        rows.append([lat.sample_voronoi(rng) for lat in dither_lattices]
+                    + [rng.normal(0.0, math.sqrt(v), size=n)
+                       for v in noise_vars])
+    return [np.array(col) for col in zip(*rows)]
+
+
 def _key(pt, scale):
     return tuple(np.round(pt / scale).astype(int).tolist())
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from latrelay.channel import (
+    block_draws,
     effective_noise,
     encode_dithered,
     receiver_front_end,
@@ -40,6 +41,7 @@ from latrelay.twrc import (
 )
 import block_reference as ref
 from block_reference import df_reference, twrc_reference
+from conftest import shift_rescan_decode
 
 SEEDS = range(50)
 
@@ -146,9 +148,12 @@ def test_round_trips_build_no_decoder(decoder_builds):
     d, p, n, cb_seed, _ = TWRC_POINTS["block_markov"]
     tw_params = _twrc_params(d)
     tw_cbs = build_twrc_codebooks(tw_params, p, n, seed=cb_seed)
-    assert len(decoder_builds) == 2                  # dec1 and dec2
-    dec = df_cbs.message_chain.list_decoder          # built on first use
+    # DF's message decoder, which owns message_entries, then dec1 and dec2.
     assert len(decoder_builds) == 3
+    dec = df_cbs.message_chain.list_decoder
+    assert df_cbs.message_entries is dec.codebook
+    assert (tw_cbs.entries1, tw_cbs.entries2) == (tw_cbs.dec1.codebook,
+                                                  tw_cbs.dec2.codebook)
     for seed in range(3):
         df_round_trip(df_cbs, df_params, seed)
         twrc_round_trip(tw_cbs, tw_params, seed)
@@ -161,15 +166,47 @@ def test_round_trips_build_no_decoder(decoder_builds):
     [("df", pt) for pt in sorted(DF_POINTS)]
     + [("twrc", pt) for pt in sorted(TWRC_POINTS) + ["found"]])
 def test_list_members_are_codebook_rows(kind, point):
-    # Every list member has a nonzero message index, so the engines can
-    # resolve a block by comparing indices, with no point tolerance.
+    # The engines resolve a block by comparing the message indices of its
+    # list, with no point tolerance. Those indices are the class table's;
+    # each must be nonzero and equal the codebook row that the
+    # shift-and-rescan reference's member, reduced mod the coarse lattice
+    # by its own direct scan, finds in the message codebook.
     rng = np.random.default_rng(0)
     for dec, entries in _list_decoders(kind, point):
-        g, half = dec.coarse.gamma, dec.coarse.gamma * dec.coarse.p / 2
-        Y = np.vstack([_half_grid(g),
-                       rng.uniform(-half, half, size=(2000, dec.coarse.n))])
-        members = dec.decode_many(Y).reshape(-1, dec.coarse.n)
-        assert np.all(codebook_index(entries, members, g) > 0)
+        c, n = dec.coarse, dec.coarse.n
+        g, half = c.gamma, c.gamma * c.p / 2
+        Y = np.vstack([_half_grid(g), rng.uniform(-half, half, size=(2000, n))])
+        members = shift_rescan_decode(Y, c, dec.mid, dec.fine)
+        want = codebook_index(entries, members.reshape(-1, n), g)
+        assert np.all(want > 0)
+        assert np.array_equal(dec.decode_many(Y),
+                              want.reshape(len(Y), dec.list_size))
+
+
+@pytest.mark.parametrize("kind", ["df", "twrc"])
+def test_cubic_dithers_match_rejection_draws(kind):
+    # block_draws draws a cubic lattice's dither as one box row, reduced
+    # mod the lattice: the rows sample_voronoi accepts at once, in the
+    # same stream. DF's U1 and U2 are both cubic; TWRC's U2 (rank 1) still
+    # goes through sample_voronoi.
+    if kind == "df":
+        params = DegradedRelayParams(**DF_BM)
+        cbs = build_df_codebooks(params, 3, 2, seed=0)
+        lattices = (cbs.message_chain[0], cbs.resolution_chain[0])
+        noise = (params.NR, params.N)
+        assert [lat.k for lat in lattices] == [0, 0]
+    else:
+        params = _twrc_params(TWRC_BM)
+        cbs = build_twrc_codebooks(params, 3, 2, seed=0)
+        lattices = (cbs.lam1, cbs.lam2)
+        noise = (params.channel.NR, params.channel.N1, params.channel.N2)
+        assert [lat.k for lat in lattices] == [0, 1]
+    for seed in range(20):
+        got = block_draws(seed, 21, lattices, noise)
+        want = ref.block_draws(seed, 21, lattices, noise)
+        assert len(got) == len(want) == len(lattices) + len(noise)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 # sha256 of each output of `p2p-sim`, `relay-sim` and `twrc-sim` on

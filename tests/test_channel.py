@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latrelay import gf
 from latrelay.chain import build_chain, size_list_lattice
 from latrelay.channel import (
     CHUNK,
@@ -19,7 +20,7 @@ from latrelay.channel import (
     unique_decode,
 )
 from latrelay.errors import DimensionMismatch, NotACodeword
-from latrelay.lattice import SCAN_ELEMENTS, enumerate_codebook
+from latrelay.lattice import SCAN_ELEMENTS, codebook_index, enumerate_codebook
 from conftest import _codeword_grid, list_decode_q_form, shift_rescan_decode
 
 
@@ -182,8 +183,11 @@ class TestListDecode:
 
 
 class TestGroupedDecode:
-    """The grouped coset scan against the shift-and-rescan decode, in
-    integer units of gamma, at batch sizes around one chunk."""
+    """The grouped coset scan and its class table against the
+    shift-and-rescan decode, at batch sizes around one chunk: the message
+    indices equal those the codebook's binary search gives the
+    reference's members, which it reduces mod the coarse lattice by its
+    own direct scan."""
 
     # p in {2, 3, 5, 7}; coarse rank >= 1 (the TWRC dec2 shape (1, 1, 2)),
     # fine rank n (the DF and p2p_n2 shape) and a list of one.
@@ -194,26 +198,61 @@ class TestGroupedDecode:
     @pytest.mark.parametrize("p, n, ranks", SHAPES)
     def test_matches_shift_rescan(self, p, n, ranks):
         ch = build_chain(p, n, list(ranks), gamma=2 / 3 ** 0.5, seed=1)
-        dec, gamma = ch.list_decoder, ch.gamma
         chunk = max(1, SCAN_ELEMENTS // p ** ranks[2])
-        rng = np.random.default_rng(10 * p + n)
+        self._check(ch, (chunk - 1, chunk, chunk + 1), 10 * p + n)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_list_of_one_reads_pivot_residues(self, p):
+        # Echelon pivots on coordinates 1 and 2, not 0 and 1: a list of one
+        # finds its codeword at the pivots of gf.rref(fine.rows).
+        ch = build_chain(p, 3, [1, 2, 2], gamma=2 / 3 ** 0.5,
+                         rows=[[0, 1, 2], [0, 0, 1]])
+        assert ch.list_decoder.list_size == 1
+        assert gf.rref(ch[2].rows, p)[1] == [1, 2]
+        self._check(ch, (200,), p)
+
+    @staticmethod
+    def _check(ch, batch_sizes, seed):
+        """decode_many and decode against the shift-and-rescan members,
+        on the half-integer tie grid and on uniform draws."""
+        dec, gamma, p, n = ch.list_decoder, ch.gamma, ch.p, ch.n
+        codebook = enumerate_codebook(ch[0], ch[2])
+        assert np.array_equal(dec.codebook, codebook)
+        rng = np.random.default_rng(seed)
         sub = {tuple(c) for c in _codeword_grid(ch[1])}
         rep_words = np.rint(dec.reps / gamma).astype(int)
-        for m in (chunk - 1, chunk, chunk + 1):
+        for m in batch_sizes:
             ties = rng.integers(-2 * p, 2 * p + 1, size=(m, n)) / 2.0
             draws = rng.uniform(-p, p, size=(m, n))
             for Y in (gamma * ties, gamma * draws):
                 got = dec.decode_many(Y)
-                want = shift_rescan_decode(Y, ch[0], ch[1], ch[2])
-                assert got.shape == (m, dec.list_size, n)
-                assert np.array_equal(np.rint(got / gamma),
-                                      np.rint(want / gamma))
-                assert np.allclose(got, want, rtol=0, atol=1e-9)
-                # Member g lies in reps[g] + Lambda_s.
-                words = (np.rint(got / gamma).astype(int) - rep_words) % p
+                members = shift_rescan_decode(Y, ch[0], ch[1], ch[2])
+                want = codebook_index(codebook, members.reshape(-1, n),
+                                      gamma).reshape(m, dec.list_size)
+                assert got.shape == (m, dec.list_size)
+                assert np.all(want > 0)
+                assert np.array_equal(got, want)
+                # Member g's class lies in reps[g] + Lambda_s.
+                words = (np.rint(codebook[got - 1] / gamma).astype(int)
+                         - rep_words) % p
                 assert all(tuple(w) in sub for w in words.reshape(-1, n))
                 for i in range(0, m, max(1, m // 10)):
-                    assert np.array_equal(dec.decode(Y[i]).points, got[i])
+                    res = dec.decode(Y[i])
+                    assert np.array_equal(res.indices, got[i])
+                    assert np.array_equal(res.points, codebook[got[i] - 1])
+
+    def test_truth_matched_by_index(self):
+        ch = build_chain(3, 2, [0, 1, 2], gamma=2 / 3 ** 0.5, seed=1)
+        dec = ch.list_decoder
+        y = np.array([0.3, -0.2])
+        res = dec.decode(y, truth=dec.codebook[dec.decode_many(y[None])[0, 0]
+                                               - 1])
+        assert res.contains_truth
+        outside = set(range(1, len(dec.codebook) + 1)) - set(res.indices)
+        t = dec.codebook[min(outside) - 1]
+        assert dec.decode(y, truth=t).contains_truth is False
+        # A point of no codebook row is in no list.
+        assert dec.decode(y, truth=t + 0.5 * ch.gamma).contains_truth is False
 
     def test_rejects_wrong_shape(self):
         dec = build_chain(3, 2, [0, 1, 2]).list_decoder
@@ -342,7 +381,7 @@ class TestBatchedEngine:
                 log.append((batch * CHUNK + i, int(w[i]) + 1, res.size,
                             int(not res.contains_truth)))
                 y_primes.append(y_prime)
-                lists.append(res.points)
+                lists.append(res.indices)
             assert np.array_equal(dec.decode_many(np.array(y_primes)),
                                   np.array(lists))
         assert stats.log == log

@@ -22,3 +22,26 @@ def test_target_is_bound_on_its_owner(span, owner, attr):
     # owner's own.
     obj = tracer._resolve(owner)
     assert attr in vars(obj), f"{span}: {owner} has no own attribute {attr}"
+
+
+def test_block_markov_round_keeps_the_benchmark_seams(monkeypatch):
+    # One round of the benchmark's block_markov workload under the tracer,
+    # checked as the benchmark checks it. Its brute-force list check
+    # records NestedListDecoder.decode, and it counts one such call per
+    # DF block; its accept ratio needs a rejection-sampled dither.
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    import workloads
+    from worker import Loop
+    wl = workloads.make("block_markov")
+    state = wl.setup(5)
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        loop = Loop(wl, state, tr).run(rounds=1)
+    finally:
+        tr.uninstall()
+    failed, correct, messages = loop.check()
+    assert correct and failed == 0, messages
+    assert tr.child_calls("channel.decode", "relay.df_round_trip") == \
+        wl.df.B + 1
+    assert 0 < tr.accept_ratio() < 1
