@@ -60,10 +60,20 @@ class AwgnParams:
 
 @dataclass
 class ListDecodeResult:
-    points: np.ndarray          # (size, n), each reduced mod the coarse lattice
-    indices: np.ndarray         # (size,) message indices of the points
-    size: int
+    """One observation's list, as the message indices of its members."""
+    indices: np.ndarray                         # (size,)
+    codebook: np.ndarray = field(repr=False)    # the decoder's; row w-1 is w
     contains_truth: Optional[bool] = None
+
+    @property
+    def size(self) -> int:
+        return len(self.indices)
+
+    @property
+    def points(self) -> np.ndarray:
+        """(size, n) members, each reduced mod the coarse lattice: their
+        codebook rows, gathered when read."""
+        return self.codebook[self.indices - 1]
 
 
 def ci95(pe: float, count: int) -> float:
@@ -72,60 +82,73 @@ def ci95(pe: float, count: int) -> float:
     return 1.96 * math.sqrt(max(pe * (1 - pe), 1e-300) / count)
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent stream derived from (seed, index): one per trial, block
-    or batch of trials."""
+def trial_rng(seed: int, key: int) -> np.random.Generator:
+    """Independent stream derived from (seed, key):
+    ``SeedSequence(entropy=seed, spawn_key=(key,))``. ``simulate_p2p`` keys
+    it by batch of trials, the block-Markov engines by kind of draw
+    (``STREAM_KEYS``)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(trial,)))
+                                                        spawn_key=(key,)))
 
 
-def block_draws(seed: int, blocks: int, dither_lattices, noise_vars
-                ) -> list[np.ndarray]:
-    """Per-block draws of the block-Markov simulators.
+# Spawn keys of the block-Markov streams, one per kind of draw, by
+# position: the messages of each codebook, each dither, each noise.
+# DF draws w; U1, U2; ZR, Z2'. TWRC draws w1, w2; U1, U2; ZR, Z1, Z2.
+# They differ from every other spawn key used with a run seed: the bins'
+# (relay.BINNING_KEY), the TWRC relay codebook's (twrc.RELAY_CODEBOOK_KEY),
+# the gap draws' (cli.GAPS_KEY), and the batch numbers of any p2p run of
+# fewer than 10^8 trials.
+STREAM_KEYS = {
+    "messages": (0xB10C1, 0xB10C2),
+    "dithers": (0xB10C3, 0xB10C4),
+    "noises": (0xB10C5, 0xB10C6, 0xB10C7),
+}
 
-    Block b = 1..``blocks`` draws one dither for each lattice, then one
-    Gaussian noise vector per variance, in that order, from
-    ``trial_rng(seed, b)``. Returns one (blocks, n) array per draw, dithers
-    first; row b-1 holds block b.
 
-    A cubic (rank-0) lattice's cell is the cube of side gamma p, so its
-    dither is one ``rng.uniform(-h, h, n)`` row, h = gamma p / 2: the box
-    draw ``sample_voronoi`` makes and, but on the face u_j = -h, accepts
-    at once. All rows are reduced mod the lattice by one ``mod_many``
-    call after the loop; that maps the face -h to +h, where
-    ``sample_voronoi`` would draw again, so the two agree but on a set of
-    measure zero. Other lattices draw by ``sample_voronoi``'s rejection.
+def block_draws(seed: int, blocks: int, sizes, dither_lattices, noise_vars
+                ) -> tuple[list, list, list]:
+    """All random draws of a block-Markov run: ``blocks`` message blocks
+    and the flush block.
+
+    Each kind of draw has its own stream, ``trial_rng(seed, key)`` with
+    its key from ``STREAM_KEYS``, and is drawn for the whole run at once,
+    row b-1 for block b. So block b's draws do not depend on ``blocks``:
+    a shorter run's draws are the first rows of a longer run's.
+
+    - Messages, per codebook size: one ``integers`` call of ``blocks``
+      indices uniform on 1..size (the same numbers as that many scalar
+      draws), then the flush message 1; shape (blocks + 1,).
+    - Dithers, per lattice, shape (blocks + 1, n). A cubic (rank-0)
+      lattice's cell is the cube of side gamma p, so its dither is one
+      uniform draw on [-h, h), h = gamma p / 2, reduced mod the lattice by
+      one ``mod_many``. That is the row ``sample_voronoi`` draws and, but
+      on the face u_j = -h, accepts at once; the reduction maps -h to +h,
+      where ``sample_voronoi`` would draw again, so the two agree but on a
+      set of measure zero. Other lattices draw by ``sample_voronoi``'s
+      rejection, once per block in turn.
+    - Noises, per variance: one normal draw of shape (blocks + 1, n).
+
+    Returns (messages, dithers, noises), each a list in the order of
+    ``sizes``, ``dither_lattices`` and ``noise_vars``.
     """
-    n = dither_lattices[0].n
-    out = [np.empty((blocks, n))
-           for _ in range(len(dither_lattices) + len(noise_vars))]
-    dithers, noises = out[:len(dither_lattices)], out[len(dither_lattices):]
-    halves = [lat.voronoi_box_halfwidth() if lat.k == 0 else None
-              for lat in dither_lattices]
-    for i in range(blocks):
-        rng = trial_rng(seed, i + 1)
-        for arr, lat, h in zip(dithers, dither_lattices, halves):
-            arr[i] = (rng.uniform(-h, h, size=n) if h is not None
-                      else lat.sample_voronoi(rng))
-        for arr, var in zip(noises, noise_vars):
-            arr[i] = rng.normal(0.0, math.sqrt(var), size=n)
-    for arr, lat, h in zip(dithers, dither_lattices, halves):
-        if h is not None:
-            arr[:] = lat.mod_many(arr)
-    return out
-
-
-def draw_messages(seed: int, blocks: int, sizes) -> list[np.ndarray]:
-    """Messages of the block-Markov simulators, from ``trial_rng(seed, 0)``.
-
-    For each codebook size in turn, one ``integers`` call draws ``blocks``
-    indices uniformly from 1..size (the same numbers as ``blocks`` scalar
-    draws), and the flush message 1 is appended. Returns one (blocks + 1,)
-    array per size; entry b-1 is block b's message.
-    """
-    rng = trial_rng(seed, 0)
-    return [np.append(rng.integers(1, size + 1, size=blocks), 1)
-            for size in sizes]
+    n, rows = dither_lattices[0].n, blocks + 1
+    messages = [
+        np.append(trial_rng(seed, STREAM_KEYS["messages"][i])
+                  .integers(1, size + 1, size=blocks), 1)
+        for i, size in enumerate(sizes)]
+    dithers = []
+    for i, lat in enumerate(dither_lattices):
+        rng = trial_rng(seed, STREAM_KEYS["dithers"][i])
+        if lat.k == 0:
+            h = lat.voronoi_box_halfwidth()
+            dithers.append(lat.mod_many(rng.uniform(-h, h, size=(rows, n))))
+        else:
+            dithers.append(np.array([lat.sample_voronoi(rng)
+                                     for _ in range(rows)]))
+    noises = [trial_rng(seed, STREAM_KEYS["noises"][i])
+              .normal(0.0, math.sqrt(var), size=(rows, n))
+              for i, var in enumerate(noise_vars)]
+    return messages, dithers, noises
 
 
 def resolve(member_idx: np.ndarray, member_bins: np.ndarray,
@@ -244,9 +267,10 @@ class NestedListDecoder:
 
     def decode(self, y_prime: np.ndarray,
                truth: Optional[np.ndarray] = None) -> ListDecodeResult:
-        """The list of one observation (n,): its message indices and their
-        points, reduced mod the coarse lattice. ``truth``, a codebook
-        point, is matched by its message index."""
+        """The list of one observation (n,): its message indices, whose
+        points (reduced mod the coarse lattice) are gathered from the
+        codebook only when read. ``truth``, a codebook point, is matched
+        by its message index."""
         idx = self.decode_many(np.asarray(y_prime, dtype=float)[None, :])[0]
         contains = None
         if truth is not None:
@@ -254,8 +278,8 @@ class NestedListDecoder:
                                np.asarray(truth, dtype=float)[None, :],
                                self.fine.gamma)[0]
             contains = bool(w and np.any(idx == w))
-        return ListDecodeResult(points=self.codebook[idx - 1], indices=idx,
-                                size=len(idx), contains_truth=contains)
+        return ListDecodeResult(indices=idx, codebook=self.codebook,
+                                contains_truth=contains)
 
 
 def unique_decode(y_prime: np.ndarray, coarse: ConstructionALattice,

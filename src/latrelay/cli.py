@@ -100,6 +100,8 @@ _PHYSICAL_REGIONS = {**_REGIONS, **_floats("N1p", "N2p")}
 # The key of each section that --trials overrides.
 COUNT = {"p2p-sim": "trials", "relay-sim": "runs", "twrc-sim": "runs",
          "gaps": "draws"}
+# Spawn key of the gap draws' stream, with the run seed as entropy.
+GAPS_KEY = 0x6A9
 
 
 def section_keys(command: str, section) -> dict:
@@ -312,8 +314,8 @@ def cmd_gaps(c: dict, args) -> int:
     if not (math.isfinite(hi) and 0.0 < lo < hi):
         raise ConfigInvalid(
             f"[gaps] needs finite 0 < lo < hi, got lo = {lo!r}, hi = {hi!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed,
-                                                       spawn_key=(0x6A9,)))
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=args.seed, spawn_key=(GAPS_KEY,)))
     rows = []
     worst = None
     for d in range(draws):

@@ -24,7 +24,6 @@ from . import gf
 from .chain import LatticeChain, build_chain, rank_for_rate, size_list_lattice
 from .channel import (
     block_draws,
-    draw_messages,
     resolve,
     trial_rng,  # noqa: F401 -- perfbench's tracer test reads relay.trial_rng
     unique_decode,
@@ -74,6 +73,10 @@ class DegradedRelayParams:
         return 1.0 + math.sqrt(self.PR / (self.abar * self.P))
 
 
+# Spawn key of the binning map's stream, with the run seed as entropy.
+BINNING_KEY = 0xB1A5
+
+
 @dataclass(frozen=True)
 class BinningMap:
     """Uniform i.i.d. assignment of message indices to bins, shared by all
@@ -85,7 +88,7 @@ class BinningMap:
 
     def __post_init__(self):
         rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(0xB1A5,)))
+            entropy=self.seed, spawn_key=(BINNING_KEY,)))
         table = rng.integers(1, self.num_bins + 1, size=self.num_messages)
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
@@ -179,14 +182,15 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
                   seed: int, keep_transcript: bool = True) -> DfRunResult:
     """Simulate B message blocks (plus one flush block).
 
-    Messages w_1..w_B are drawn uniformly (``draw_messages``); w_{B+1} = 1
-    flushes the last resolution index. Block b draws U1, U2, ZR, Z2' from
-    ``trial_rng(seed, b)`` (``block_draws``); every later step is one
-    batched call over all blocks, except the destination's list decodes,
-    which run block by block and give message indices. Block b resolves
-    when exactly one message index of its list lies in the bin decoded in
-    block b+1 and it is w_b (``resolve``); empty or ambiguous
-    intersections count as block errors, never aborts.
+    ``block_draws`` draws each kind (w, U1, U2, ZR, Z2') for all blocks
+    at once from its own stream, so block b's draws do not depend on B:
+    messages w_1..w_B uniformly, and w_{B+1} = 1 flushes the last
+    resolution index. Every later step is one batched call over all
+    blocks, except the destination's list decodes, which run block by
+    block and give message indices. Block b resolves when exactly one
+    message index of its list lies in the bin decoded in block b+1 and it
+    is w_b (``resolve``); empty or ambiguous intersections count as block
+    errors, never aborts.
     """
     ch1, ch2 = codebooks.message_chain, codebooks.resolution_chain
     lam1, lam_c1 = ch1[0], ch1[2]
@@ -208,7 +212,10 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
     alpha_list = aP / (aP + n_dest)
 
     B = params.B
-    w_true = draw_messages(seed, B, (codebooks.num_messages,))[0]
+    # Row b-1 holds block b.
+    (w_true,), (U1, U2), (ZR, Z2p) = block_draws(
+        seed, B, (codebooks.num_messages,), (lam1, lam2),
+        (params.NR, params.N))
 
     def bins_of(w: np.ndarray) -> np.ndarray:
         """Bin of each message index; -1 for index 0 (no message)."""
@@ -219,9 +226,6 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
         before: 1 in block 1 and when that decode found no message."""
         return np.concatenate([[1], np.maximum(bins_of(w_prev[:-1]), 1)])
 
-    # Row b-1 holds block b.
-    U1, U2, ZR, Z2p = block_draws(seed, B + 1, (lam1, lam2),
-                                  (params.NR, params.N))
     s_true = sent_bins(w_true)
     t1 = msg_points[w_true - 1]
     X1 = lam1.mod_many(t1 - U1)

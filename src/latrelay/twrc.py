@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gf
 from .chain import build_chain, rank_for_rate, size_list_lattice
-from .channel import NestedListDecoder, block_draws, draw_messages, resolve
+from .channel import NestedListDecoder, block_draws, resolve
 from .errors import Infeasible, NotACodeword, NotNested
 from .lattice import (
     ConstructionALattice,
@@ -35,6 +35,9 @@ from .rates import TwrcParams, capacity_c
 
 # Monte Carlo samples for the second moment of a non-cubic Lambda_2.
 POWER_SAMPLES = 2000
+# Spawn key of the relay codebook's and bin table's stream, with the
+# codebook seed as entropy.
+RELAY_CODEBOOK_KEY = 0xC0DE
 
 
 def sum_codeword(t1: np.ndarray, t2: np.ndarray, U2: np.ndarray,
@@ -169,8 +172,8 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
     # 2^(nR) bins, at most one per sum: capped before the power overflows.
     num_bins = max(1, round(2.0 ** min(n * params.R,
                                        math.log2(len(sum_entries)))))
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                       spawn_key=(0xC0DE,)))
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=seed, spawn_key=(RELAY_CODEBOOK_KEY,)))
     relay_codebook = rng.normal(0.0, math.sqrt(ch.PR), size=(num_bins, n))
     bin_table = rng.integers(1, num_bins + 1, size=len(sum_entries))
     if num_bins == len(sum_entries):
@@ -245,10 +248,11 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
                     keep_transcript: bool = True) -> TwrcRunResult:
     """Simulate B message blocks plus one flush block.
 
-    Messages come from ``draw_messages`` (terminal 1's first), and block b
-    draws U1, U2, ZR, Z1, Z2 from ``trial_rng(seed, b)`` (``block_draws``).
-    The relay's sum decode in a block does not depend on earlier blocks, so
-    every step after the draws is one batched call over all blocks; only
+    ``block_draws`` draws each kind (w1, w2, U1, U2, ZR, Z1, Z2) for all
+    blocks at once from its own stream, so block b's draws do not depend
+    on B; w1 and w2 of the flush block are 1. The relay's sum decode in a
+    block does not depend on earlier blocks, so every step after the
+    draws is one batched call over all blocks; only
     the list decodes run block by block, and they give message indices,
     whose points the terminals' codebooks hold. Per direction, block b-1
     resolves at the end of block b by ``resolve`` on message indices;
@@ -261,10 +265,10 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
     a2 = cbs.power2 / (cbs.power2 + ch.N1)
 
     B, g = params.B, lam1.gamma
-    w1, w2 = draw_messages(seed, B, (len(cbs.entries1), len(cbs.entries2)))
     # Row b-1 holds block b.
-    U1, U2, ZR, Z1, Z2 = block_draws(seed, B + 1, (lam1, lam2),
-                                     (ch.NR, ch.N1, ch.N2))
+    (w1, w2), (U1, U2), (ZR, Z1, Z2) = block_draws(
+        seed, B, (len(cbs.entries1), len(cbs.entries2)), (lam1, lam2),
+        (ch.NR, ch.N1, ch.N2))
     t1 = cbs.entries1[w1 - 1]
     t2 = cbs.entries2[w2 - 1]
     X1 = lam1.mod_many(t1 - U1)

@@ -4,8 +4,11 @@ These are the DF and TWRC round trips written one block at a time from
 the single-vector lattice operations ``Lattice.nearest`` and
 ``Lattice.mod`` alone: the unique decode, the sum codeword and the relay's
 sum decode are written out below from their formulas, so the reference
-shares none of the batched maps it checks. Each block draws U1, U2 and
-then its noises from ``trial_rng(seed, b)``. Points map back to their
+shares none of the batched maps it checks. Each kind of draw has its own
+stream, ``trial_rng(seed, key)`` with its key from
+``channel.STREAM_KEYS``, drawn one block at a time (``block_draws``):
+block b takes row b-1 of every kind, messages by scalar ``integers``
+calls and every dither by ``sample_voronoi``. Points map back to their
 message, bin or sum indices through dicts built here (``_index_of``), so
 no index code is shared with the engines. The batched engines in
 ``latrelay.relay`` and ``latrelay.twrc`` must reproduce their counts and
@@ -19,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from latrelay.channel import NestedListDecoder, trial_rng
+from latrelay.channel import STREAM_KEYS, NestedListDecoder, trial_rng
 from latrelay.relay import BinningMap, BlockRecord, DfRunResult
 from latrelay.twrc import TwrcBlockRecord, TwrcRunResult
 
@@ -44,18 +47,29 @@ def relay_decode_sum(YR, U1, U2, cbs, NR):
     return unique_decode(cbs.lam1.mod(alpha * YR + U1 - U2), cbs.lam1, fine)
 
 
-def block_draws(seed, blocks, dither_lattices, noise_vars):
-    """The per-block draws of both references as (blocks, n) arrays: block
-    b draws each dither by ``sample_voronoi``, then each noise, from
-    ``trial_rng(seed, b)``."""
-    n = dither_lattices[0].n
-    rows = []
-    for b in range(1, blocks + 1):
-        rng = trial_rng(seed, b)
-        rows.append([lat.sample_voronoi(rng) for lat in dither_lattices]
-                    + [rng.normal(0.0, math.sqrt(v), size=n)
-                       for v in noise_vars])
-    return [np.array(col) for col in zip(*rows)]
+def block_draws(seed, blocks, sizes, dither_lattices, noise_vars):
+    """The draws of both references, one block at a time from one stream
+    per kind: per codebook size, ``blocks`` scalar message draws and the
+    flush message 1; per lattice, ``blocks + 1`` ``sample_voronoi`` calls;
+    per variance, ``blocks + 1`` noise vectors. Returns (messages, dithers,
+    noises) as ``channel.block_draws`` does, row b-1 for block b."""
+    n, rows = dither_lattices[0].n, blocks + 1
+    messages = []
+    for size, key in zip(sizes, STREAM_KEYS["messages"]):
+        rng = trial_rng(seed, key)
+        messages.append(np.array([int(rng.integers(1, size + 1))
+                                  for _ in range(blocks)] + [1]))
+    dithers = []
+    for lat, key in zip(dither_lattices, STREAM_KEYS["dithers"]):
+        rng = trial_rng(seed, key)
+        dithers.append(np.array([lat.sample_voronoi(rng)
+                                 for _ in range(rows)]))
+    noises = []
+    for var, key in zip(noise_vars, STREAM_KEYS["noises"]):
+        rng = trial_rng(seed, key)
+        noises.append(np.array([rng.normal(0.0, math.sqrt(var), size=n)
+                                for _ in range(rows)]))
+    return messages, dithers, noises
 
 
 def _key(pt, scale):
@@ -95,9 +109,9 @@ def df_reference(codebooks, params, seed: int) -> DfRunResult:
     beta = p_prime / (p_prime + aP + n_dest)
     alpha_list = aP / (aP + n_dest)
 
-    rng_msg = trial_rng(seed, 0)
-    w_true = [int(rng_msg.integers(1, codebooks.num_messages + 1))
-              for _ in range(params.B)] + [1]
+    (w_true,), (U1s, U2s), (ZRs, Z2ps) = block_draws(
+        seed, params.B, (codebooks.num_messages,), (lam1, lam2),
+        (params.NR, params.N))
 
     relay_w_hat: Optional[int] = None
     pending: Optional[tuple] = None
@@ -105,21 +119,17 @@ def df_reference(codebooks, params, seed: int) -> DfRunResult:
     msg_errors = relay_errors = bin_errors = 0
 
     for b in range(1, params.B + 2):
-        rng = trial_rng(seed, b)
-        w_b = w_true[b - 1]
+        w_b = int(w_true[b - 1])
+        U1, U2, ZR, Z2p = U1s[b - 1], U2s[b - 1], ZRs[b - 1], Z2ps[b - 1]
         s_b = int(bins[w_true[b - 2] - 1]) if b > 1 else 1
         s_relay = int(bins[relay_w_hat - 1]) if b > 1 and relay_w_hat else 1
 
-        U1 = lam1.sample_voronoi(rng)
-        U2 = lam2.sample_voronoi(rng)
         t1 = codebooks.message_entries[w_b - 1]
         t2 = codebooks.resolution_entries[s_b - 1]
         X1 = lam1.mod(t1 - U1)
         X2 = lam2.mod(t2 - U2)
         t2_relay = codebooks.resolution_entries[s_relay - 1]
         XR = rho * lam2.mod(t2_relay - U2)
-        ZR = rng.normal(0.0, math.sqrt(params.NR), size=lam1.n)
-        Z2p = rng.normal(0.0, math.sqrt(params.N), size=lam1.n)
 
         YR = X1 + X2 + ZR
         y = YR - lam2.mod(t2_relay - U2)
@@ -175,12 +185,10 @@ def twrc_reference(cbs, params, seed: int) -> TwrcRunResult:
     a2 = cbs.power2 / (cbs.power2 + ch.N1)
     bin_of_sum = sum_bin_lookup(cbs)
 
-    rng_msg = trial_rng(seed, 0)
     B = params.B
-    w1s = [int(rng_msg.integers(1, len(cbs.entries1) + 1))
-           for _ in range(B)] + [1]
-    w2s = [int(rng_msg.integers(1, len(cbs.entries2) + 1))
-           for _ in range(B)] + [1]
+    (w1s, w2s), (U1s, U2s), (ZRs, Z1s, Z2s) = block_draws(
+        seed, B, (len(cbs.entries1), len(cbs.entries2)), (lam1, lam2),
+        (ch.NR, ch.N1, ch.N2))
 
     relay_s_hat = 1
     pending = None
@@ -190,18 +198,14 @@ def twrc_reference(cbs, params, seed: int) -> TwrcRunResult:
     prev_sum_ok = True
 
     for b in range(1, B + 2):
-        rng = trial_rng(seed, b)
-        w1, w2 = w1s[b - 1], w2s[b - 1]
+        w1, w2 = int(w1s[b - 1]), int(w2s[b - 1])
+        U1, U2 = U1s[b - 1], U2s[b - 1]
+        ZR, Z1, Z2 = ZRs[b - 1], Z1s[b - 1], Z2s[b - 1]
         t1 = cbs.entries1[w1 - 1]
         t2 = cbs.entries2[w2 - 1]
-        U1 = lam1.sample_voronoi(rng)
-        U2 = lam2.sample_voronoi(rng)
         X1 = lam1.mod(t1 - U1)
         X2 = lam2.mod(t2 + U2)
         XR = cbs.relay_codebook[relay_s_hat - 1]
-        ZR = rng.normal(0.0, math.sqrt(ch.NR), size=lam1.n)
-        Z1 = rng.normal(0.0, math.sqrt(ch.N1), size=lam1.n)
-        Z2 = rng.normal(0.0, math.sqrt(ch.N2), size=lam1.n)
 
         YR = X1 + X2 + ZR
         T_true = sum_codeword(t1, t2, U2, lam1, lam2)

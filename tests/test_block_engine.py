@@ -3,10 +3,13 @@
 ``block_reference`` runs each protocol one block at a time through the
 single-vector lattice operations; the engines must give the same counts
 and transcripts, record for record, and each batched protocol map must
-equal its one-vector reference row by row. The CLI outputs on the shipped
-example config are pinned to hashes taken before the engines were batched.
+equal its one-vector reference row by row. Each kind of random draw is
+one stream laid out by block, so a run's draws and transcript are a
+prefix of a longer run's. The CLI outputs on the shipped example config
+are pinned to hashes.
 """
 
+import dataclasses
 import hashlib
 import itertools
 from pathlib import Path
@@ -14,23 +17,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latrelay import channel
 from latrelay.channel import (
+    STREAM_KEYS,
     block_draws,
     effective_noise,
     encode_dithered,
     receiver_front_end,
+    trial_rng,
     unique_decode,
 )
-from latrelay.cli import main
+from latrelay.cli import GAPS_KEY, main
 from latrelay.errors import DimensionMismatch
 from latrelay.lattice import ConstructionALattice, codebook_index
 from latrelay.rates import TwrcParams
 from latrelay.relay import (
+    BINNING_KEY,
     DegradedRelayParams,
     build_df_codebooks,
     df_round_trip,
 )
 from latrelay.twrc import (
+    RELAY_CODEBOOK_KEY,
     TwrcSimParams,
     build_twrc_codebooks,
     recover_t1_from_sum,
@@ -183,55 +191,116 @@ def test_list_members_are_codebook_rows(kind, point):
                               want.reshape(len(Y), dec.list_size))
 
 
-@pytest.mark.parametrize("kind", ["df", "twrc"])
-def test_cubic_dithers_match_rejection_draws(kind):
-    # block_draws draws a cubic lattice's dither as one box row, reduced
-    # mod the lattice: the rows sample_voronoi accepts at once, in the
-    # same stream. DF's U1 and U2 are both cubic; TWRC's U2 (rank 1) still
-    # goes through sample_voronoi.
+def _draw_args(kind):
+    """The codebooks, params and ``block_draws`` arguments (message
+    codebook sizes, dither lattices, noise variances) of the benchmark's
+    DF or TWRC point."""
     if kind == "df":
         params = DegradedRelayParams(**DF_BM)
         cbs = build_df_codebooks(params, 3, 2, seed=0)
-        lattices = (cbs.message_chain[0], cbs.resolution_chain[0])
-        noise = (params.NR, params.N)
-        assert [lat.k for lat in lattices] == [0, 0]
-    else:
-        params = _twrc_params(TWRC_BM)
-        cbs = build_twrc_codebooks(params, 3, 2, seed=0)
-        lattices = (cbs.lam1, cbs.lam2)
-        noise = (params.channel.NR, params.channel.N1, params.channel.N2)
-        assert [lat.k for lat in lattices] == [0, 1]
+        return cbs, params, ((cbs.num_messages,), (cbs.message_chain[0],
+                              cbs.resolution_chain[0]), (params.NR, params.N))
+    params = _twrc_params(TWRC_BM)
+    cbs = build_twrc_codebooks(params, 3, 2, seed=0)
+    ch = params.channel
+    return cbs, params, ((len(cbs.entries1), len(cbs.entries2)),
+                         (cbs.lam1, cbs.lam2), (ch.NR, ch.N1, ch.N2))
+
+
+ROUND_TRIP = {"df": df_round_trip, "twrc": twrc_round_trip}
+
+
+@pytest.mark.parametrize("kind", ["df", "twrc"])
+def test_cubic_dithers_match_rejection_draws(kind):
+    # block_draws draws a cubic lattice's dither as one box draw for the
+    # whole run, reduced mod the lattice: the rows that sequential
+    # sample_voronoi calls on the same kind stream accept at once. DF's U1
+    # and U2 are both cubic; TWRC's U2 (rank 1) still goes through
+    # sample_voronoi. Messages and noises match their one-block-at-a-time
+    # draws too.
+    _, _, (sizes, lattices, noise) = _draw_args(kind)
+    assert [lat.k for lat in lattices] == ([0, 0] if kind == "df" else [0, 1])
     for seed in range(20):
-        got = block_draws(seed, 21, lattices, noise)
-        want = ref.block_draws(seed, 21, lattices, noise)
-        assert len(got) == len(want) == len(lattices) + len(noise)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        got = block_draws(seed, 20, sizes, lattices, noise)
+        want = ref.block_draws(seed, 20, sizes, lattices, noise)
+        assert [len(g) for g in got] == [len(w) for w in want] == \
+            [len(sizes), len(lattices), len(noise)]
+        for a, b in zip(itertools.chain(*got), itertools.chain(*want)):
+            assert a.shape[0] == 21 and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", ["df", "twrc"])
+def test_draws_and_transcripts_are_prefixes(kind):
+    # Each kind of draw is one stream laid out by block, so block b's
+    # draws do not depend on B: a 5-block run's are the first rows of a
+    # 12-block run's, the rejection dither included, and so is its
+    # transcript but for its last record, which the flush block resolves.
+    cbs, params, args = _draw_args(kind)
+    short, long_ = (block_draws(3, B, *args) for B in (5, 12))
+    for a, b in zip(short[0], long_[0]):
+        assert np.array_equal(a[:5], b[:5]) and a[5] == 1
+    for a, b in zip(itertools.chain(*short[1:]), itertools.chain(*long_[1:])):
+        assert np.array_equal(a, b[:6])
+    run = ROUND_TRIP[kind]
+    records = [[rec.csv_row() for rec in run(
+        cbs, dataclasses.replace(params, B=B), 3).transcript] for B in (5, 12)]
+    assert records[0][:-1] == records[1][:4]
+
+
+@pytest.mark.parametrize("B", [2, 30])
+def test_one_generator_per_kind_of_draw(monkeypatch, B):
+    # DF draws w, U1, U2, ZR, Z2' and TWRC w1, w2, U1, U2, ZR, Z1, Z2, each
+    # from one generator per run, however many blocks it has.
+    built = []
+
+    def counting(seed, key):
+        built.append(key)
+        return trial_rng(seed, key)
+    monkeypatch.setattr(channel, "trial_rng", counting)
+    for kind, want in (("df", 5), ("twrc", 7)):
+        cbs, params, _ = _draw_args(kind)
+        built.clear()
+        ROUND_TRIP[kind](cbs, dataclasses.replace(params, B=B), 0)
+        assert len(built) == len(set(built)) == want, kind
+
+
+def test_stream_keys_are_disjoint():
+    # Every stream keyed with a run or codebook seed has its own spawn key,
+    # so no kind of block draw can replay the bins, the TWRC relay
+    # codebook or the gap draws.
+    keys = [key for kind in STREAM_KEYS.values() for key in kind]
+    keys += [BINNING_KEY, RELAY_CODEBOOK_KEY, GAPS_KEY]
+    assert (BINNING_KEY, RELAY_CODEBOOK_KEY, GAPS_KEY) == (0xB1A5, 0xC0DE,
+                                                           0x6A9)
+    assert len(keys) == len(set(keys)) == 10
 
 
 # sha256 of each output of `p2p-sim`, `relay-sim` and `twrc-sim` on
-# scripts/configs/example.ini: the relay and TWRC files taken from the
-# per-block engines, p2p.csv from the shift-and-rescan list decoder.
+# scripts/configs/example.ini: p2p.csv taken from the shift-and-rescan list
+# decoder, the relay and TWRC files from the engines with one stream per
+# kind of draw, which the per-block references above reproduce.
+# (twrc_summary.csv counts no error on this config, so it is also the file
+# of the earlier one-stream-per-block layout.)
 EXAMPLE = Path(__file__).resolve().parents[1] / "scripts/configs/example.ini"
 PINNED = {
     0: {"p2p.csv": "984fa9b5f6bca25ce698040890c6d097"
                    "1160f6c7c9a44a56549e54ac930b79b9",
-        "relay_blocks.csv": "371adcc5a2fde26d6d20b472466e06b2"
-                            "f48be0646a00ef96f04dd93dd1bfad5d",
-        "relay_summary.csv": "c4682522c4d29e11a3d890604b5100a9"
-                             "a9bdd3ea093006b89189de13f790b540",
-        "twrc_blocks.csv": "475c5c964470beea3d3e9161dbacc318"
-                           "3be00bac64fb52ebe6f3408432f0311d",
+        "relay_blocks.csv": "5a9951b598f9f119250e25d5346341c2"
+                            "8bc8b44af55a4f610092ec18e078bd24",
+        "relay_summary.csv": "75146fd8f8fa3df0c05064b298a8306f"
+                             "94dff6faf68330a5925ab7b8ec41d1b8",
+        "twrc_blocks.csv": "ab863d8dcf8aa25f8b6f41e7013477a1"
+                           "2616e3357bd7a7a5101d256fc897b4f7",
         "twrc_summary.csv": "b30448375b46d0acf72675472234a3e9"
                             "b2fd588c9a5e059eadef4da12dff8f64"},
     3: {"p2p.csv": "d99b0462f8d0df80940e235a1deb3caf"
                    "b9532496811e4f8f91671a58a1607135",
-        "relay_blocks.csv": "28b4ac3f0d6a7c87bc40f175fc9b086d"
-                            "0affeccd81cd124a74dda65aae13ba94",
-        "relay_summary.csv": "81a49ae34899a48dfc06de156209279d"
-                             "7d50856d39c262dfd64127883af5790b",
-        "twrc_blocks.csv": "f91ac90756e36e0b8ea3505302d569a4"
-                           "857010abae5d4ac490bea076660f3dda",
+        "relay_blocks.csv": "3ba425fb3ce95ee78753647bc0f4bbd7"
+                            "e1b865209ac39a31d1cb8d5cd76a002f",
+        "relay_summary.csv": "cad04061a399bb3c0300613c5e1aa12e"
+                             "95eff4f404936e032cc46d03d217b12e",
+        "twrc_blocks.csv": "92dd62f1555c2dab020620f00f5e6f86"
+                           "186ad48a6683ea3683fef2be1f9611a7",
         "twrc_summary.csv": "20e0d51454491c264730eb7e224272726"
                             "bc2e21faddab322d17c283c5edd8854"},
 }

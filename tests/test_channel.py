@@ -8,9 +8,10 @@ from latrelay import gf
 from latrelay.chain import build_chain, size_list_lattice
 from latrelay.channel import (
     CHUNK,
+    STREAM_KEYS,
     AwgnParams,
     NestedListDecoder,
-    draw_messages,
+    block_draws,
     effective_noise,
     encode_dithered,
     receiver_front_end,
@@ -20,7 +21,12 @@ from latrelay.channel import (
     unique_decode,
 )
 from latrelay.errors import DimensionMismatch, NotACodeword
-from latrelay.lattice import SCAN_ELEMENTS, codebook_index, enumerate_codebook
+from latrelay.lattice import (
+    SCAN_ELEMENTS,
+    ConstructionALattice,
+    codebook_index,
+    enumerate_codebook,
+)
 from conftest import _codeword_grid, list_decode_q_form, shift_rescan_decode
 
 
@@ -422,9 +428,14 @@ class TestBlockSteps:
             dict(zip(self.RESOLVE, ok.tolist()))
 
     def test_draw_messages_matches_scalar_draws(self):
-        sizes, blocks = (9, 1, 27), 12
-        rng = trial_rng(5, 0)
-        want = [[int(rng.integers(1, size + 1)) for _ in range(blocks)] + [1]
-                for size in sizes]
-        got = draw_messages(5, blocks, sizes)
+        # Each codebook's messages are one integers call on its own stream:
+        # the same numbers as scalar draws, then the flush message 1.
+        sizes, blocks = (9, 1), 12
+        want = []
+        for size, key in zip(sizes, STREAM_KEYS["messages"]):
+            rng = trial_rng(5, key)
+            want.append([int(rng.integers(1, size + 1))
+                         for _ in range(blocks)] + [1])
+        got, _, _ = block_draws(5, blocks, sizes,
+                                (ConstructionALattice(3, [], n=2),), ())
         assert [w.tolist() for w in got] == want
