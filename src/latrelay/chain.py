@@ -18,7 +18,7 @@ from . import gf
 from .channel import NestedListDecoder
 from .errors import Infeasible, InvalidRanks
 from .lattice import (
-    SCAN_ELEMENTS,
+    BLOCK_ELEMENTS,
     ConstructionALattice,
     is_sublattice,
 )
@@ -57,7 +57,7 @@ def pick_generator_rows(p: int, n: int, kmax: int, seed: int = 0,
 
     The codewords of the rows so far are kept. A candidate adds the
     codewords cw + c cand, c = 1..p-1, so each rank scores all of its
-    candidates from those, in chunks of about SCAN_ELEMENTS coordinates.
+    candidates from those, in chunks of about BLOCK_ELEMENTS coordinates.
     """
     gf.check_prime(p)
     if not 0 <= kmax <= n:
@@ -80,7 +80,7 @@ def pick_generator_rows(p: int, n: int, kmax: int, seed: int = 0,
         # At rank 0 there is no nonzero codeword: a minimum above any norm.
         old_min = old.min() if len(old) else n * p * p + 1
         old_mult = np.count_nonzero(old == old_min)
-        chunk = max(1, SCAN_ELEMENTS // (len(coeffs) * cw.size))
+        chunk = max(1, BLOCK_ELEMENTS // (len(coeffs) * cw.size))
         best_key, best_row = -1, None
         for lo in range(0, candidates, chunk):
             cand = cands[lo:lo + chunk]

@@ -25,10 +25,9 @@ from .errors import (
 )
 from .lattice import (
     DEFAULT_ENUM_BUDGET,
-    TOL,
     ConstructionALattice,
     _coset_scan,
-    _scan_tables,
+    _ScanTable,
     codebook_index,
     enumerate_codebook,
     is_sublattice,
@@ -175,8 +174,8 @@ def encode_dithered(t: np.ndarray, U: np.ndarray,
                     coarse: ConstructionALattice) -> np.ndarray:
     """X = (t - U) mod Lambda. Requires t to lie in the coarse cell."""
     t = np.asarray(t, dtype=float)
-    # np.allclose(Q(t), 0, atol=TOL) without its per-call cost.
-    if not (np.abs(coarse.nearest_many(t)) <= TOL).all():
+    # Nearest points are gamma times integers: 0 exactly or at least gamma.
+    if coarse.nearest_many(t).any():
         raise NotACodeword("t does not lie in the coarse fundamental region")
     return coarse.mod_many(t - U)
 
@@ -228,8 +227,8 @@ class NestedListDecoder:
         if self.list_size > 1:
             # The fine codewords in scan-column order, group by group.
             shifts = np.rint(self.reps / gamma).astype(np.int64) % p
-            self._cols, self._onehot = _scan_tables(p, mid.rows, shifts)
-            words = self._cols - p * np.arange(fine.n)
+            self._scan = _ScanTable(p, mid.rows, shifts)
+            words = self._scan.cols - p * np.arange(fine.n)
         else:
             # In the order of their coefficients on the echelon rows, which
             # are a fine point's residues on the pivot coordinates.
@@ -245,6 +244,8 @@ class NestedListDecoder:
         self._classes = codebook_index(
             self.codebook, coarse.mod_many(gamma * words.astype(float)), gamma)
         self._classes.setflags(write=False)
+        if self.list_size > 1:
+            self._scan.classes = self._classes
 
     def decode_many(self, Y_prime: np.ndarray) -> np.ndarray:
         """Lists for a batch of observations (m, n), as an (m, size) array
@@ -257,9 +258,8 @@ class NestedListDecoder:
             raise DimensionMismatch(
                 f"expected rows of length {n}, got shape {Y.shape}")
         if self.list_size > 1:
-            return _coset_scan(Y / gamma, self._cols, self._onehot,
-                               self.fine.p, self.list_size, self._classes
-                               ).reshape(len(Y), self.list_size)
+            return _coset_scan(Y / gamma, self._scan).reshape(
+                len(Y), self.list_size)
         # Lambda_s = Lambda_c: the list is Q_c(y').
         words = np.rint(self.fine.nearest_many(Y) / gamma).astype(np.int64)
         keys = (words[:, self._pivots] % self.fine.p) @ self._radix
@@ -353,7 +353,7 @@ def simulate_p2p(chain, awgn: AwgnParams, trials: int, seed: int,
         y_prime = receiver_front_end(X + Z, U, awgn.P, awgn.N, coarse)
         lists = decoder.decode_many(y_prime)
         z_eff = effective_noise(X, Z, awgn.P, awgn.N, coarse)
-        z_outside = np.any(np.abs(mid.nearest_many(z_eff)) > TOL, axis=1)
+        z_outside = mid.nearest_many(z_eff).any(axis=1)
         miss = ~np.any(lists == (w + 1)[:, None], axis=1)
         if np.any(miss != z_outside):
             raise AssertionError(

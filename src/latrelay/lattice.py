@@ -27,16 +27,22 @@ from .errors import (
     RejectionBudgetExceeded,
 )
 
-# Absolute tolerance for exact lattice identities in double precision.
+# Absolute tolerance of is_sublattice's gamma comparison.
 TOL = 1e-9
 
 # Cap on the number of candidate points any exact enumeration may touch.
 DEFAULT_ENUM_BUDGET = 2_000_000
 
-# Entries of the (rows x cosets) distance table one step of the coset scan
-# holds, so a step takes SCAN_ELEMENTS // p^k rows (at least one); keeps
-# the batched kernel's working set small whatever the batch size.
-SCAN_ELEMENTS = 16_384
+# Entries of the largest array one step of the coset scan holds, the
+# (rows x cosets) distance table or the (rows x n p) lift table, so a step
+# takes SCAN_ELEMENTS // max(cosets, n p) rows (at least one): a 40-row
+# list decode of the 3^6 cosets of a rank-6 code at n = 8 is one step,
+# and the working set stays small whatever the batch size.
+SCAN_ELEMENTS = 32_768
+
+# Entries of one block of the batched set-up loops: second_moment's box
+# draws (coordinates) and pick_generator_rows' candidate codewords.
+BLOCK_ELEMENTS = 16_384
 
 # Box draws the rejection sampler makes for one sample before it gives up.
 REJECTION_ATTEMPTS = 200_000
@@ -47,54 +53,83 @@ def _round_ties_down(y: np.ndarray) -> np.ndarray:
     return np.ceil(y - 0.5)
 
 
-def _scan_tables(p: int, rows: np.ndarray, shifts: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tables of the coset scan over the cosets ``shift + C`` of the code C
-    generated by ``rows``, one group per row of ``shifts`` (g x n, residues
-    mod p), group by group.
+class _ScanTable:
+    """Tables and work arrays of the coset scan over the cosets
+    ``shift + C`` of the code C generated by ``rows``, one group per row of
+    ``shifts`` (g x n, residues mod p), group by group.
 
-    Returns ``cols = cw + p * arange(n)`` for each of the g p^k codewords
-    cw (g p^k x n), the column of each codeword coordinate in the scan's
-    flattened (n, p) cost table, and the one-hot matrix (n p x g p^k) that
-    is 1 at ``[cols[c, j], c]``; both read-only. Raises
-    EnumerationBudgetExceeded before it enumerates anything when g p^k
-    exceeds DEFAULT_ENUM_BUDGET.
+    ``cols = cw + p * arange(n)`` for each of the g p^k codewords cw
+    (g p^k x n) is the column of each codeword coordinate in the scan's
+    flattened (n, p) lift table, and ``onehot`` (n p x g p^k) is 1 at
+    ``[cols[c, j], c]``; both are read-only. ``classes``, one entry per
+    column, is None unless the owner sets it; then the scan returns the
+    winning column's entry in place of its point. A step of the scan
+    takes at most ``chunk`` rows.
+
+    The table keeps the work arrays of one step (:meth:`new_work`), grown
+    to the largest one-step scan seen and used as leading-row views, so a
+    scan of one step allocates none of them; one table therefore runs one
+    scan at a time. Raises EnumerationBudgetExceeded before it enumerates
+    anything when g p^k exceeds DEFAULT_ENUM_BUDGET.
     """
-    k, n = rows.shape
-    count = len(shifts) * p ** k
-    if count > DEFAULT_ENUM_BUDGET:
-        raise EnumerationBudgetExceeded(
-            f"{count} cosets exceed budget {DEFAULT_ENUM_BUDGET}")
-    words = (shifts[:, None, :] + gf.all_codewords(rows, p)) % p
-    cols = words.reshape(count, n) + p * np.arange(n)
-    onehot = np.zeros((n * p, count))
-    onehot[cols, np.arange(count)[:, None]] = 1.0
-    cols.setflags(write=False)
-    onehot.setflags(write=False)
-    return cols, onehot
+
+    def __init__(self, p: int, rows: np.ndarray, shifts: np.ndarray):
+        k, n = rows.shape
+        count = len(shifts) * p ** k
+        if count > DEFAULT_ENUM_BUDGET:
+            raise EnumerationBudgetExceeded(
+                f"{count} cosets exceed budget {DEFAULT_ENUM_BUDGET}")
+        words = (shifts[:, None, :] + gf.all_codewords(rows, p)) % p
+        self.cols = words.reshape(count, n) + p * np.arange(n)
+        self.onehot = np.zeros((n * p, count))
+        self.onehot[self.cols, np.arange(count)[:, None]] = 1.0
+        self.cols.setflags(write=False)
+        self.onehot.setflags(write=False)
+        self.p = p
+        self.residues = np.tile(np.arange(p, dtype=float), n)   # r of j p + r
+        self.groups = len(shifts)
+        self.classes: Optional[np.ndarray] = None
+        self.chunk = max(1, SCAN_ELEMENTS // max(count, n * p))
+        self._work = self.new_work(0)
+
+    def new_work(self, m: int) -> tuple[np.ndarray, ...]:
+        """Uninitialised work arrays of a step of ``m`` rows: the lift and
+        squared-distance tables (m, n p), the distance array (m, cosets)
+        and its window (m groups, cosets / groups)."""
+        count, width = self.onehot.shape[1], len(self.residues)
+        return (np.empty((m, width)), np.empty((m, width)),
+                np.empty((m, count)),
+                np.empty((m * self.groups, count // self.groups), dtype=bool))
+
+    def work(self, m: int) -> tuple[np.ndarray, ...]:
+        """The kept work arrays, first grown to ``m`` rows if smaller."""
+        if m > len(self._work[0]):
+            self._work = self.new_work(m)
+        return self._work
 
 
-def _coset_scan(Y: np.ndarray, cols: np.ndarray, onehot: np.ndarray, p: int,
-                groups: int = 1, classes: Optional[np.ndarray] = None
-                ) -> np.ndarray:
+def _coset_scan(Y: np.ndarray, table: _ScanTable) -> np.ndarray:
     """Nearest point of each group of cosets of the unit-scale lattice
     pZ^n to each row of ``Y`` (m x n), as an (m groups, n) array whose row
-    i groups + g is group g of row i, given
-    :func:`_scan_tables`'s ``cols`` and ``onehot`` for ``groups`` groups of
-    equal size. One group of all codewords of a code is the nearest point
-    of its Construction-A lattice. With ``classes``, one entry per coset
-    column, returns the entry of each winning column instead, as an
-    (m groups,) array, and gathers no point. Rows go in chunks of
-    SCAN_ELEMENTS // (number of cosets) rows (at least one).
+    i groups + g is group g of row i, over ``table``'s groups of equal
+    size. One group of all codewords of a code is the nearest point of
+    its Construction-A lattice. With ``table.classes``, returns the
+    entry of each winning column instead, as an (m groups,) array, and
+    gathers no point.
+
+    Rows go in steps of ``table.chunk`` rows. A batch of one step runs on
+    the table's kept work arrays. A longer batch (set-up work such as
+    second_moment's) runs its steps on one set of arrays of its own and
+    drops it, so it leaves no large arrays behind.
 
     Coordinate j of coset cw + pZ^n rounds to the nearest point of
-    cw_j + pZ, which depends only on (y_j, cw_j). So one (m, n, p) table
-    holds the rounded lift of every residue and its squared distance.
-    Coset c's squared distance, the sum over j of the table's entry
-    (j, cw_j), is column c of one matrix product of the flattened table
-    with ``onehot``. Within each group, among the cosets within 1e-12 of
-    the group's shortest distance the lexicographically smallest point
-    wins.
+    cw_j + pZ, which depends only on (y_j, cw_j). So one (m, n p) table
+    holds the rounded lift of every residue, entry j p + r for residue r
+    of coordinate j, and another its squared distance. Coset c's squared
+    distance, the sum over j of the entries j p + cw_j, is column c of one
+    matrix product of the squared-distance table with ``onehot``. Within
+    each group, among the cosets within 1e-12 of the group's shortest
+    distance the lexicographically smallest point wins.
 
     Where a coordinate's squared distance is inf at every residue (finite
     |y_j| >~ 1e170), inf * 0 makes the whole product row NaN; every coset
@@ -102,47 +137,56 @@ def _coset_scan(Y: np.ndarray, cols: np.ndarray, onehot: np.ndarray, p: int,
     NaN in every coset too, and gets each group's first coset's lift,
     whatever rows share its batch.
     """
-    chunk = max(1, SCAN_ELEMENTS // len(cols))
+    chunk = table.chunk
     if len(Y) <= chunk:
-        return _scan_chunk(Y, cols, onehot, p, groups, classes)
-    return np.concatenate([_scan_chunk(Y[lo:lo + chunk], cols, onehot, p,
-                                       groups, classes)
+        return _scan_chunk(Y, table, table.work(len(Y)))
+    work = table.new_work(chunk)
+    return np.concatenate([_scan_chunk(Y[lo:lo + chunk], table, work)
                            for lo in range(0, len(Y), chunk)])
 
 
-def _scan_chunk(Y: np.ndarray, cols: np.ndarray, onehot: np.ndarray, p: int,
-                groups: int, classes: Optional[np.ndarray]) -> np.ndarray:
-    """:func:`_coset_scan` of one chunk of rows."""
+def _scan_chunk(Y: np.ndarray, table: _ScanTable,
+                work: tuple[np.ndarray, ...]) -> np.ndarray:
+    """:func:`_coset_scan` of one step of rows, on the leading rows of
+    ``work``; every array it returns is new."""
     # ufunc reductions rather than the array methods: this runs once per
     # single-vector call, where the methods' Python wrappers show.
     m, n = Y.shape
-    r = np.arange(p)
-    Yr = Y[:, :, None]
-    lift = r + p * _round_ties_down((Yr - r) / p)
-    sq = lift - Yr
+    p, groups = table.p, table.groups
+    lift, sq, d, far = work
+    lift, sq, d, far = lift[:m], sq[:m], d[:m], far[:m * groups]
+    sq.reshape(m, n, p)[...] = Y[:, :, None]   # entry j p + r of row i: y_ij
+    np.subtract(sq, table.residues, out=lift)  # r + p ceil((y - r) / p - 0.5)
+    lift /= p
+    lift -= 0.5
+    np.ceil(lift, out=lift)
+    lift *= p
+    lift += table.residues
+    np.subtract(lift, sq, out=sq)
     sq *= sq
-    d = sq.reshape(m, n * p) @ onehot
-    np.sqrt(d, out=d)   # one (m, c) table, not two
-    size = d.shape[1] // groups
+    np.matmul(sq, table.onehot, out=d)
+    np.sqrt(d, out=d)
+    size = far.shape[1]
     d = d.reshape(m * groups, size)   # row i * groups + g: group g of row i
-    # Not-greater rather than less-or-equal: a NaN row marks every coset.
-    best = ~(d > (np.minimum.reduce(d, axis=1) + 1e-12)[:, None])
-    pick = best.argmax(axis=1)   # the winning column of each row and group
+    # Greater-than marks the cosets outside the window; a NaN row marks none.
+    np.greater(d, (np.minimum.reduce(d, axis=1) + 1e-12)[:, None], out=far)
+    pick = far.argmin(axis=1)   # the first column in each row's window
     if groups > 1:
         pick = pick.reshape(m, groups)
         pick += np.arange(0, size * groups, size)   # each group's first column
         pick = pick.reshape(m * groups)
-    if np.count_nonzero(best) > m * groups:
-        for i in np.flatnonzero(np.add.reduce(best, axis=1) > 1).tolist():
+    if np.count_nonzero(far) < m * groups * (size - 1):
+        for i in np.flatnonzero(np.add.reduce(far, axis=1) < size - 1
+                                ).tolist():
             row, g = divmod(i, groups)
             if np.logical_and.reduce(np.isfinite(Y[row])):  # else coset 0
-                tied = size * g + np.flatnonzero(best[i])
-                pts = lift[row].take(cols[tied]).tolist()
+                tied = size * g + np.flatnonzero(~far[i])
+                pts = lift[row].take(table.cols[tied]).tolist()
                 # Lists compare lexicographically.
                 pick[i] = tied[min(range(len(pts)), key=pts.__getitem__)]
-    if classes is not None:
-        return classes.take(pick)
-    index = cols[pick].reshape(m, -1)   # entries of row i's (n, p) lift
+    if table.classes is not None:
+        return table.classes.take(pick)
+    index = table.cols[pick].reshape(m, -1)   # entries of row i's lift row
     if m > 1:               # row i's lift starts at entry i n p, row 0's at 0
         index += n * p * np.arange(m)[:, None]
     return lift.take(index).reshape(m * groups, n)
@@ -186,8 +230,9 @@ class Lattice:
         h = self.voronoi_box_halfwidth()
         for _ in range(REJECTION_ATTEMPTS):
             u = rng.uniform(-h, h, size=self.n)
-            # np.allclose(Q(u), 0, atol=TOL) without its per-call cost.
-            if (np.abs(self.nearest(u)) <= TOL).all():
+            # Nearest points are gamma times integers: 0 exactly or at
+            # least gamma away, so the test holds at every scale.
+            if not self.nearest(u).any():
                 return u
         raise RejectionBudgetExceeded(
             f"no accept in {REJECTION_ATTEMPTS} attempts (halfwidth {h:g})")
@@ -227,20 +272,11 @@ class ConstructionALattice(Lattice):
         self.gamma = float(gamma)
         self.rows = rows
         self.rows.setflags(write=False)
-        self._scan_cols: Optional[np.ndarray] = None
-        self._scan_onehot: Optional[np.ndarray] = None
+        self._scan: Optional[_ScanTable] = None
 
     @property
     def volume(self) -> float:
         return self.gamma ** self.n * float(self.p) ** (self.n - self.k)
-
-    def _scan_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_scan_tables` of the code's p^k codewords as one group;
-        cached."""
-        if self._scan_cols is None:
-            self._scan_cols, self._scan_onehot = _scan_tables(
-                self.p, self.rows, np.zeros((1, self.n), dtype=np.int64))
-        return self._scan_cols, self._scan_onehot
 
     def nearest(self, x: np.ndarray) -> np.ndarray:
         """Exact nearest point, ties broken lexicographically."""
@@ -265,8 +301,10 @@ class ConstructionALattice(Lattice):
             return self.gamma * self.p * _round_ties_down(Y / self.p)
         if self.k == self.n:
             return self.gamma * _round_ties_down(Y)
-        cols, onehot = self._scan_columns()
-        return self.gamma * _coset_scan(Y, cols, onehot, self.p)
+        if self._scan is None:   # the code's p^k codewords as one group
+            self._scan = _ScanTable(self.p, self.rows,
+                                    np.zeros((1, self.n), dtype=np.int64))
+        return self.gamma * _coset_scan(Y, self._scan)
 
     def voronoi_box_halfwidth(self) -> float:
         # gamma*p*Z^n is a sublattice, so the cell sits inside its cube cell.
@@ -300,7 +338,7 @@ def second_moment(lattice: ConstructionALattice, samples: int, seed: int) -> flo
 
     The estimate is that of ``samples`` :meth:`Lattice.sample_voronoi`
     calls on ``default_rng(seed)``, summed in order. Their box draws come
-    in blocks of SCAN_ELEMENTS coordinates, accepted by one
+    in blocks of BLOCK_ELEMENTS coordinates, accepted by one
     :meth:`Lattice.nearest_many` call per block: a split uniform draw is
     the same stream, and ``nearest_many`` equals ``nearest`` bit for bit.
     """
@@ -308,15 +346,14 @@ def second_moment(lattice: ConstructionALattice, samples: int, seed: int) -> flo
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     h = lattice.voronoi_box_halfwidth()
-    block = max(1, SCAN_ELEMENTS // lattice.n)
+    block = max(1, BLOCK_ELEMENTS // lattice.n)
     total = 0.0
     accepted = 0
     misses = 0              # rejected draws since the last accepted one
     while accepted < samples:
         U = rng.uniform(-h, h, size=(block, lattice.n))
         need = samples - accepted
-        hits = np.flatnonzero(
-            (np.abs(lattice.nearest_many(U)) <= TOL).all(axis=1))[:need]
+        hits = np.flatnonzero(~lattice.nearest_many(U).any(axis=1))[:need]
         # Rejected draws before each accepted one: one sample's attempts.
         runs = np.diff(hits, prepend=-1 - misses) - 1
         misses = block - 1 - hits[-1] if len(hits) else misses + block

@@ -12,6 +12,7 @@ scans of the list lattice, whose members the grouped scan must reproduce.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,19 @@ def list_decode_q_form(Y, coarse: ConstructionALattice,
         for i in range(len(grid)):
             out.append(np.unique(np.round(members[owner == i], 9), axis=0))
     return out
+
+
+def repeat_call_peak(f, X) -> int:
+    """Peak bytes traced by tracemalloc during one call f(X), made after a
+    warm-up call on the same input (numpy reports its array buffers to
+    tracemalloc)."""
+    f(X)
+    tracemalloc.start()
+    try:
+        f(X)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

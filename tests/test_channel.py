@@ -27,7 +27,12 @@ from latrelay.lattice import (
     codebook_index,
     enumerate_codebook,
 )
-from conftest import _codeword_grid, list_decode_q_form, shift_rescan_decode
+from conftest import (
+    _codeword_grid,
+    list_decode_q_form,
+    repeat_call_peak,
+    shift_rescan_decode,
+)
 
 
 def _points_equal(a, b):
@@ -91,6 +96,37 @@ class TestEncodeDithered:
         sd = math.sqrt(lat.second_moment_exact())
         tol = 4 * sd * math.sqrt(2 / 20_000)
         assert np.max(np.abs(Xa.mean(axis=0) - Xb.mean(axis=0))) < 2 * tol
+
+
+class TestZeroAtAnyScale:
+    """Nearest points are gamma times integers, so "the nearest point is
+    0" is an exact test at every gamma, with no absolute tolerance."""
+
+    @pytest.mark.parametrize("gamma", [1e-12, 1.0, 1e12])
+    def test_encode_checks_the_cell(self, gamma):
+        lat = ConstructionALattice(3, [[1, 1]], gamma=gamma)
+        U = np.zeros((1, 2))
+        # (1.4, 1.4) is nearest to (1, 1), a lattice point other than 0.
+        with pytest.raises(NotACodeword):
+            encode_dithered(gamma * np.array([[1.4, 1.4]]), U, lat)
+        t = gamma * np.array([[0.4, -0.4]])
+        assert np.array_equal(encode_dithered(t, U, lat), t)
+
+    @pytest.mark.parametrize("gamma", [1e-12, 1e12])
+    def test_p2p_error_events_at_any_scale(self, gamma):
+        # gamma, P and N scaled together scale every draw, so the error
+        # rate is the unit-scale run's, and each trial's membership event
+        # agrees with its effective-noise event (simulate_p2p raises if
+        # not).
+        def pe(scale):
+            ch = build_chain(3, 2, [0, 1, 2], gamma=scale * 2 / 3 ** 0.5,
+                             seed=0)
+            return simulate_p2p(ch, AwgnParams(P=scale ** 2,
+                                               N=0.8 * scale ** 2),
+                                trials=400, seed=4).pe_hat
+        unit = pe(1.0)
+        assert unit > 0.05
+        assert pe(gamma) == pytest.approx(unit, abs=2 / 400)
 
 
 class TestFrontEnd:
@@ -204,8 +240,37 @@ class TestGroupedDecode:
     @pytest.mark.parametrize("p, n, ranks", SHAPES)
     def test_matches_shift_rescan(self, p, n, ranks):
         ch = build_chain(p, n, list(ranks), gamma=2 / 3 ** 0.5, seed=1)
-        chunk = max(1, SCAN_ELEMENTS // p ** ranks[2])
+        chunk = max(1, SCAN_ELEMENTS // max(p ** ranks[2], n * p))
         self._check(ch, (chunk - 1, chunk, chunk + 1), 10 * p + n)
+
+    @staticmethod
+    def _p2p_n8_chain():
+        # The p2p_n8 shape: 3^6 fine cosets in 9 groups, 44 rows a step.
+        return build_chain(3, 8, [0, 4, 6], gamma=2 / 3 ** 0.5, seed=1)
+
+    def test_kept_arrays_grow(self):
+        # Batches of 3 and 4 rows, then one of two steps, through the same
+        # table.
+        ch = self._p2p_n8_chain()
+        chunk = max(1, SCAN_ELEMENTS // 3 ** 6)
+        self._check(ch, (3, 4, chunk + 1), 7)
+
+    def test_repeat_decode_allocates_no_distance_table(self):
+        dec = self._p2p_n8_chain().list_decoder
+        Y = np.random.default_rng(0).uniform(-2, 2, size=(40, 8))
+        assert 40 <= SCAN_ELEMENTS // 3 ** 6     # one step
+        assert repeat_call_peak(dec.decode_many, Y) < 40 * 3 ** 6 * 8
+
+    def test_results_do_not_alias_work_arrays(self):
+        dec = self._p2p_n8_chain().list_decoder
+        rng = np.random.default_rng(1)
+        Y, y = rng.uniform(-2, 2, size=(40, 8)), rng.uniform(-2, 2, size=8)
+        many, one = dec.decode_many(Y), dec.decode(y).indices
+        kept_many, kept_one = many.copy(), one.copy()
+        dec.decode_many(rng.uniform(-2, 2, size=(40, 8)))
+        dec.decode(rng.uniform(-2, 2, size=8))
+        assert np.array_equal(many, kept_many)
+        assert np.array_equal(one, kept_one)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_list_of_one_reads_pivot_residues(self, p):

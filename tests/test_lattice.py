@@ -30,6 +30,7 @@ from latrelay.lattice import (
 from conftest import (
     brute_force_nearest,
     direct_scan_nearest,
+    repeat_call_peak,
     second_moment_quadrature,
 )
 
@@ -141,7 +142,7 @@ class TestCosetScanKernel:
         (2, 8, 4), (5, 8, 4), (7, 8, 4)])
     def test_matches_direct_scan(self, p, n, k):
         lat = build_chain(p, n, [k], gamma=0.5, seed=3)[0]
-        chunk = max(1, SCAN_ELEMENTS // p ** k)
+        chunk = max(1, SCAN_ELEMENTS // max(p ** k, n * p))
         rng = np.random.default_rng(100 * p + 10 * n + k)
         for m in (chunk - 1, chunk, chunk + 1):
             ties = rng.integers(-2 * p, 2 * p + 1, size=(m, n)) / 2.0
@@ -184,6 +185,72 @@ class TestCosetScanKernel:
                                for x in X])
         assert np.array_equal(single, want, equal_nan=True)
         assert np.array_equal(beside, want, equal_nan=True)
+
+
+class TestScanWorkArrays:
+    """Each scan table keeps the work arrays of one step of rows and
+    reuses them: a repeated one-step scan allocates no (rows x cosets)
+    table, and what a scan returns never shares memory with them."""
+
+    @staticmethod
+    def _lattice():
+        # The list lattice of the p2p_n8 chain: p^k = 3^4 cosets at n = 8.
+        return build_chain(3, 8, [0, 4, 6], gamma=2 / 3 ** 0.5, seed=1)[1]
+
+    def test_repeat_scan_allocates_no_distance_table(self):
+        lat = self._lattice()
+        X = np.random.default_rng(0).uniform(-2, 2, size=(360, 8))
+        assert 360 <= max(1, SCAN_ELEMENTS // 81)     # one step
+        assert repeat_call_peak(lat.nearest_many, X) < 360 * 81 * 8
+
+    def test_results_do_not_alias_work_arrays(self):
+        lat = self._lattice()
+        rng = np.random.default_rng(1)
+        X, x = rng.uniform(-2, 2, size=(50, 8)), rng.uniform(-2, 2, size=8)
+        many, one = lat.nearest_many(X), lat.nearest(x)
+        kept_many, kept_one = many.copy(), one.copy()
+        lat.nearest_many(rng.uniform(-2, 2, size=(50, 8)))
+        lat.nearest(rng.uniform(-2, 2, size=8))
+        assert np.array_equal(many, kept_many)
+        assert np.array_equal(one, kept_one)
+
+    @pytest.mark.parametrize("p, n, k", [(3, 8, 4), (3, 2, 1), (5, 4, 2)])
+    def test_growth_matches_direct_scan(self, p, n, k):
+        # Through one table: batches of 3 and 4 rows (the kept arrays grow
+        # by one row), one of two steps (whose steps allocate their own
+        # arrays), one full step (the kept arrays grow) and a short batch
+        # on views of them.
+        lat = build_chain(p, n, [k], gamma=0.5, seed=3)[0]
+        chunk = max(1, SCAN_ELEMENTS // max(p ** k, n * p))
+        rng = np.random.default_rng(p + n + k)
+        for m in (3, 4, chunk + 1, chunk, 2):
+            X = lat.gamma * rng.integers(-2 * p, 2 * p + 1, size=(m, n)) / 2.0
+            X[::2] += rng.uniform(-0.3, 0.3, size=X[::2].shape)
+            assert np.array_equal(lat.nearest_many(X),
+                                  direct_scan_nearest(lat, X))
+
+
+class TestZeroAtAnyScale:
+    """Nearest points are gamma times integers, so "the nearest point is
+    0" is an exact test at every gamma: no absolute tolerance decides it.
+    The oracles work at unit scale."""
+
+    ROWS = [[1, 1]]
+
+    @pytest.mark.parametrize("gamma", [1e-12, 1.0, 1e12])
+    def test_voronoi_draws_lie_in_the_cell(self, gamma):
+        lat = ConstructionALattice(3, self.ROWS, gamma=gamma)
+        unit = ConstructionALattice(3, self.ROWS, gamma=1.0)
+        rng = np.random.default_rng(11)
+        U = np.array([lat.sample_voronoi(rng) for _ in range(500)])
+        assert not brute_force_nearest(unit, U / gamma).any()
+
+    @pytest.mark.parametrize("gamma", [1e-12, 1e12])
+    def test_second_moment_scales_as_gamma_squared(self, gamma):
+        lat = ConstructionALattice(3, self.ROWS, gamma=gamma)
+        unit = ConstructionALattice(3, self.ROWS, gamma=1.0)
+        assert second_moment(lat, 2000, seed=2) / gamma ** 2 == pytest.approx(
+            second_moment(unit, 2000, seed=2), rel=1e-9)
 
 
 class TestModLattice:
