@@ -16,12 +16,11 @@ import numpy as np
 
 from . import gf
 from .channel import NestedListDecoder
-from .errors import Infeasible, InvalidRanks
-from .lattice import (
-    BLOCK_ELEMENTS,
-    ConstructionALattice,
-    is_sublattice,
-)
+from .errors import InvalidRanks
+from .lattice import ConstructionALattice, is_sublattice
+
+# Coordinates of one chunk of pick_generator_rows' candidate codewords.
+BLOCK_ELEMENTS = 16_384
 
 
 def shortest_vector_norm(p: int, rows: np.ndarray) -> tuple[float, int]:
@@ -203,29 +202,23 @@ def required_list_volume(V: float, P: float, N: float, n: int) -> float:
 
 
 def size_list_lattice(coarse: ConstructionALattice, fine: ConstructionALattice,
-                      P: float, N: float, margin: float = 0.0
-                      ) -> ConstructionALattice:
+                      P: float, N: float) -> ConstructionALattice:
     """Intermediate list-decoding lattice for the nested pair (coarse, fine).
 
     Picks the largest rank k_s (smallest volume V_s) with
-    V_s >= (1 + margin) * (N/(P+N))^(n/2) * V, clamped so that
+    V_s >= (N/(P+N))^(n/2) * V, clamped so that
     Lambda subseteq Lambda_s subseteq Lambda_c. Expected list size V_s/Vc.
+    The bound is at most V, so the coarse rank always qualifies.
     """
-    if P <= 0 or N <= 0:
-        raise ValueError("P and N must be positive")
+    if not (math.isfinite(P) and math.isfinite(N) and P > 0 and N > 0):
+        raise ValueError(
+            f"P and N must be finite and positive, got P={P!r}, N={N!r}")
     if not (is_sublattice(coarse, fine)
             and np.array_equal(coarse.rows, fine.rows[:coarse.k])):
         raise InvalidRanks("pair rows must be prefix-nested")
     n = coarse.n
-    target = (1.0 + margin) * required_list_volume(coarse.volume, P, N, n)
-    k_s = None
-    for k in range(fine.k, coarse.k - 1, -1):
-        v = coarse.gamma ** n * float(coarse.p) ** (n - k)
-        if v >= target - 1e-12 * target:
-            k_s = k
-            break
-    if k_s is None:
-        raise Infeasible(
-            f"no rank in [{coarse.k}, {fine.k}] reaches V_s >= {target:g}; "
-            "rebuild with larger p or different ranks")
+    target = required_list_volume(coarse.volume, P, N, n)
+    k_s = next((k for k in range(fine.k, coarse.k, -1)
+                if coarse.gamma ** n * float(coarse.p) ** (n - k)
+                >= target - 1e-12 * target), coarse.k)
     return fine.with_rank(k_s)

@@ -119,12 +119,12 @@ def block_draws(seed: int, blocks: int, sizes, dither_lattices, noise_vars
       draws), then the flush message 1; shape (blocks + 1,).
     - Dithers, per lattice, shape (blocks + 1, n). A cubic (rank-0)
       lattice's cell is the cube of side gamma p, so its dither is one
-      uniform draw on [-h, h), h = gamma p / 2, reduced mod the lattice by
-      one ``mod_many``. That is the row ``sample_voronoi`` draws and, but
-      on the face u_j = -h, accepts at once; the reduction maps -h to +h,
-      where ``sample_voronoi`` would draw again, so the two agree but on a
-      set of measure zero. Other lattices draw by ``sample_voronoi``'s
-      rejection, once per block in turn.
+      ``draw_cell`` call: a uniform draw on [-h, h), h = gamma p / 2,
+      reduced mod the lattice. That is the row ``sample_voronoi`` draws
+      and, but on the face u_j = -h, accepts at once; the reduction maps
+      -h to +h, where ``sample_voronoi`` would draw again, so the two
+      agree but on a set of measure zero. Other lattices draw by
+      ``sample_voronoi``'s rejection, once per block in turn.
     - Noises, per variance: one normal draw of shape (blocks + 1, n).
 
     Returns (messages, dithers, noises), each a list in the order of
@@ -139,8 +139,7 @@ def block_draws(seed: int, blocks: int, sizes, dither_lattices, noise_vars
     for i, lat in enumerate(dither_lattices):
         rng = trial_rng(seed, STREAM_KEYS["dithers"][i])
         if lat.k == 0:
-            h = lat.voronoi_box_halfwidth()
-            dithers.append(lat.mod_many(rng.uniform(-h, h, size=(rows, n))))
+            dithers.append(lat.draw_cell(rng, rows))
         else:
             dithers.append(np.array([lat.sample_voronoi(rng)
                                      for _ in range(rows)]))
@@ -325,18 +324,18 @@ def simulate_p2p(chain, awgn: AwgnParams, trials: int, seed: int,
     batch. Batch b draws CHUNK messages, dithers and noise, in that order,
     from ``trial_rng(seed, b)`` and uses as many as it has trials, so
     trial i sees the same draws whatever the trial count. The dither is
-    the coarse reduction of a uniform draw from the cube
-    [-gamma p/2, gamma p/2)^n, exactly uniform on the coarse cell because
-    gamma p Z^n is a sublattice. Per trial the membership event (message
-    w not among the list's indices) is cross-checked against the direct
-    effective-noise event (Z' not in V_s); a mismatch is a bug and raises.
+    :meth:`ConstructionALattice.draw_cell`'s cube draw, made on all CHUNK
+    rows and reduced on the trials' rows alone. Per trial the membership
+    event (message w not among the list's indices) is cross-checked
+    against the direct effective-noise event (Z' not in V_s); a mismatch
+    is a bug and raises.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     coarse, mid, fine = chain[0], chain[1], chain[2]
     decoder, codebook = chain.list_decoder, chain.codebook
     n = coarse.n
-    half = coarse.gamma * coarse.p / 2.0
+    half = coarse.voronoi_box_halfwidth()
     errors = 0
     size_total = 0
     log = []

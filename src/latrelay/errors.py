@@ -34,7 +34,8 @@ class NotPrime(LatrelayError):
 
 
 class Infeasible(LatrelayError):
-    """No lattice in the chain satisfies the requested volume bound."""
+    """The TWRC rates need a code rank above n, or the broadcast rate is
+    below the bottleneck capacity."""
 
 
 class NegativeArgument(LatrelayError):

@@ -40,10 +40,6 @@ DEFAULT_ENUM_BUDGET = 2_000_000
 # and the working set stays small whatever the batch size.
 SCAN_ELEMENTS = 32_768
 
-# Entries of one block of the batched set-up loops: second_moment's box
-# draws (coordinates) and pick_generator_rows' candidate codewords.
-BLOCK_ELEMENTS = 16_384
-
 # Box draws the rejection sampler makes for one sample before it gives up.
 REJECTION_ATTEMPTS = 200_000
 
@@ -119,8 +115,9 @@ def _coset_scan(Y: np.ndarray, table: _ScanTable) -> np.ndarray:
 
     Rows go in steps of ``table.chunk`` rows. A batch of one step runs on
     the table's kept work arrays. A longer batch (set-up work such as
-    second_moment's) runs its steps on one set of arrays of its own and
-    drops it, so it leaves no large arrays behind.
+    enumerate_codebook's reduction of a large codebook) runs its steps on
+    one set of arrays of its own and drops it, so it leaves no large
+    arrays behind.
 
     Coordinate j of coset cw + pZ^n rounds to the nearest point of
     cw_j + pZ, which depends only on (y_j, cw_j). So one (m, n p) table
@@ -310,6 +307,18 @@ class ConstructionALattice(Lattice):
         # gamma*p*Z^n is a sublattice, so the cell sits inside its cube cell.
         return 0.5 * self.gamma * self.p
 
+    def draw_cell(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """``m`` independent points uniform on the Voronoi cell, as (m, n).
+
+        Each row is a uniform draw on the cube [-h, h)^n, h
+        :meth:`voronoi_box_halfwidth`, reduced mod the lattice. The cube is
+        a fundamental region of gamma p Z^n, a sublattice, so the reduced
+        row is exactly uniform on the cell (the crypto lemma; Erez and
+        Zamir, IEEE Trans. IT 2004) and no draw is rejected.
+        """
+        h = self.voronoi_box_halfwidth()
+        return self.mod_many(rng.uniform(-h, h, size=(m, self.n)))
+
     def second_moment_exact(self) -> Optional[float]:
         if self.k == 0:
             return (self.gamma * self.p) ** 2 / 12.0
@@ -334,37 +343,13 @@ class ConstructionALattice(Lattice):
 
 
 def second_moment(lattice: ConstructionALattice, samples: int, seed: int) -> float:
-    """Monte Carlo estimate of the per-dimension second moment of the cell.
-
-    The estimate is that of ``samples`` :meth:`Lattice.sample_voronoi`
-    calls on ``default_rng(seed)``, summed in order. Their box draws come
-    in blocks of BLOCK_ELEMENTS coordinates, accepted by one
-    :meth:`Lattice.nearest_many` call per block: a split uniform draw is
-    the same stream, and ``nearest_many`` equals ``nearest`` bit for bit.
-    """
+    """Monte Carlo estimate of the per-dimension second moment of the cell:
+    the mean squared norm of ``samples`` rows of
+    :meth:`ConstructionALattice.draw_cell` on ``default_rng(seed)``."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    h = lattice.voronoi_box_halfwidth()
-    block = max(1, BLOCK_ELEMENTS // lattice.n)
-    total = 0.0
-    accepted = 0
-    misses = 0              # rejected draws since the last accepted one
-    while accepted < samples:
-        U = rng.uniform(-h, h, size=(block, lattice.n))
-        need = samples - accepted
-        hits = np.flatnonzero(~lattice.nearest_many(U).any(axis=1))[:need]
-        # Rejected draws before each accepted one: one sample's attempts.
-        runs = np.diff(hits, prepend=-1 - misses) - 1
-        misses = block - 1 - hits[-1] if len(hits) else misses + block
-        if np.any(runs >= REJECTION_ATTEMPTS) or (
-                len(hits) < need and misses >= REJECTION_ATTEMPTS):
-            raise RejectionBudgetExceeded(f"no accept in {REJECTION_ATTEMPTS}"
-                                          f" attempts (halfwidth {h:g})")
-        for u in U[hits]:
-            total += float(u @ u)
-        accepted += len(hits)
-    return total / (samples * lattice.n)
+    U = lattice.draw_cell(np.random.default_rng(seed), samples)
+    return float((U * U).sum()) / (samples * lattice.n)
 
 
 def is_sublattice(coarse: ConstructionALattice,

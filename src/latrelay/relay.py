@@ -77,21 +77,15 @@ class DegradedRelayParams:
 BINNING_KEY = 0xB1A5
 
 
-@dataclass(frozen=True)
-class BinningMap:
+def bin_table(num_messages: int, num_bins: int, seed: int) -> np.ndarray:
     """Uniform i.i.d. assignment of message indices to bins, shared by all
-    nodes through the seed."""
-    num_messages: int
-    num_bins: int
-    seed: int
-    table: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(BINNING_KEY,)))
-        table = rng.integers(1, self.num_bins + 1, size=self.num_messages)
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
+    nodes through the seed: a read-only array whose entry w-1 is message
+    w's bin, 1..num_bins."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=seed, spawn_key=(BINNING_KEY,)))
+    table = rng.integers(1, num_bins + 1, size=num_messages)
+    table.setflags(write=False)
+    return table
 
 
 @dataclass
@@ -199,7 +193,7 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
     lam2k, lam_c2k = lam2.scaled(kappa), lam_c2.scaled(kappa)
     rho = math.sqrt(params.PR / (params.abar * params.P))
 
-    binning = BinningMap(codebooks.num_messages, codebooks.num_bins, seed)
+    bins = bin_table(codebooks.num_messages, codebooks.num_bins, seed)
     list_dec = ch1.list_decoder
     msg_points = codebooks.message_entries
     res_points = codebooks.resolution_entries
@@ -219,7 +213,7 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
 
     def bins_of(w: np.ndarray) -> np.ndarray:
         """Bin of each message index; -1 for index 0 (no message)."""
-        return np.where(w > 0, binning.table[w - 1], -1)
+        return np.where(w > 0, bins[w - 1], -1)
 
     def sent_bins(w_prev: np.ndarray) -> np.ndarray:
         """Bin sent in each block, given the message decoded in the block

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from latrelay.channel import STREAM_KEYS, NestedListDecoder, trial_rng
-from latrelay.relay import BinningMap, BlockRecord, DfRunResult
+from latrelay.relay import BlockRecord, DfRunResult, bin_table
 from latrelay.twrc import TwrcBlockRecord, TwrcRunResult
 
 
@@ -97,7 +97,7 @@ def df_reference(codebooks, params, seed: int) -> DfRunResult:
     lam2k, lam_c2k = lam2.scaled(kappa), lam_c2.scaled(kappa)
     rho = math.sqrt(params.PR / (params.abar * params.P))
 
-    bins = BinningMap(codebooks.num_messages, codebooks.num_bins, seed).table
+    bins = bin_table(codebooks.num_messages, codebooks.num_bins, seed)
     list_dec = NestedListDecoder(lam1, lam_s1, lam_c1)
     msg_of_point = _index_of(codebooks.message_entries, lam1.gamma)
     res_of_point = _index_of(codebooks.resolution_entries, lam2.gamma)

@@ -316,6 +316,33 @@ def test_example_cli_outputs_pinned(tmp_path, seed):
         assert got == digest, name
 
 
+# sha256 of `twrc-sim`'s outputs at the benchmark's TWRC point, whose
+# Lambda_2 has rank 1: its dither is drawn by sample_voronoi's rejection
+# and its power is the Monte-Carlo second_moment of draw_cell rows.
+BM_PINNED = {
+    0: {"twrc_blocks.csv": "7686e071cdf5303b9600d13a3a642343"
+                           "b41972513f734a7b537a424e35d547f0",
+        "twrc_summary.csv": "f80d07fafca12abfa26d4bf3bc271cc3"
+                            "a988ea732decf3c88f171ed1dbe9a148"},
+    3: {"twrc_blocks.csv": "6170dfa9814133c7e612020b28922c5e"
+                           "660fdad3733b033e50470ef8a74daa6a",
+        "twrc_summary.csv": "700137aa1cde9abddeab5507c89811a0"
+                            "4b6ee5b03258652db563e1ba3ed12eb3"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BM_PINNED))
+def test_rank_one_twrc_outputs_pinned(tmp_path, seed):
+    config = tmp_path / "twrc.ini"
+    config.write_text("[twrc-sim]\n" + "".join(
+        f"{key} = {value}\n"
+        for key, value in dict(TWRC_BM, p=3, n=2, runs=2).items()))
+    assert main(["twrc-sim", "--config", str(config), "--seed", str(seed),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    for name, digest in BM_PINNED[seed].items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, name
+
 # --- batch-only protocol maps ---------------------------------------------
 
 def _half_grid(gamma=1.0):

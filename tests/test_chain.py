@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from latrelay.chain import (
     pick_generator_rows,
     size_list_lattice,
 )
-from latrelay.errors import Infeasible, InvalidRanks, NotNested, NotPrime
+from latrelay.errors import InvalidRanks, NotNested, NotPrime
 from latrelay.lattice import (
     ConstructionALattice,
     enumerate_codebook,
@@ -190,8 +191,18 @@ class TestSizeListLattice:
         expected = 2.0 ** (2 * (R - C))
         assert ls.volume / ch[1].volume >= expected - 1e-9
 
-    def test_infeasible(self):
-        # a positive margin can push the target volume past the coarse cell
+    @pytest.mark.parametrize("P, N", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+        (0.0, 1.0), (1.0, -1.0)])
+    def test_non_finite_or_non_positive_powers_rejected(self, P, N):
+        # The volume bound is defined for finite positive P and N only: a
+        # NaN or inf must raise, not pick a rank.
         ch = build_chain(3, 2, [1, 2])
-        with pytest.raises(Infeasible):
-            size_list_lattice(ch[0], ch[1], P=1.0, N=1e9, margin=0.5)
+        with pytest.raises(ValueError, match="finite and positive"):
+            size_list_lattice(ch[0], ch[1], P=P, N=N)
+
+    def test_coarse_rank_when_noise_swamps_signal(self):
+        # The bound (N/(P+N))^(n/2) V never exceeds V, so the coarse rank
+        # is the floor of the search.
+        ch = build_chain(3, 2, [1, 2])
+        assert size_list_lattice(ch[0], ch[1], P=1e-300, N=1e300).k == 1

@@ -192,6 +192,19 @@ class TestTwrcSim:
         assert main(["twrc-sim", "--config", cfg,
                      "--out", str(tmp_path), "--quiet"]) == 3
 
+    def test_rejection_budget_exit_3(self, tmp_path, capsys, monkeypatch):
+        # The benchmark's point has a rank-1 Lambda_2, whose dither is drawn
+        # by sample_voronoi: with one attempt per sample a block misses.
+        monkeypatch.setattr("latrelay.lattice.REJECTION_ATTEMPTS", 1)
+        cfg = _write_cfg(tmp_path, (
+            "[twrc-sim]\nP1 = 4.0\nP2 = 1.0\nPR = 200.0\nN1 = 1.0\n"
+            "N2 = 1.0\nNR = 0.01\nR1 = 1.58\nR2 = 0.8\nR = 4.0\nB = 20\n"
+            "p = 3\nn = 2\nruns = 2\n"))
+        assert main(["twrc-sim", "--config", cfg,
+                     "--out", str(tmp_path), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: no accept in 1 attempts"), err
+
     def test_nan_rate_is_config_error(self, tmp_path, capsys):
         _config_error(tmp_path, capsys, "twrc-sim", "twrc_summary.csv",
                       self.CFG.replace("R1 = 0.8", "R1 = nan"))

@@ -358,37 +358,41 @@ class TestSecondMoment:
         quad = second_moment_quadrature(small_lattice, grid=140)
         assert mc == pytest.approx(quad, rel=0.05)
 
+    @staticmethod
+    def _mod_loop(lat, samples, seed):
+        # Oracle: one-vector mod calls over the cube draw of draw_cell.
+        h = lat.gamma * lat.p / 2
+        box = np.random.default_rng(seed).uniform(-h, h, (samples, lat.n))
+        return np.array([lat.mod(u) for u in box])
+
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_equals_per_sample_loop(self, k):
-        # Oracle: the estimate as a loop of sample_voronoi calls.
         rows = np.array([[1, 1], [0, 1]])[:k]
         lat = ConstructionALattice(3, rows, gamma=0.8, n=2)
         for seed, samples in itertools.product(range(4), (1, 9, 2000)):
-            rng = np.random.default_rng(seed)
-            total = 0.0
-            for _ in range(samples):
-                u = lat.sample_voronoi(rng)
-                total += float(u @ u)
-            assert second_moment(lat, samples, seed) == total / (samples * 2)
+            U = self._mod_loop(lat, samples, seed)
+            assert np.array_equal(
+                lat.draw_cell(np.random.default_rng(seed), samples), U)
+            assert second_moment(lat, samples, seed) == pytest.approx(
+                np.mean(np.sum(U * U, axis=1)) / 2, rel=1e-12)
 
     def test_equals_per_sample_loop_n8(self):
         rng = np.random.default_rng(6)
         lat = ConstructionALattice(3, _rand_rows(rng, 3, 8, 3), gamma=1.1, n=8)
         for seed in range(3):
-            rng = np.random.default_rng(seed)
-            total = 0.0
-            for _ in range(300):
-                u = lat.sample_voronoi(rng)
-                total += float(u @ u)
-            assert second_moment(lat, 300, seed) == total / (300 * 8)
+            U = self._mod_loop(lat, 300, seed)
+            assert np.array_equal(
+                lat.draw_cell(np.random.default_rng(seed), 300), U)
+            assert not direct_scan_nearest(lat, U).any()
+            assert second_moment(lat, 300, seed) == pytest.approx(
+                np.mean(np.sum(U * U, axis=1)) / 8, rel=1e-12)
 
-    def test_rejection_budget(self):
-        # Z^8 accepts 7^-8 of the draws from its box of side 7: the first
-        # 200 000 draws of this seed hold none, so sample_voronoi would
-        # give up on the first sample.
+    def test_cell_with_tiny_acceptance_ratio(self):
+        # Z^8 fills 7^-8 of its box of side 7, so a rejection sampler would
+        # give up here; the reduced cube draw is uniform on the unit cube.
         lat = ConstructionALattice(7, np.eye(8, dtype=int), n=8)
-        with pytest.raises(RejectionBudgetExceeded):
-            second_moment(lat, 1, seed=0)
+        se = np.sqrt((1 / 80 - 1 / 144) / (2000 * 8))   # sd of the mean u^2
+        assert abs(second_moment(lat, 2000, seed=0) - 1 / 12) < 3 * se
 
     def test_cubic_cell_exact(self):
         lat = ConstructionALattice(3, np.zeros((0, 2), dtype=int),
@@ -467,6 +471,17 @@ class TestIsSublattice:
 
 
 class TestVoronoiSampling:
+    def test_rejection_budget(self, monkeypatch):
+        # With one attempt per sample, a first box draw outside the cell
+        # exhausts the budget.
+        monkeypatch.setattr("latrelay.lattice.REJECTION_ATTEMPTS", 1)
+        lat = ConstructionALattice(3, [[1, 1]], gamma=1.0)
+        h = lat.voronoi_box_halfwidth()
+        seed = next(s for s in range(100) if lat.nearest(
+            np.random.default_rng(s).uniform(-h, h, size=2)).any())
+        with pytest.raises(RejectionBudgetExceeded, match="no accept in 1"):
+            lat.sample_voronoi(np.random.default_rng(seed))
+
     def test_integer_lattice_is_uniform_box(self):
         rng = np.random.default_rng(4)
         lat = integer_lattice(2)

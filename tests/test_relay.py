@@ -5,11 +5,10 @@ import pytest
 
 import latrelay.relay as relay
 from latrelay.chain import rank_for_rate
-from latrelay.errors import Infeasible
 from latrelay.lattice import second_moment
 from latrelay.relay import (
-    BinningMap,
     DegradedRelayParams,
+    bin_table,
     build_df_codebooks,
     df_capacity,
     df_round_trip,
@@ -41,10 +40,10 @@ class TestParams:
 
 class TestBinning:
     def test_deterministic_and_uniform_range(self):
-        bm = BinningMap(num_messages=27, num_bins=5, seed=3)
-        bm2 = BinningMap(num_messages=27, num_bins=5, seed=3)
-        assert np.array_equal(bm.table, bm2.table)
-        assert set(np.unique(bm.table)) <= set(range(1, 6))
+        table = bin_table(num_messages=27, num_bins=5, seed=3)
+        assert np.array_equal(table, bin_table(27, 5, 3))
+        assert set(np.unique(table)) <= set(range(1, 6))
+        assert not table.flags.writeable
 
 
 class TestBuildCodebooks:
@@ -122,7 +121,7 @@ class TestRoundTrip:
         p = _params(NR=1e-12, N=1e-12, PR=50.0, alpha=0.3, B=6, R=2.0)
         cbs = build_df_codebooks(p, p=5, n=2, seed=1)
         seed, miss_block = 2, 3
-        bins = BinningMap(cbs.num_messages, cbs.num_bins, seed).table
+        bins = bin_table(cbs.num_messages, cbs.num_bins, seed)
         lam1 = cbs.message_chain[0]
         real = relay.unique_decode
         relay_rows = []      # rows of each batched relay decode
