@@ -16,8 +16,13 @@ import numpy as np
 
 from . import gf
 from .channel import NestedListDecoder
-from .errors import InvalidRanks
-from .lattice import ConstructionALattice, is_sublattice
+from .errors import EnumerationBudgetExceeded, InvalidRanks
+from .lattice import (
+    DEFAULT_ENUM_BUDGET,
+    Codebook,
+    ConstructionALattice,
+    is_sublattice,
+)
 
 # Coordinates of one chunk of pick_generator_rows' candidate codewords.
 BLOCK_ELEMENTS = 16_384
@@ -57,10 +62,14 @@ def pick_generator_rows(p: int, n: int, kmax: int, seed: int = 0,
     The codewords of the rows so far are kept. A candidate adds the
     codewords cw + c cand, c = 1..p-1, so each rank scores all of its
     candidates from those, in chunks of about BLOCK_ELEMENTS coordinates.
+    p^kmax > DEFAULT_ENUM_BUDGET raises EnumerationBudgetExceeded first.
     """
     gf.check_prime(p)
     if not 0 <= kmax <= n:
         raise InvalidRanks(f"kmax = {kmax} outside [0, {n}]")
+    if p ** kmax > DEFAULT_ENUM_BUDGET:
+        raise EnumerationBudgetExceeded(
+            f"{p ** kmax} codewords exceed budget {DEFAULT_ENUM_BUDGET}")
     rng = np.random.default_rng(seed)
     residues = np.arange(p)
     lift_sq = np.minimum(residues, p - residues) ** 2   # centered lift
@@ -68,7 +77,7 @@ def pick_generator_rows(p: int, n: int, kmax: int, seed: int = 0,
     # odd p the coefficients up to (p - 1) / 2 see every norm twice.
     coeffs = np.arange(1, p // 2 + 1)
     weight = 1 if p == 2 else 2
-    big = p ** n + 2 * n + 1                 # above any multiplicity
+    big = p ** kmax + 2 * n + 1              # above any multiplicity
     rows = np.zeros((0, n), dtype=np.int64)
     cw = np.zeros((1, n), dtype=np.int64)    # codewords of rows, 0 first
     for _ in range(kmax):
@@ -136,9 +145,8 @@ class LatticeChain:
         return NestedListDecoder(self[0], self[1], self[2])
 
     @property
-    def codebook(self) -> np.ndarray:
-        """Codebook of (Lambda_1, Lambda_3): the list decoder's
-        :func:`enumerate_codebook` array, read-only."""
+    def codebook(self) -> Codebook:
+        """Codebook of (Lambda_1, Lambda_3): the list decoder's."""
         return self.list_decoder.codebook
 
     def rate(self, i: int, j: int) -> float:

@@ -16,19 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import gf
-from .errors import (
-    DimensionMismatch,
-    EnumerationBudgetExceeded,
-    NotACodeword,
-    NotNested,
-)
+from .errors import DimensionMismatch, NotACodeword, NotNested
 from .lattice import (
-    DEFAULT_ENUM_BUDGET,
+    Codebook,
     ConstructionALattice,
     _coset_scan,
     _ScanTable,
-    codebook_index,
     enumerate_codebook,
     is_sublattice,
 )
@@ -204,11 +197,9 @@ class NestedListDecoder:
     list coset, built once here. A list of one is the fine lattice's own
     nearest point, with its rank-n rounding and cached scan.
 
-    The decoder owns ``codebook``, :func:`enumerate_codebook` of (coarse,
-    fine), read-only: row w-1 is message w. A member's class mod the
-    coarse lattice depends only on its codeword, so one table, built
-    here, holds the message index of each fine codeword's class, and a
-    decode answers in message indices.
+    The decoder owns ``codebook``, the :class:`~latrelay.lattice.Codebook`
+    of (coarse, fine). A decode answers in message indices from its one
+    class table: the scan's winning columns, or a list of one's point.
     """
 
     def __init__(self, coarse: ConstructionALattice, mid: ConstructionALattice,
@@ -218,39 +209,21 @@ class NestedListDecoder:
         self.coarse = coarse
         self.mid = mid
         self.fine = fine
-        self.codebook = enumerate_codebook(coarse, fine)
-        self.codebook.setflags(write=False)
+        self.codebook = Codebook(coarse, fine)
         self.reps = enumerate_codebook(mid, fine)
         self.list_size = len(self.reps)
-        p, gamma = fine.p, fine.gamma
-        if self.list_size > 1:
-            # The fine codewords in scan-column order, group by group.
-            shifts = np.rint(self.reps / gamma).astype(np.int64) % p
-            self._scan = _ScanTable(p, mid.rows, shifts)
-            words = self._scan.cols - p * np.arange(fine.n)
-        else:
-            # In the order of their coefficients on the echelon rows, which
-            # are a fine point's residues on the pivot coordinates.
-            if p ** fine.k > DEFAULT_ENUM_BUDGET:
-                raise EnumerationBudgetExceeded(
-                    f"{p ** fine.k} codewords exceed budget "
-                    f"{DEFAULT_ENUM_BUDGET}")
-            echelon, self._pivots = gf.rref(fine.rows, p)
-            self._radix = p ** np.arange(fine.k - 1, -1, -1)
-            words = gf.all_codewords(echelon, p)
-        # Message index of each codeword's class: its lift reduced mod the
-        # coarse lattice, looked up in the codebook.
-        self._classes = codebook_index(
-            self.codebook, coarse.mod_many(gamma * words.astype(float)), gamma)
-        self._classes.setflags(write=False)
-        if self.list_size > 1:
-            self._scan.classes = self._classes
+        if self.list_size > 1:   # one scan, grouped by list coset
+            shifts = np.rint(self.reps / fine.gamma).astype(np.int64) % fine.p
+            self._scan = _ScanTable(fine.p, mid.rows, shifts)
+            # A column's entries, codeword + p j, have its codeword's residues.
+            self._scan.classes = self.codebook.classes(self._scan.cols)
+            self._scan.classes.setflags(write=False)
 
     def decode_many(self, Y_prime: np.ndarray) -> np.ndarray:
         """Lists for a batch of observations (m, n), as an (m, size) array
         of message indices: row i holds the classes mod the coarse lattice
         of the fine points in (Y_prime[i] + V_s), member g in ``reps[g]`` +
-        Lambda_s. ``codebook[idx - 1]`` are their points."""
+        Lambda_s. ``codebook.points[idx - 1]`` are their points."""
         Y = np.asarray(Y_prime, dtype=float)
         n, gamma = self.fine.n, self.fine.gamma
         if Y.ndim != 2 or Y.shape[1] != n:
@@ -261,8 +234,7 @@ class NestedListDecoder:
                 len(Y), self.list_size)
         # Lambda_s = Lambda_c: the list is Q_c(y').
         words = np.rint(self.fine.nearest_many(Y) / gamma).astype(np.int64)
-        keys = (words[:, self._pivots] % self.fine.p) @ self._radix
-        return self._classes.take(keys).reshape(len(Y), 1)
+        return self.codebook.classes(words).reshape(len(Y), 1)
 
     def decode(self, y_prime: np.ndarray,
                truth: Optional[np.ndarray] = None) -> ListDecodeResult:
@@ -273,11 +245,9 @@ class NestedListDecoder:
         idx = self.decode_many(np.asarray(y_prime, dtype=float)[None, :])[0]
         contains = None
         if truth is not None:
-            w = codebook_index(self.codebook,
-                               np.asarray(truth, dtype=float)[None, :],
-                               self.fine.gamma)[0]
+            w = self.codebook.index(np.asarray(truth, dtype=float)[None, :])[0]
             contains = bool(w and np.any(idx == w))
-        return ListDecodeResult(indices=idx, codebook=self.codebook,
+        return ListDecodeResult(indices=idx, codebook=self.codebook.points,
                                 contains_truth=contains)
 
 
@@ -333,7 +303,7 @@ def simulate_p2p(chain, awgn: AwgnParams, trials: int, seed: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     coarse, mid, fine = chain[0], chain[1], chain[2]
-    decoder, codebook = chain.list_decoder, chain.codebook
+    decoder, codebook = chain.list_decoder, chain.codebook.points
     n = coarse.n
     half = coarse.voronoi_box_halfwidth()
     errors = 0

@@ -391,29 +391,57 @@ def enumerate_codebook(coarse: ConstructionALattice,
     return points[np.lexsort(keys[:, ::-1].T)]
 
 
-def codebook_index(codebook: np.ndarray, points: np.ndarray,
-                   gamma: float) -> np.ndarray:
-    """Message index of each point of a batch (m, n): the 1-based row of
-    ``codebook`` (:func:`enumerate_codebook` at scale ``gamma``) equal to
-    it as integer multiples of gamma, or 0 where none is. A lexicographic
-    binary search over the sorted rows; nothing is built per call."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != codebook.shape[1]:
-        raise DimensionMismatch(f"expected rows of length {codebook.shape[1]},"
-                                f" got shape {points.shape}")
-    Q = np.rint(points / gamma)
-    target, half = gamma * Q, 0.5 * gamma
-    ahead = np.zeros(len(Q), dtype=np.int64)   # rows known to sort before
-    each = np.arange(len(Q))
-    step = 1 << (len(codebook).bit_length() - 1)
-    while step:
-        probe = ahead + step
-        # Row probe-1 (the last row past the end) minus the point: its first
-        # coordinate off by more than gamma/2 decides which sorts first.
-        d = codebook.take(probe - 1, axis=0, mode="clip") - target
-        first = d[each, (np.abs(d) > half).argmax(axis=1)]
-        ahead = np.where(first < -half, probe, ahead)
-        step >>= 1
-    row = np.minimum(ahead, len(codebook) - 1)   # the first row not before
-    found = np.all(np.rint(codebook[row] / gamma) == Q, axis=1)
-    return np.where(found, row + 1, 0)
+class Codebook:
+    """The codebook of a nested pair (coarse, fine) and its message map.
+
+    ``points``, :func:`enumerate_codebook` of the pair, is read-only: row
+    w-1 is message w. A fine point's class mod the coarse lattice depends
+    only on its codeword, fixed by its residues mod p on the pivots of
+    ``gf.rref(fine.rows)``, its coefficients on the echelon rows. So one
+    read-only table of p^k_fine message indices, in the radix order of
+    those coefficients, maps fine points to messages. p^k_fine >
+    DEFAULT_ENUM_BUDGET raises EnumerationBudgetExceeded first.
+    """
+
+    def __init__(self, coarse: ConstructionALattice,
+                 fine: ConstructionALattice):
+        p, k, gamma = fine.p, fine.k, fine.gamma
+        if p ** k > DEFAULT_ENUM_BUDGET:
+            raise EnumerationBudgetExceeded(
+                f"{p ** k} codewords exceed budget {DEFAULT_ENUM_BUDGET}")
+        self.points = enumerate_codebook(coarse, fine)
+        self.points.setflags(write=False)
+        self.p, self.gamma, self._keys = p, gamma, np.rint(self.points / gamma)
+        echelon, pivots = gf.rref(fine.rows, p)
+        self._pivot_coords = np.array(pivots, dtype=np.intp)
+        self._place_values = p ** np.arange(k - 1, -1, -1)
+        # Each codeword's class: its lift reduced mod the coarse lattice,
+        # then its row among the sorted distinct classes (the codebook's).
+        words = coarse.mod_many(gamma * gf.all_codewords(echelon, p))
+        self._table = np.unique(np.rint(words / gamma).astype(np.int64),
+                                axis=0, return_inverse=True)[1].ravel() + 1
+        self._table.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def classes(self, words: np.ndarray) -> np.ndarray:
+        """Message index of the class of each fine point of an integer
+        batch (m, n), in units of gamma, read from its pivot residues."""
+        residues = words[:, self._pivot_coords] % self.p
+        return self._table.take(residues @ self._place_values)
+
+    def index(self, points: np.ndarray) -> np.ndarray:
+        """The 1-based row of ``points`` equal to each row of a batch
+        (m, n) in units of gamma, or 0 where none is (so for a point off
+        the fine lattice or outside the cell, or with a NaN or inf)."""
+        P = np.asarray(points, dtype=float)
+        if P.ndim != 2 or P.shape[1] != self.points.shape[1]:
+            raise DimensionMismatch(f"expected rows of length "
+                                    f"{self.points.shape[1]}, got {P.shape}")
+        Q = np.rint(P / self.gamma)
+        # A non-finite coordinate's residue reads 0; the row matches none.
+        w = self.classes((np.where(np.isfinite(Q), Q, 0.0) % self.p
+                          ).astype(np.int64))
+        hit = np.logical_and.reduce(self._keys[w - 1] == Q, axis=1)
+        return np.where(hit, w, 0)

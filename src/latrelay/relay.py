@@ -28,7 +28,7 @@ from .channel import (
     trial_rng,  # noqa: F401 -- perfbench's tracer test reads relay.trial_rng
     unique_decode,
 )
-from .lattice import codebook_index, enumerate_codebook
+from .lattice import Codebook
 from .rates import best_power_split
 
 
@@ -90,21 +90,20 @@ def bin_table(num_messages: int, num_bins: int, seed: int) -> np.ndarray:
 
 @dataclass
 class DfCodebooks:
-    """Lattice chains and message maps for one parameter set."""
+    """Lattice chains and codebooks for one parameter set."""
     message_chain: LatticeChain      # (Lambda_1, Lambda_s1, Lambda_c1)
     resolution_chain: LatticeChain   # (Lambda_2, Lambda_c2)
     rate_achieved: float
     bin_rate_achieved: float
-    message_entries: np.ndarray      # message_chain.codebook; row w-1 is w
-    resolution_entries: np.ndarray   # (num_bins, n); row s-1 is bin s
+    resolution_codebook: Codebook    # of (Lambda_2, Lambda_c2); s is bin s
 
     @property
     def num_messages(self) -> int:
-        return len(self.message_entries)
+        return len(self.message_chain.codebook)
 
     @property
     def num_bins(self) -> int:
-        return len(self.resolution_entries)
+        return len(self.resolution_codebook)
 
 
 def _shaping_gamma(p: int, target_power: float) -> float:
@@ -132,14 +131,14 @@ def build_df_codebooks(params: DegradedRelayParams, p: int, n: int,
     gamma2 = _shaping_gamma(p, params.abar * params.P)
     dk2 = max(1, rank_for_rate(p, n, params.RR))
     chain2 = build_chain(p, n, [0, dk2], gamma=gamma2, seed=seed + 1)
+    chain1.list_decoder   # built here, with its codebook, not in a run
 
     return DfCodebooks(
         message_chain=chain1,
         resolution_chain=chain2,
         rate_achieved=chain1.rate(0, 2),
         bin_rate_achieved=chain2.rate(0, 1),
-        message_entries=chain1.codebook,
-        resolution_entries=enumerate_codebook(chain2[0], chain2[1]),
+        resolution_codebook=Codebook(chain2[0], chain2[1]),
     )
 
 
@@ -195,8 +194,8 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
 
     bins = bin_table(codebooks.num_messages, codebooks.num_bins, seed)
     list_dec = ch1.list_decoder
-    msg_points = codebooks.message_entries
-    res_points = codebooks.resolution_entries
+    msg_book, res_book = ch1.codebook, codebooks.resolution_codebook
+    msg_points, res_points = msg_book.points, res_book.points
 
     aP, abP = params.alpha * params.P, params.abar * params.P
     n_dest = params.N + params.NR
@@ -239,9 +238,7 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
     while rows.size:
         V[rows] = lam2.mod_many(res_points[s_relay[rows] - 1] - U2[rows])
         y = lam1.mod_many(alpha_relay * (YR[rows] - V[rows]) + U1[rows])
-        w_relay[rows] = codebook_index(msg_points,
-                                       unique_decode(y, lam1, lam_c1),
-                                       lam1.gamma)
+        w_relay[rows] = msg_book.index(unique_decode(y, lam1, lam_c1))
         implied = sent_bins(w_relay)
         rows = np.flatnonzero(implied != s_relay)
         s_relay = implied
@@ -250,9 +247,7 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
     # Destination: decode the bin, subtract its signal, list decode.
     Y2 = X1 + X2 + rho * V + ZR + Z2p
     y_bin = lam2k.mod_many(beta * Y2 + kappa * U2)
-    s_hat = codebook_index(res_points,
-                           unique_decode(y_bin, lam2k, lam_c2k) / kappa,
-                           lam2.gamma)
+    s_hat = res_book.index(unique_decode(y_bin, lam2k, lam_c2k) / kappa)
     bin_ok = s_hat == s_true
     X2_hat = kappa * lam2.mod_many(res_points[np.maximum(s_hat, 1) - 1] - U2)
     y_list = lam1.mod_many(alpha_list * (Y2 - X2_hat) + U1)

@@ -25,9 +25,8 @@ from .chain import build_chain, rank_for_rate, size_list_lattice
 from .channel import NestedListDecoder, block_draws, resolve
 from .errors import Infeasible, NotACodeword, NotNested
 from .lattice import (
+    Codebook,
     ConstructionALattice,
-    codebook_index,
-    enumerate_codebook,
     is_sublattice,
     second_moment,
 )
@@ -98,9 +97,9 @@ class TwrcCodebooks:
     lam_s2: ConstructionALattice
     dec1: NestedListDecoder               # (lam1, lam_s1, lam_c1): t1 at T2
     dec2: NestedListDecoder               # (lam2, lam_s2, lam_c2): t2 at T1
-    entries1: np.ndarray                  # dec1.codebook; row w-1 is message w
-    entries2: np.ndarray                  # dec2.codebook; row w-1 is message w
-    sum_entries: np.ndarray               # row i-1 is sum codeword i
+    entries1: np.ndarray                  # dec1.codebook.points; row w-1 is w
+    entries2: np.ndarray                  # dec2.codebook.points; row w-1 is w
+    sum_codebook: Codebook                # of (lam1, the finest); i is sum i
     relay_codebook: np.ndarray            # (num_bins, n), Gaussian, power PR
     bin_table: np.ndarray                 # sum index -> bin index (1-based)
     power1: float
@@ -114,7 +113,7 @@ class TwrcCodebooks:
 
     def bin_of_sum(self, T: np.ndarray) -> np.ndarray:
         """Bin (1-based) of each sum codeword in a batch (m, n)."""
-        index = codebook_index(self.sum_entries, T, self.lam1.gamma)
+        index = self.sum_codebook.index(T)
         if not index.all():
             raise NotACodeword("not a sum codeword")
         return self.bin_table[index - 1]
@@ -168,22 +167,22 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
 
     dec1 = NestedListDecoder(lam1, lam_s1, lam_c1)
     dec2 = NestedListDecoder(lam2, lam_s2, lam_c2)
-    sum_entries = enumerate_codebook(lam1, by_rank[kmax])
+    sum_codebook = Codebook(lam1, by_rank[kmax])
     # 2^(nR) bins, at most one per sum: capped before the power overflows.
     num_bins = max(1, round(2.0 ** min(n * params.R,
-                                       math.log2(len(sum_entries)))))
+                                       math.log2(len(sum_codebook)))))
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(RELAY_CODEBOOK_KEY,)))
     relay_codebook = rng.normal(0.0, math.sqrt(ch.PR), size=(num_bins, n))
-    bin_table = rng.integers(1, num_bins + 1, size=len(sum_entries))
-    if num_bins == len(sum_entries):
+    bin_table = rng.integers(1, num_bins + 1, size=len(sum_codebook))
+    if num_bins == len(sum_codebook):
         bin_table = np.arange(1, num_bins + 1)   # degenerate: one sum per bin
 
     return TwrcCodebooks(
         lam1=lam1, lam2=lam2, lam_c1=lam_c1, lam_c2=lam_c2,
         lam_s1=lam_s1, lam_s2=lam_s2,
-        dec1=dec1, dec2=dec2, entries1=dec1.codebook, entries2=dec2.codebook,
-        sum_entries=sum_entries,
+        dec1=dec1, dec2=dec2, entries1=dec1.codebook.points,
+        entries2=dec2.codebook.points, sum_codebook=sum_codebook,
         relay_codebook=relay_codebook, bin_table=bin_table,
         power1=power1, power2=power2,
         rate1_achieved=dk1 * math.log2(p) / n,
@@ -257,14 +256,14 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
     whose points the terminals' codebooks hold. Per direction, block b-1
     resolves at the end of block b by ``resolve`` on message indices;
     empty or ambiguous intersections count as errors. Sums are compared
-    by their index in ``sum_entries``.
+    by their index in ``sum_codebook``.
     """
     ch = params.channel
     lam1, lam2 = cbs.lam1, cbs.lam2
     a1 = cbs.power1 / (cbs.power1 + ch.N2)
     a2 = cbs.power2 / (cbs.power2 + ch.N1)
 
-    B, g = params.B, lam1.gamma
+    B = params.B
     # Row b-1 holds block b.
     (w1, w2), (U1, U2), (ZR, Z1, Z2) = block_draws(
         seed, B, (len(cbs.entries1), len(cbs.entries2)), (lam1, lam2),
@@ -277,8 +276,7 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
     # Relay: decode each block's sum, bin it for the next block.
     T_true = sum_codeword(t1, t2, U2, lam1, lam2)
     T_hat = relay_decode_sum(X1 + X2 + ZR, U1, U2, cbs, ch.NR)
-    sum_ok = (codebook_index(cbs.sum_entries, T_hat, g)
-              == codebook_index(cbs.sum_entries, T_true, g))
+    sum_ok = cbs.sum_codebook.index(T_hat) == cbs.sum_codebook.index(T_true)
     relay_s = np.concatenate([[1], cbs.bin_of_sum(T_hat)[:-1]])
     XR = cbs.relay_codebook[relay_s - 1]
 

@@ -84,7 +84,7 @@ def _index_of(codebook, scale) -> dict:
 def sum_bin_lookup(cbs):
     """The bin of one sum codeword of ``cbs``, through a dict of its
     points."""
-    sum_of_point = _index_of(cbs.sum_entries, cbs.lam1.gamma)
+    sum_of_point = _index_of(cbs.sum_codebook.points, cbs.lam1.gamma)
     return lambda T: int(
         cbs.bin_table[sum_of_point[_key(T, cbs.lam1.gamma)] - 1])
 
@@ -99,8 +99,10 @@ def df_reference(codebooks, params, seed: int) -> DfRunResult:
 
     bins = bin_table(codebooks.num_messages, codebooks.num_bins, seed)
     list_dec = NestedListDecoder(lam1, lam_s1, lam_c1)
-    msg_of_point = _index_of(codebooks.message_entries, lam1.gamma)
-    res_of_point = _index_of(codebooks.resolution_entries, lam2.gamma)
+    msg_points = ch1.codebook.points
+    res_points = codebooks.resolution_codebook.points
+    msg_of_point = _index_of(msg_points, lam1.gamma)
+    res_of_point = _index_of(res_points, lam2.gamma)
 
     aP, abP = params.alpha * params.P, params.abar * params.P
     n_dest = params.N + params.NR
@@ -124,11 +126,11 @@ def df_reference(codebooks, params, seed: int) -> DfRunResult:
         s_b = int(bins[w_true[b - 2] - 1]) if b > 1 else 1
         s_relay = int(bins[relay_w_hat - 1]) if b > 1 and relay_w_hat else 1
 
-        t1 = codebooks.message_entries[w_b - 1]
-        t2 = codebooks.resolution_entries[s_b - 1]
+        t1 = msg_points[w_b - 1]
+        t2 = res_points[s_b - 1]
         X1 = lam1.mod(t1 - U1)
         X2 = lam2.mod(t2 - U2)
-        t2_relay = codebooks.resolution_entries[s_relay - 1]
+        t2_relay = res_points[s_relay - 1]
         XR = rho * lam2.mod(t2_relay - U2)
 
         YR = X1 + X2 + ZR
@@ -146,7 +148,7 @@ def df_reference(codebooks, params, seed: int) -> DfRunResult:
         bin_ok = s_hat == s_b
         bin_errors += not bin_ok
 
-        t2_hat = codebooks.resolution_entries[(s_hat or 1) - 1]
+        t2_hat = res_points[(s_hat or 1) - 1]
         X2_hat = kappa * lam2.mod(t2_hat - U2)
         y_list = lam1.mod(alpha_list * (Y2 - X2_hat) + U1)
         lres = list_dec.decode(y_list, truth=t1)

@@ -9,6 +9,8 @@ membership test instead of the grouped coset scan of
 direct form, whose points the kernel's matrix-product scan must reproduce
 bit for bit, and ``shift_rescan_decode`` is the list decode as |L| such
 scans of the list lattice, whose members the grouped scan must reproduce.
+``message_index_oracle`` finds codebook rows by a dict of their integer
+coordinates, where the library reads a class table.
 """
 
 import itertools
@@ -114,6 +116,19 @@ def shift_rescan_decode(Y, coarse: ConstructionALattice,
     anchors = (reps + direct_scan_nearest(mid, shifts).reshape(shape)
                ).reshape(shifts.shape)
     return (anchors - direct_scan_nearest(coarse, anchors)).reshape(shape)
+
+
+def message_index_oracle(codebook: np.ndarray, points, gamma: float
+                         ) -> np.ndarray:
+    """1-based row of ``codebook`` equal to each row of ``points`` (m, n)
+    in integer units of gamma, or 0 where none is, by a dict keyed by the
+    rows' rounded coordinates. A NaN or infinite coordinate matches no
+    key."""
+    rows = {tuple(q): w for w, q in
+            enumerate(np.rint(codebook / gamma).tolist(), start=1)}
+    return np.array([rows.get(tuple(q), 0) for q in
+                     np.rint(np.asarray(points, dtype=float) / gamma).tolist()],
+                    dtype=np.int64)
 
 
 def _codeword_grid(lat: ConstructionALattice):

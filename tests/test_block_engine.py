@@ -29,7 +29,7 @@ from latrelay.channel import (
 )
 from latrelay.cli import GAPS_KEY, main
 from latrelay.errors import DimensionMismatch
-from latrelay.lattice import ConstructionALattice, codebook_index
+from latrelay.lattice import ConstructionALattice
 from latrelay.rates import TwrcParams
 from latrelay.relay import (
     BINNING_KEY,
@@ -49,7 +49,7 @@ from latrelay.twrc import (
 )
 import block_reference as ref
 from block_reference import df_reference, twrc_reference
-from conftest import shift_rescan_decode
+from conftest import message_index_oracle, shift_rescan_decode
 
 SEEDS = range(50)
 
@@ -139,7 +139,8 @@ def _list_decoders(kind, point):
     if kind == "df":
         d, p, n, cb_seed, _ = DF_POINTS[point]
         cbs = build_df_codebooks(DegradedRelayParams(**d), p, n, seed=cb_seed)
-        return [(cbs.message_chain.list_decoder, cbs.message_entries)]
+        return [(cbs.message_chain.list_decoder,
+                 cbs.message_chain.codebook.points)]
     d, p, n, cb_seed, _ = (TWRC_POINTS[point] if point != "found"
                            else (TWRC_FOUND, 3, 2, 0, None))
     cbs = build_twrc_codebooks(_twrc_params(d), p, n, seed=cb_seed,
@@ -156,12 +157,12 @@ def test_round_trips_build_no_decoder(decoder_builds):
     d, p, n, cb_seed, _ = TWRC_POINTS["block_markov"]
     tw_params = _twrc_params(d)
     tw_cbs = build_twrc_codebooks(tw_params, p, n, seed=cb_seed)
-    # DF's message decoder, which owns message_entries, then dec1 and dec2.
+    # DF's message decoder, which owns the message codebook, then dec1 and
+    # dec2.
     assert len(decoder_builds) == 3
     dec = df_cbs.message_chain.list_decoder
-    assert df_cbs.message_entries is dec.codebook
-    assert (tw_cbs.entries1, tw_cbs.entries2) == (tw_cbs.dec1.codebook,
-                                                  tw_cbs.dec2.codebook)
+    assert tw_cbs.entries1 is tw_cbs.dec1.codebook.points
+    assert tw_cbs.entries2 is tw_cbs.dec2.codebook.points
     for seed in range(3):
         df_round_trip(df_cbs, df_params, seed)
         twrc_round_trip(tw_cbs, tw_params, seed)
@@ -185,7 +186,7 @@ def test_list_members_are_codebook_rows(kind, point):
         g, half = c.gamma, c.gamma * c.p / 2
         Y = np.vstack([_half_grid(g), rng.uniform(-half, half, size=(2000, n))])
         members = shift_rescan_decode(Y, c, dec.mid, dec.fine)
-        want = codebook_index(entries, members.reshape(-1, n), g)
+        want = message_index_oracle(entries, members.reshape(-1, n), g)
         assert np.all(want > 0)
         assert np.array_equal(dec.decode_many(Y),
                               want.reshape(len(Y), dec.list_size))
@@ -398,7 +399,7 @@ def test_relay_decode_sum_and_bins_batch_match_single(bm_codebooks):
     U2 = np.vstack([U2, rng.uniform(-g, g, size=(300, 2))])
     T = _batch_matches_reference(relay_decode_sum, ref.relay_decode_sum,
                                  (YR, U1, U2), cbs, 0.01)
-    sums = np.vstack([T, cbs.sum_entries])
+    sums = np.vstack([T, cbs.sum_codebook.points])
     bins = cbs.bin_of_sum(sums)
     assert bins.shape == (len(sums),) and bins.dtype.kind == "i"
     assert bins.tolist() == list(map(ref.sum_bin_lookup(cbs), sums))
@@ -421,8 +422,7 @@ BATCH_ONLY = {
     "bin_of_sum": lambda c, a: c.bin_of_sum(a),
     "nearest_many": lambda c, a: c.lam2.nearest_many(a),
     "mod_many": lambda c, a: c.lam2.mod_many(a),
-    "codebook_index":
-        lambda c, a: codebook_index(c.sum_entries, a, c.lam1.gamma),
+    "codebook_index": lambda c, a: c.sum_codebook.index(a),
 }
 
 

@@ -10,8 +10,14 @@ from latrelay.chain import (
     pick_generator_rows,
     size_list_lattice,
 )
-from latrelay.errors import InvalidRanks, NotNested, NotPrime
+from latrelay.errors import (
+    EnumerationBudgetExceeded,
+    InvalidRanks,
+    NotNested,
+    NotPrime,
+)
 from latrelay.lattice import (
+    DEFAULT_ENUM_BUDGET,
     ConstructionALattice,
     enumerate_codebook,
     is_sublattice,
@@ -104,6 +110,19 @@ class TestPickGeneratorRows:
             want = pick_generator_rows_reference(p, n, kmax, seed=seed)
             got = pick_generator_rows(p, n, kmax, seed=seed)
             assert np.array_equal(got, want), (p, n, seed)
+
+    @pytest.mark.parametrize("p, n, kmax", [(3, 14, 14), (3, 40, 20),
+                                            (2, 80, 64)])
+    def test_budget_raises_before_any_draw(self, p, n, kmax, monkeypatch):
+        # Over the budget, and for n = 40 and 80 p^n is past int64.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew candidates")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        assert p ** kmax > DEFAULT_ENUM_BUDGET
+        with pytest.raises(EnumerationBudgetExceeded):
+            pick_generator_rows(p, n, kmax)
+        with pytest.raises(EnumerationBudgetExceeded):
+            build_chain(p, n, [0, kmax])
 
     def test_few_candidates_match_reference(self):
         # With one or two candidates per rank some draws are dependent,

@@ -24,12 +24,12 @@ from latrelay.errors import DimensionMismatch, NotACodeword
 from latrelay.lattice import (
     SCAN_ELEMENTS,
     ConstructionALattice,
-    codebook_index,
     enumerate_codebook,
 )
 from conftest import (
     _codeword_grid,
     list_decode_q_form,
+    message_index_oracle,
     repeat_call_peak,
     shift_rescan_decode,
 )
@@ -288,7 +288,7 @@ class TestGroupedDecode:
         on the half-integer tie grid and on uniform draws."""
         dec, gamma, p, n = ch.list_decoder, ch.gamma, ch.p, ch.n
         codebook = enumerate_codebook(ch[0], ch[2])
-        assert np.array_equal(dec.codebook, codebook)
+        assert np.array_equal(dec.codebook.points, codebook)
         rng = np.random.default_rng(seed)
         sub = {tuple(c) for c in _codeword_grid(ch[1])}
         rep_words = np.rint(dec.reps / gamma).astype(int)
@@ -298,8 +298,9 @@ class TestGroupedDecode:
             for Y in (gamma * ties, gamma * draws):
                 got = dec.decode_many(Y)
                 members = shift_rescan_decode(Y, ch[0], ch[1], ch[2])
-                want = codebook_index(codebook, members.reshape(-1, n),
-                                      gamma).reshape(m, dec.list_size)
+                want = message_index_oracle(
+                    codebook, members.reshape(-1, n), gamma
+                ).reshape(m, dec.list_size)
                 assert got.shape == (m, dec.list_size)
                 assert np.all(want > 0)
                 assert np.array_equal(got, want)
@@ -316,11 +317,11 @@ class TestGroupedDecode:
         ch = build_chain(3, 2, [0, 1, 2], gamma=2 / 3 ** 0.5, seed=1)
         dec = ch.list_decoder
         y = np.array([0.3, -0.2])
-        res = dec.decode(y, truth=dec.codebook[dec.decode_many(y[None])[0, 0]
-                                               - 1])
+        points = dec.codebook.points
+        res = dec.decode(y, truth=points[dec.decode_many(y[None])[0, 0] - 1])
         assert res.contains_truth
-        outside = set(range(1, len(dec.codebook) + 1)) - set(res.indices)
-        t = dec.codebook[min(outside) - 1]
+        outside = set(range(1, len(points) + 1)) - set(res.indices)
+        t = points[min(outside) - 1]
         assert dec.decode(y, truth=t).contains_truth is False
         # A point of no codebook row is in no list.
         assert dec.decode(y, truth=t + 0.5 * ch.gamma).contains_truth is False

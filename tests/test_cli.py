@@ -36,6 +36,19 @@ def _config_error(tmp_path, capsys, command, output, body, *flags):
     return err
 
 
+def _infeasible(tmp_path, capsys, command, output, body):
+    """The command exits 3 with a one-line error and no traceback, and
+    writes no output file."""
+    cfg = _write_cfg(tmp_path, body)
+    code = main([command, "--config", cfg, "--out", str(tmp_path),
+                 "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("infeasible:") and "Traceback" not in err, err
+    assert not (tmp_path / output).exists()
+    return err
+
+
 class TestChainInfo:
     CFG = "[chain-info]\np = 3\nn = 2\nranks = 0,1,2\n"
 
@@ -74,6 +87,12 @@ class TestChainInfo:
         err = _config_error(tmp_path, capsys, "chain-info", "chain_info.csv",
                             self.CFG, "--trials", "5")
         assert "no count for --trials" in err
+
+    def test_row_search_over_budget_exit_3(self, tmp_path, capsys):
+        # 3^30 codewords at the last rank: the row search stops at once.
+        err = _infeasible(tmp_path, capsys, "chain-info", "chain_info.csv",
+                          "[chain-info]\np = 3\nn = 30\nranks = 0,15,30\n")
+        assert "exceed budget" in err
 
 
 class TestP2pSim:
@@ -125,6 +144,11 @@ class TestP2pSim:
 
     def test_p_zero_is_config_error(self, tmp_path, capsys):
         self._config_error(tmp_path, capsys, self.CFG.replace("p = 3", "p = 0"))
+
+    def test_row_search_over_budget_exit_3(self, tmp_path, capsys):
+        # 3^14 codewords at the last rank, though the codebook is 3^13.
+        _infeasible(tmp_path, capsys, "p2p-sim", "p2p.csv", self.CFG.replace(
+            "n = 2\nranks = 0,1,2", "n = 14\nranks = 0,1,14"))
 
     @pytest.mark.parametrize("P", ["-1", "-inf"])
     def test_negative_power_is_config_error(self, tmp_path, capsys, P):
@@ -204,6 +228,12 @@ class TestTwrcSim:
                      "--out", str(tmp_path), "--quiet"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("infeasible: no accept in 1 attempts"), err
+
+    def test_row_search_over_budget_exit_3(self, tmp_path, capsys):
+        # Rank 20 at n = 40: 3^20 codewords, and 3^40 is past int64.
+        err = _infeasible(tmp_path, capsys, "twrc-sim", "twrc_summary.csv",
+                          self.CFG.replace("n = 2", "n = 40"))
+        assert "exceed budget" in err
 
     def test_nan_rate_is_config_error(self, tmp_path, capsys):
         _config_error(tmp_path, capsys, "twrc-sim", "twrc_summary.csv",

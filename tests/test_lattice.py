@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latrelay
+from latrelay import gf
 from latrelay.chain import build_chain
 from latrelay.channel import NestedListDecoder
 from latrelay.errors import (
@@ -20,8 +21,8 @@ from latrelay.errors import (
 from latrelay.lattice import (
     DEFAULT_ENUM_BUDGET,
     SCAN_ELEMENTS,
+    Codebook,
     ConstructionALattice,
-    codebook_index,
     enumerate_codebook,
     integer_lattice,
     is_sublattice,
@@ -30,6 +31,7 @@ from latrelay.lattice import (
 from conftest import (
     brute_force_nearest,
     direct_scan_nearest,
+    message_index_oracle,
     repeat_call_peak,
     second_moment_quadrature,
 )
@@ -562,24 +564,77 @@ class TestEnumerateCodebook:
 
 
 class TestCodebookIndex:
+    # Every pair of a chain, so fine ranks below n put the pivots of
+    # gf.rref(fine.rows) on other coordinates than the first k.
+    CASES = ((3, 2, 1.0), (5, 3, 0.37), (7, 2, 0.99), (2, 4, 1.3))
+
+    @staticmethod
+    def _pairs(p, n, gamma):
+        ch = build_chain(p, n, list(range(n + 1)), gamma=gamma, seed=2)
+        return [(ch[i], ch[j]) for i in range(n + 1) for j in range(i, n + 1)]
+
     def test_matches_dict_oracle(self):
         rng = np.random.default_rng(41)
-        for p, n, gamma in ((3, 2, 1.0), (5, 3, 0.37), (7, 2, 0.99),
-                            (2, 4, 1.3)):
-            ch = build_chain(p, n, list(range(n + 1)), gamma=gamma, seed=2)
-            for i in range(n + 1):
-                codebook = enumerate_codebook(ch[i], ch[n])
-                oracle = {tuple(np.round(t / gamma).astype(int).tolist()): w
-                          for w, t in enumerate(codebook, start=1)}
-                # Every row maps to its own index, also off by rounding.
-                noisy = codebook * (1 + 1e-13 * rng.standard_normal(
-                    codebook.shape))
-                for pts in (codebook, noisy):
-                    assert codebook_index(codebook, pts, gamma).tolist() == \
-                        list(range(1, len(codebook) + 1))
-                # Lattice points inside and outside the cell, as the oracle.
-                Q = gamma * rng.integers(-p, p + 1, size=(200, n))
-                want = [oracle.get(tuple(q), 0) for q in
-                        np.round(Q / gamma).astype(int).tolist()]
-                assert codebook_index(codebook, Q, gamma).tolist() == want
-                assert 0 in want
+        for p, n, gamma in self.CASES:
+            self._check_pairs(rng, p, n, gamma)
+
+    def _check_pairs(self, rng, p, n, gamma):
+        for coarse, fine in self._pairs(p, n, gamma):
+            book = Codebook(coarse, fine)
+            codebook = enumerate_codebook(coarse, fine)
+            assert np.array_equal(book.points, codebook)
+            assert len(book) == len(codebook)
+            # Every row maps to its own index, also off by rounding.
+            noisy = codebook * (1 + 1e-13 * rng.standard_normal(
+                codebook.shape))
+            for pts in (codebook, noisy):
+                assert book.index(pts).tolist() == \
+                    list(range(1, len(codebook) + 1))
+            # Integer points inside and outside the cell, on and off the
+            # fine lattice, as the oracle.
+            Q = gamma * rng.integers(-p, p + 1, size=(200, n))
+            want = message_index_oracle(codebook, Q, gamma)
+            assert np.array_equal(book.index(Q), want)
+            assert 0 in want
+            on_fine = gf.in_rowspan_many(fine.rows, np.rint(Q / gamma)
+                                         .astype(np.int64) % p, p)
+            assert not np.any(want[~on_fine])
+            if fine.k < n:
+                assert not on_fine.all()
+
+    @pytest.mark.parametrize("p, n, gamma", CASES)
+    def test_classes_of_fine_points(self, p, n, gamma):
+        # Each fine point's class is the codebook row of its reduction.
+        rng = np.random.default_rng(43)
+        for coarse, fine in self._pairs(p, n, gamma):
+            book = Codebook(coarse, fine)
+            words = (rng.integers(0, p, size=(100, fine.k)) @ fine.rows
+                     + p * rng.integers(-2, 3, size=(100, n)))
+            want = message_index_oracle(
+                book.points, coarse.mod_many(gamma * words), gamma)
+            assert np.all(want > 0)
+            assert np.array_equal(book.classes(words), want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, 1e20])
+    def test_non_finite_and_huge_rows_index_zero(self, bad):
+        # Pyproject turns numpy's invalid-value warnings into errors, so
+        # this also checks that none is raised.
+        for coarse, fine in self._pairs(5, 3, 0.37):
+            book = Codebook(coarse, fine)
+            rows = np.repeat(book.points[:1], 4, axis=0)
+            rows[0, 0] = rows[1, 2] = bad
+            rows[2] = bad
+            got = book.index(rows)
+            assert got.tolist() == [0, 0, 0, 1]
+
+    def test_read_only(self):
+        book = Codebook(*self._pairs(3, 2, 1.0)[1])
+        with pytest.raises(ValueError):
+            book.points[0, 0] = 1.0
+
+    def test_table_budget(self, monkeypatch):
+        # One codebook point, but a class table of 3^2 entries.
+        monkeypatch.setattr("latrelay.lattice.DEFAULT_ENUM_BUDGET", 8)
+        z2 = ConstructionALattice(3, np.eye(2, dtype=int))
+        with pytest.raises(EnumerationBudgetExceeded):
+            Codebook(z2, z2)

@@ -137,11 +137,12 @@ class TestRoundTrip:
             # The first pass decodes every block; row b-1 is block b.
             t = t.copy()
             row = t[miss_block - 1]
-            w = next(i for i, pt in enumerate(cbs.message_entries, start=1)
+            points = cbs.message_chain.codebook.points
+            w = next(i for i, pt in enumerate(points, start=1)
                      if np.allclose(pt, row))
             alt = next(i for i in range(1, cbs.num_messages + 1) if i != w
                        and bins[i - 1] == bins[w - 1])
-            t[miss_block - 1] = cbs.message_entries[alt - 1]
+            t[miss_block - 1] = points[alt - 1]
             corrupted.append(miss_block)
             return t
 

@@ -165,7 +165,7 @@ class TestBuildCodebooks:
         cbs = build_twrc_codebooks(params, p=3, n=2, seed=0,
                                    enforce_broadcast_rate=False)
         assert cbs.relay_codebook.shape[1] == 2
-        assert cbs.num_bins <= len(cbs.sum_entries)
+        assert cbs.num_bins <= len(cbs.sum_codebook)
         assert cbs.num_bins >= 1
 
 
@@ -209,7 +209,7 @@ class TestRoundTrip:
                                R2=0.8, R=4.0, B=8)
         cbs = build_twrc_codebooks(params, p=3, n=2, seed=2,
                                    enforce_broadcast_rate=False)
-        assert cbs.num_bins == len(cbs.sum_entries)
+        assert cbs.num_bins == len(cbs.sum_codebook)
         res = twrc_round_trip(cbs, params, seed=12)
         assert res.errors_dir1 == 0 and res.errors_dir2 == 0
 
