@@ -110,14 +110,12 @@ def block_draws(seed: int, blocks: int, sizes, dither_lattices, noise_vars
     - Messages, per codebook size: one ``integers`` call of ``blocks``
       indices uniform on 1..size (the same numbers as that many scalar
       draws), then the flush message 1; shape (blocks + 1,).
-    - Dithers, per lattice, shape (blocks + 1, n). A cubic (rank-0)
-      lattice's cell is the cube of side gamma p, so its dither is one
-      ``draw_cell`` call: a uniform draw on [-h, h), h = gamma p / 2,
-      reduced mod the lattice. That is the row ``sample_voronoi`` draws
-      and, but on the face u_j = -h, accepts at once; the reduction maps
-      -h to +h, where ``sample_voronoi`` would draw again, so the two
-      agree but on a set of measure zero. Other lattices draw by
-      ``sample_voronoi``'s rejection, once per block in turn.
+    - Dithers, per lattice: one ``draw_cell`` call of shape
+      (blocks + 1, n), a uniform draw on the cube [-h, h)^n, h = gamma p
+      / 2, reduced mod the lattice. The cube is a fundamental region of
+      gamma p Z^n, a sublattice of every lattice here, so each row is
+      exactly uniform on the Voronoi cell (the crypto lemma), cubic or
+      not, and no draw is rejected.
     - Noises, per variance: one normal draw of shape (blocks + 1, n).
 
     Returns (messages, dithers, noises), each a list in the order of
@@ -128,14 +126,8 @@ def block_draws(seed: int, blocks: int, sizes, dither_lattices, noise_vars
         np.append(trial_rng(seed, STREAM_KEYS["messages"][i])
                   .integers(1, size + 1, size=blocks), 1)
         for i, size in enumerate(sizes)]
-    dithers = []
-    for i, lat in enumerate(dither_lattices):
-        rng = trial_rng(seed, STREAM_KEYS["dithers"][i])
-        if lat.k == 0:
-            dithers.append(lat.draw_cell(rng, rows))
-        else:
-            dithers.append(np.array([lat.sample_voronoi(rng)
-                                     for _ in range(rows)]))
+    dithers = [lat.draw_cell(trial_rng(seed, STREAM_KEYS["dithers"][i]), rows)
+               for i, lat in enumerate(dither_lattices)]
     noises = [trial_rng(seed, STREAM_KEYS["noises"][i])
               .normal(0.0, math.sqrt(var), size=(rows, n))
               for i, var in enumerate(noise_vars)]

@@ -31,7 +31,6 @@ from .errors import (
     InvalidRanks,
     LatrelayError,
     NotPrime,
-    RejectionBudgetExceeded,
 )
 from .gf import check_prime
 from .rates import (
@@ -390,8 +389,7 @@ def main(argv=None) -> int:
     except (ConfigInvalid, InvalidRanks, NotPrime) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (Infeasible, EnumerationBudgetExceeded,
-            RejectionBudgetExceeded) as exc:
+    except (Infeasible, EnumerationBudgetExceeded) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except LatrelayError as exc:

@@ -96,6 +96,8 @@ class DfCodebooks:
     rate_achieved: float
     bin_rate_achieved: float
     resolution_codebook: Codebook    # of (Lambda_2, Lambda_c2); s is bin s
+    kappa: float                     # the destination's combining constant
+    bin_lattices: tuple              # (Lambda_2, Lambda_c2) scaled by kappa
 
     @property
     def num_messages(self) -> int:
@@ -118,7 +120,8 @@ def build_df_codebooks(params: DegradedRelayParams, p: int, n: int,
     The list lattice is sized for the destination's effective channel
     (signal alpha*P, noise N + NR). Shaping lattices use rank 0, whose
     cubic cell of side sqrt(12 target) has second moment exactly the
-    target.
+    target. The destination's bin decode runs on the resolution pair
+    scaled by kappa, built here once for ``params.kappa``.
     """
     gf.check_prime(p)
     gamma1 = _shaping_gamma(p, params.alpha * params.P)
@@ -139,6 +142,9 @@ def build_df_codebooks(params: DegradedRelayParams, p: int, n: int,
         rate_achieved=chain1.rate(0, 2),
         bin_rate_achieved=chain2.rate(0, 1),
         resolution_codebook=Codebook(chain2[0], chain2[1]),
+        kappa=params.kappa,
+        bin_lattices=(chain2[0].scaled(params.kappa),
+                      chain2[1].scaled(params.kappa)),
     )
 
 
@@ -183,13 +189,17 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
     block and give message indices. Block b resolves when exactly one
     message index of its list lies in the bin decoded in block b+1 and it
     is w_b (``resolve``); empty or ambiguous intersections count as block
-    errors, never aborts.
+    errors, never aborts. Raises ValueError when ``params.kappa`` is not
+    the kappa the codebooks' bin-decode lattices were scaled by.
     """
-    ch1, ch2 = codebooks.message_chain, codebooks.resolution_chain
-    lam1, lam_c1 = ch1[0], ch1[2]
-    lam2, lam_c2 = ch2[0], ch2[1]
     kappa = params.kappa
-    lam2k, lam_c2k = lam2.scaled(kappa), lam_c2.scaled(kappa)
+    if kappa != codebooks.kappa:
+        raise ValueError(f"params give kappa {kappa!r}, the codebooks were "
+                         f"built for {codebooks.kappa!r}")
+    ch1 = codebooks.message_chain
+    lam1, lam_c1 = ch1[0], ch1[2]
+    lam2 = codebooks.resolution_chain[0]
+    lam2k, lam_c2k = codebooks.bin_lattices
     rho = math.sqrt(params.PR / (params.abar * params.P))
 
     bins = bin_table(codebooks.num_messages, codebooks.num_bins, seed)

@@ -249,8 +249,10 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
 
     ``block_draws`` draws each kind (w1, w2, U1, U2, ZR, Z1, Z2) for all
     blocks at once from its own stream, so block b's draws do not depend
-    on B; w1 and w2 of the flush block are 1. The relay's sum decode in a
-    block does not depend on earlier blocks, so every step after the
+    on B; w1 and w2 of the flush block are 1. Both dithers, U2 on the
+    cell of a Lambda_2 of any rank included, are one cube draw reduced
+    mod their lattice, exact by the crypto lemma. The relay's sum decode
+    in a block does not depend on earlier blocks, so every step after the
     draws is one batched call over all blocks; only
     the list decodes run block by block, and they give message indices,
     whose points the terminals' codebooks hold. Per direction, block b-1

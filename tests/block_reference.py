@@ -8,11 +8,11 @@ shares none of the batched maps it checks. Each kind of draw has its own
 stream, ``trial_rng(seed, key)`` with its key from
 ``channel.STREAM_KEYS``, drawn one block at a time (``block_draws``):
 block b takes row b-1 of every kind, messages by scalar ``integers``
-calls and every dither by ``sample_voronoi``. Points map back to their
-message, bin or sum indices through dicts built here (``_index_of``), so
-no index code is shared with the engines. The batched engines in
-``latrelay.relay`` and ``latrelay.twrc`` must reproduce their counts and
-transcripts exactly.
+calls and every dither by one cube draw reduced by ``Lattice.mod``.
+Points map back to their message, bin or sum indices through dicts built
+here (``_index_of``), so no index code is shared with the engines. The
+batched engines in ``latrelay.relay`` and ``latrelay.twrc`` must
+reproduce their counts and transcripts exactly.
 """
 
 from __future__ import annotations
@@ -50,9 +50,11 @@ def relay_decode_sum(YR, U1, U2, cbs, NR):
 def block_draws(seed, blocks, sizes, dither_lattices, noise_vars):
     """The draws of both references, one block at a time from one stream
     per kind: per codebook size, ``blocks`` scalar message draws and the
-    flush message 1; per lattice, ``blocks + 1`` ``sample_voronoi`` calls;
-    per variance, ``blocks + 1`` noise vectors. Returns (messages, dithers,
-    noises) as ``channel.block_draws`` does, row b-1 for block b."""
+    flush message 1; per lattice, ``blocks + 1`` uniform draws on the
+    cube [-h, h)^n, h = gamma p / 2, each reduced by one ``mod`` (exactly
+    uniform on the cell by the crypto lemma); per variance, ``blocks + 1``
+    noise vectors. Returns (messages, dithers, noises) as
+    ``channel.block_draws`` does, row b-1 for block b."""
     n, rows = dither_lattices[0].n, blocks + 1
     messages = []
     for size, key in zip(sizes, STREAM_KEYS["messages"]):
@@ -62,7 +64,8 @@ def block_draws(seed, blocks, sizes, dither_lattices, noise_vars):
     dithers = []
     for lat, key in zip(dither_lattices, STREAM_KEYS["dithers"]):
         rng = trial_rng(seed, key)
-        dithers.append(np.array([lat.sample_voronoi(rng)
+        h = lat.gamma * lat.p / 2
+        dithers.append(np.array([lat.mod(rng.uniform(-h, h, size=n))
                                  for _ in range(rows)]))
     noises = []
     for var, key in zip(noise_vars, STREAM_KEYS["noises"]):

@@ -10,17 +10,16 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import brentq
 
 import conftest
-from latrelay.chain import build_chain, size_list_lattice
+from latrelay.chain import build_chain
 from latrelay.channel import (
     AwgnParams,
     NestedListDecoder,
     simulate_p2p,
 )
-from latrelay.lattice import ConstructionALattice, enumerate_codebook
+from latrelay.lattice import enumerate_codebook
 from latrelay.rates import (
     TwrcParams,
     capacity_c,

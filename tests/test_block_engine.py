@@ -150,7 +150,7 @@ def _list_decoders(kind, point):
     return [(cbs.dec1, cbs.entries1), (cbs.dec2, cbs.entries2)]
 
 
-def test_round_trips_build_no_decoder(decoder_builds):
+def test_round_trips_build_no_decoder(decoder_builds, monkeypatch):
     d, p, n, cb_seed, _ = DF_POINTS["block_markov"]
     df_params = DegradedRelayParams(**d)
     df_cbs = build_df_codebooks(df_params, p, n, seed=cb_seed)
@@ -163,10 +163,19 @@ def test_round_trips_build_no_decoder(decoder_builds):
     dec = df_cbs.message_chain.list_decoder
     assert tw_cbs.entries1 is tw_cbs.dec1.codebook.points
     assert tw_cbs.entries2 is tw_cbs.dec2.codebook.points
+    # Nor does a run build a lattice: DF's kappa-scaled bin-decode pair is
+    # built with its codebooks.
+    lattice_builds = []
+    original = ConstructionALattice.__init__
+
+    def counting(self, *args, **kwargs):
+        lattice_builds.append(self)
+        original(self, *args, **kwargs)
+    monkeypatch.setattr(ConstructionALattice, "__init__", counting)
     for seed in range(3):
         df_round_trip(df_cbs, df_params, seed)
         twrc_round_trip(tw_cbs, tw_params, seed)
-    assert len(decoder_builds) == 3
+    assert len(decoder_builds) == 3 and not lattice_builds
     assert df_cbs.message_chain.list_decoder is dec
 
 
@@ -213,12 +222,13 @@ ROUND_TRIP = {"df": df_round_trip, "twrc": twrc_round_trip}
 
 @pytest.mark.parametrize("kind", ["df", "twrc"])
 def test_cubic_dithers_match_rejection_draws(kind):
-    # block_draws draws a cubic lattice's dither as one box draw for the
-    # whole run, reduced mod the lattice: the rows that sequential
-    # sample_voronoi calls on the same kind stream accept at once. DF's U1
-    # and U2 are both cubic; TWRC's U2 (rank 1) still goes through
-    # sample_voronoi. Messages and noises match their one-block-at-a-time
-    # draws too.
+    # block_draws draws every dither as one box draw for the whole run,
+    # reduced mod the lattice; the reference draws the same rows one block
+    # at a time, each reduced by Lattice.mod. Messages and noises match
+    # their one-block-at-a-time draws too. A cubic lattice's rows are the
+    # rows that sequential sample_voronoi calls on the same kind stream
+    # accept at once (DF's U1 and U2, TWRC's U1). TWRC's U2 (rank 1) would
+    # reject, so its rows are checked to lie in the cell: nearest point 0.
     _, _, (sizes, lattices, noise) = _draw_args(kind)
     assert [lat.k for lat in lattices] == ([0, 0] if kind == "df" else [0, 1])
     for seed in range(20):
@@ -228,13 +238,20 @@ def test_cubic_dithers_match_rejection_draws(kind):
             [len(sizes), len(lattices), len(noise)]
         for a, b in zip(itertools.chain(*got), itertools.chain(*want)):
             assert a.shape[0] == 21 and np.array_equal(a, b)
+        for lat, key, U in zip(lattices, STREAM_KEYS["dithers"], got[1]):
+            if lat.k == 0:
+                rng = trial_rng(seed, key)
+                assert np.array_equal(U, [lat.sample_voronoi(rng)
+                                          for _ in range(21)])
+            else:
+                assert not any(lat.nearest(u).any() for u in U)
 
 
 @pytest.mark.parametrize("kind", ["df", "twrc"])
 def test_draws_and_transcripts_are_prefixes(kind):
     # Each kind of draw is one stream laid out by block, so block b's
     # draws do not depend on B: a 5-block run's are the first rows of a
-    # 12-block run's, the rejection dither included, and so is its
+    # 12-block run's, the rank-1 dither included, and so is its
     # transcript but for its last record, which the flush block resolves.
     cbs, params, args = _draw_args(kind)
     short, long_ = (block_draws(3, B, *args) for B in (5, 12))
@@ -318,17 +335,17 @@ def test_example_cli_outputs_pinned(tmp_path, seed):
 
 
 # sha256 of `twrc-sim`'s outputs at the benchmark's TWRC point, whose
-# Lambda_2 has rank 1: its dither is drawn by sample_voronoi's rejection
-# and its power is the Monte-Carlo second_moment of draw_cell rows.
+# Lambda_2 has rank 1: its dither is one draw_cell cube draw reduced mod
+# Lambda_2 and its power is the Monte-Carlo second_moment of draw_cell rows.
 BM_PINNED = {
-    0: {"twrc_blocks.csv": "7686e071cdf5303b9600d13a3a642343"
-                           "b41972513f734a7b537a424e35d547f0",
-        "twrc_summary.csv": "f80d07fafca12abfa26d4bf3bc271cc3"
-                            "a988ea732decf3c88f171ed1dbe9a148"},
-    3: {"twrc_blocks.csv": "6170dfa9814133c7e612020b28922c5e"
-                           "660fdad3733b033e50470ef8a74daa6a",
-        "twrc_summary.csv": "700137aa1cde9abddeab5507c89811a0"
-                            "4b6ee5b03258652db563e1ba3ed12eb3"},
+    0: {"twrc_blocks.csv": "7555a20a0c20d797c727efc7eb1ad912"
+                           "bff7aa537045af6523908ceadc7ec1a2",
+        "twrc_summary.csv": "996fc1e4cf26d52069b6ae59e6ae9877"
+                            "05c16ab6f0b6f633af5ecd17170587a1"},
+    3: {"twrc_blocks.csv": "760a9d8299d07fa1e4ed46916323608c"
+                           "d1c5d6c6810c186cbe48cc527c0e34ad",
+        "twrc_summary.csv": "f38c8fa0ae14877e78eb4b100bbb62a6"
+                            "4bc532a973cabcd31e9cf56940af7549"},
 }
 
 

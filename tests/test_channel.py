@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from latrelay import gf
 from latrelay.chain import build_chain, size_list_lattice

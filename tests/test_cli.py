@@ -6,10 +6,11 @@ import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from latrelay.cli import COUNT, REQUIRED, main, section_keys
+from latrelay.errors import RejectionBudgetExceeded
+from latrelay.lattice import Lattice
 
 
 def _write_cfg(tmp_path, body):
@@ -216,18 +217,20 @@ class TestTwrcSim:
         assert main(["twrc-sim", "--config", cfg,
                      "--out", str(tmp_path), "--quiet"]) == 3
 
-    def test_rejection_budget_exit_3(self, tmp_path, capsys, monkeypatch):
-        # The benchmark's point has a rank-1 Lambda_2, whose dither is drawn
-        # by sample_voronoi: with one attempt per sample a block misses.
-        monkeypatch.setattr("latrelay.lattice.REJECTION_ATTEMPTS", 1)
+    def test_rank_one_dither_never_rejects(self, tmp_path, monkeypatch):
+        # The benchmark's point has a rank-1 Lambda_2; its dither is one cube
+        # draw reduced mod Lambda_2, so the run never reaches the rejection
+        # sampler and exits 0 with sample_voronoi made to raise.
+        def rejecting(lat, rng):
+            raise RejectionBudgetExceeded("sample_voronoi was called")
+        monkeypatch.setattr(Lattice, "sample_voronoi", rejecting)
         cfg = _write_cfg(tmp_path, (
             "[twrc-sim]\nP1 = 4.0\nP2 = 1.0\nPR = 200.0\nN1 = 1.0\n"
             "N2 = 1.0\nNR = 0.01\nR1 = 1.58\nR2 = 0.8\nR = 4.0\nB = 20\n"
             "p = 3\nn = 2\nruns = 2\n"))
         assert main(["twrc-sim", "--config", cfg,
-                     "--out", str(tmp_path), "--quiet"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("infeasible: no accept in 1 attempts"), err
+                     "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(_rows(tmp_path / "twrc_blocks.csv")) == 20
 
     def test_row_search_over_budget_exit_3(self, tmp_path, capsys):
         # Rank 20 at n = 40: 3^20 codewords, and 3^40 is past int64.

@@ -106,6 +106,20 @@ class TestRoundTrip:
             row = rec.csv_row().split(",")
             assert len(row) == len(rec.CSV_COLUMNS)
 
+    def test_bin_lattices_built_once_for_their_kappa(self):
+        # The kappa-scaled resolution pair is built with the codebooks;
+        # a run whose params give another kappa is refused before it draws.
+        p = _params(NR=1e-12, N=1e-12, PR=50.0, alpha=0.3, B=5)
+        cbs = build_df_codebooks(p, p=5, n=2, seed=1)
+        lam2, lam_c2 = cbs.resolution_chain[0], cbs.resolution_chain[1]
+        assert cbs.kappa == p.kappa
+        for got, lat in zip(cbs.bin_lattices, (lam2, lam_c2)):
+            assert got.gamma == lat.gamma * p.kappa
+            assert np.array_equal(got.rows, lat.rows)
+        with pytest.raises(ValueError, match="kappa"):
+            df_round_trip(cbs, _params(NR=1e-12, N=1e-12, PR=40.0,
+                                       alpha=0.3, B=5), seed=2)
+
     def test_unique_list_with_bins_succeeds_noiseless(self):
         # unique-decoding regime: list size 1, bins redundant
         p = _params(NR=1e-12, N=1e-12, P=4.0, PR=50.0, alpha=0.5, B=6,

@@ -28,7 +28,9 @@ def test_block_markov_round_keeps_the_benchmark_seams(monkeypatch):
     # One round of the benchmark's block_markov workload under the tracer,
     # checked as the benchmark checks it. Its brute-force list check
     # records NestedListDecoder.decode, and it counts one such call per
-    # DF block; its accept ratio needs a rejection-sampled dither.
+    # DF block. Its TWRC Lambda_2 is not cubic, yet every dither is a cube
+    # draw reduced mod its lattice: no operation calls sample_voronoi, so
+    # the accept ratio reads 0.
     monkeypatch.syspath_prepend(str(TRACER.parent))
     import workloads
     from worker import Loop
@@ -44,4 +46,6 @@ def test_block_markov_round_keeps_the_benchmark_seams(monkeypatch):
     assert correct and failed == 0, messages
     assert tr.child_calls("channel.decode", "relay.df_round_trip") == \
         wl.df.B + 1
-    assert 0 < tr.accept_ratio() < 1
+    assert state["tw"].lam2.k >= 1
+    assert "lattice.sample_voronoi" not in tr.summary()["ops"]
+    assert tr.accept_ratio() == 0
