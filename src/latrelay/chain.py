@@ -24,7 +24,9 @@ from .lattice import (
     is_sublattice,
 )
 
-# Coordinates of one chunk of pick_generator_rows' candidate codewords.
+# Most entries of one block of pick_generator_rows' matrix product (kept
+# codewords x (coefficient, candidate) columns), and of one of its one-hot
+# tables (n p rows x columns).
 BLOCK_ELEMENTS = 16_384
 
 
@@ -59,20 +61,36 @@ def pick_generator_rows(p: int, n: int, kmax: int, seed: int = 0,
     earlier candidate; the score is :func:`shortest_vector_norm`'s. A
     single fixed draw per seed is used throughout the toolkit.
 
-    The codewords of the rows so far are kept. A candidate adds the
-    codewords cw + c cand, c = 1..p-1, so each rank scores all of its
-    candidates from those, in chunks of about BLOCK_ELEMENTS coordinates.
-    p^kmax > DEFAULT_ENUM_BUDGET raises EnumerationBudgetExceeded first.
+    Each rank draws its ``candidates`` rows in one call, which gives the
+    rows of one call per candidate. The codewords cw of the rows so far
+    are kept: a candidate adds the codewords cw + c cand, c = 1..p-1,
+    whose least squared norm :func:`_least_norms` finds by one matrix
+    product per block of codewords. The shortest norm of the code so far
+    and its count are carried from the rank before. Raises ValueError
+    when ``candidates`` < 1 and EnumerationBudgetExceeded when
+    p^kmax > DEFAULT_ENUM_BUDGET, both before any draw.
     """
     gf.check_prime(p)
     if not 0 <= kmax <= n:
         raise InvalidRanks(f"kmax = {kmax} outside [0, {n}]")
+    if candidates < 1:
+        raise ValueError("candidates must be >= 1")
     if p ** kmax > DEFAULT_ENUM_BUDGET:
         raise EnumerationBudgetExceeded(
             f"{p ** kmax} codewords exceed budget {DEFAULT_ENUM_BUDGET}")
+    return _greedy_search(p, n, kmax, seed, candidates)[0]
+
+
+def _greedy_search(p: int, n: int, kmax: int, seed: int,
+                   candidates: int) -> tuple[np.ndarray, int, int]:
+    """:func:`pick_generator_rows`' rows, with the squared shortest norm of
+    their code's nonzero codewords and its count, unclipped (above any
+    norm and 0 when kmax = 0)."""
     rng = np.random.default_rng(seed)
     residues = np.arange(p)
     lift_sq = np.minimum(residues, p - residues) ** 2   # centered lift
+    # lift[a, s] = lift_sq[(a + s) % p], the squared lift of a + s.
+    lift = lift_sq[(residues[:, None] + residues) % p].astype(float)
     # cw + c cand is minus (-cw) + (p - c) cand, of the same norm, so for
     # odd p the coefficients up to (p - 1) / 2 see every norm twice.
     coeffs = np.arange(1, p // 2 + 1)
@@ -80,37 +98,70 @@ def pick_generator_rows(p: int, n: int, kmax: int, seed: int = 0,
     big = p ** kmax + 2 * n + 1              # above any multiplicity
     rows = np.zeros((0, n), dtype=np.int64)
     cw = np.zeros((1, n), dtype=np.int64)    # codewords of rows, 0 first
-    for _ in range(kmax):
-        cands = np.array([rng.integers(0, p, size=n, dtype=np.int64)
-                          for _ in range(candidates)])
-        free = ~gf.in_rowspan_many(rows, cands, p)
-        old = lift_sq[cw[1:]].sum(axis=1)
-        # At rank 0 there is no nonzero codeword: a minimum above any norm.
-        old_min = old.min() if len(old) else n * p * p + 1
-        old_mult = np.count_nonzero(old == old_min)
-        chunk = max(1, BLOCK_ELEMENTS // (len(coeffs) * cw.size))
-        best_key, best_row = -1, None
-        for lo in range(0, candidates, chunk):
-            cand = cands[lo:lo + chunk]
-            new = cw + coeffs[:, None, None] * cand[:, None, None, :]
-            sq = lift_sq[new % p].sum(axis=3).reshape(len(cand), -1)
-            new_min = sq.min(axis=1)
-            short = np.minimum(new_min, old_min)
-            mult = (np.where(new_min == short, weight * np.count_nonzero(
-                sq == new_min[:, None], axis=1), 0)
+    # At rank 0 there is no nonzero codeword: a minimum above any norm.
+    old_min, old_mult = n * p * p + 1, 0
+    for rank in range(kmax):
+        cands = rng.integers(0, p, size=(candidates, n), dtype=np.int64)
+        low, count = _least_norms(lift, cw, (coeffs[:, None, None] * cands)
+                                  .reshape(-1, n) % p)
+        low = low.reshape(len(coeffs), candidates)
+        count = count.reshape(len(coeffs), candidates)
+        new_min = low.min(axis=0)
+        new_mult = weight * np.where(low == new_min, count, 0).sum(axis=0)
+        short = np.minimum(new_min, old_min)
+        mult = (np.where(new_min == short, new_mult, 0)
                 + np.where(old_min == short, old_mult, 0))
-            # Beyond norm p, the shortest vectors are the 2n of p Z^n.
-            mult = np.where(short > p * p, 2 * n, mult)
-            key = np.where(free[lo:lo + chunk],
-                           np.minimum(short, p * p) * big - mult, -1)
-            i = int(key.argmax())
-            if key[i] > best_key:
-                best_key, best_row = key[i], cand[i]
-        if best_row is None:
+        # Beyond norm p, the shortest vectors are the 2n of p Z^n. A
+        # candidate in the span of the rows adds the zero vector
+        # (cw = -cand): its short is 0 and its key -mult < 0.
+        key = (np.minimum(short, p * p) * big
+               - np.where(short > p * p, 2 * n, mult))
+        i = int(key.argmax())
+        if key[i] < 0:
             raise InvalidRanks("could not extend rows to requested rank")
-        rows = np.vstack([rows, best_row[None, :]])
-        cw = np.concatenate([(cw + c * best_row) % p for c in range(p)])
-    return rows
+        rows = np.vstack([rows, cands[i][None, :]])
+        old_min, old_mult = int(short[i]), int(mult[i])
+        if rank + 1 < kmax:
+            cw = np.concatenate([(cw + c * cands[i]) % p for c in range(p)])
+    return rows, old_min, old_mult
+
+
+def _least_norms(lift: np.ndarray, cw: np.ndarray,
+                 shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squared norm of the centered lift of cw + s over the rows cw
+    of ``cw``, and the number of rows that reach it, for each row s of
+    ``shifts`` (residues mod p); ``lift`` is the (p, p) table of squared
+    lifts of a + s.
+
+    The squared norms are the matrix product of the left table
+    lift[cw].reshape(-1, n p), whose entry j p + s is the squared lift of
+    cw_j + s, with a one-hot table whose column for shift s is 1 at the
+    rows j p + s_j; the entries are small integers, exact in float64.
+    Each one-hot table takes at most BLOCK_ELEMENTS // (n p) shifts and
+    each block of the product at most BLOCK_ELEMENTS entries (at least
+    one row and one column each); a running minimum and count per column
+    carry across the blocks.
+    """
+    p, n = len(lift), cw.shape[1]
+    low = np.empty(len(shifts), dtype=np.int64)
+    count = np.empty(len(shifts), dtype=np.int64)
+    width = max(1, BLOCK_ELEMENTS // (n * p))
+    for at in range(0, len(shifts), width):
+        cols = shifts[at:at + width] + p * np.arange(n)
+        hot = np.zeros((n * p, len(cols)))
+        hot[cols, np.arange(len(cols))[:, None]] = 1.0
+        step = max(1, BLOCK_ELEMENTS // len(cols))
+        least = np.full(len(cols), np.inf)
+        seen = np.zeros(len(cols), dtype=np.int64)
+        for lo in range(0, len(cw), step):
+            sq = lift[cw[lo:lo + step]].reshape(-1, n * p) @ hot
+            block_low = sq.min(axis=0)
+            block_count = np.count_nonzero(sq == block_low, axis=0)
+            seen = np.where(block_low < least, block_count, np.where(
+                block_low == least, seen + block_count, seen))
+            least = np.minimum(least, block_low)
+        low[at:at + width], count[at:at + width] = least, seen
+    return low, count
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latrelay import gf
 from latrelay.chain import (
+    _greedy_search,
     build_chain,
     pick_generator_rows,
     size_list_lattice,
@@ -23,6 +25,7 @@ from latrelay.lattice import (
     is_sublattice,
 )
 from chain_reference import pick_generator_rows_reference
+from conftest import repeat_call_peak
 
 
 class TestBuildChain:
@@ -102,10 +105,13 @@ class TestPickGeneratorRows:
             ch = build_chain(3, 4, [0, k], rows=rows)
             assert len(enumerate_codebook(ch[0], ch[1])) == 3 ** k
 
-    @pytest.mark.parametrize("p,n", itertools.product((2, 3, 5), (2, 4, 8)))
-    def test_matches_candidate_by_candidate_reference(self, p, n):
-        # Rank 5 at n = 8 keeps the reference's full enumeration quick.
-        kmax = min(n, 5)
+    @pytest.mark.parametrize("p, n, kmax", [
+        pytest.param(p, n, min(n, 5), id=f"{p}-{n}")
+        for p, n in itertools.product((2, 3, 5), (2, 4, 8))
+    ] + [pytest.param(7, 5, 3, id="7-5")])
+    def test_matches_candidate_by_candidate_reference(self, p, n, kmax):
+        # Rank 5 at n = 8, and rank 3 at p = 7, keep the reference's full
+        # enumeration quick.
         for seed in range(6):
             want = pick_generator_rows_reference(p, n, kmax, seed=seed)
             got = pick_generator_rows(p, n, kmax, seed=seed)
@@ -123,6 +129,55 @@ class TestPickGeneratorRows:
             pick_generator_rows(p, n, kmax)
         with pytest.raises(EnumerationBudgetExceeded):
             build_chain(p, n, [0, kmax])
+
+    @pytest.mark.parametrize("candidates", [0, -1])
+    def test_bad_candidates_raise_before_any_draw(self, candidates,
+                                                  monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew candidates")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match="candidates must be >= 1"):
+            pick_generator_rows(3, 4, 2, candidates=candidates)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_one_draw_per_rank_equals_row_draws(self, p):
+        # The search draws a rank's candidates as one (candidates, n)
+        # array; it must give the rows, and leave the generator where,
+        # one draw per candidate does.
+        for n, candidates, seed in itertools.product((1, 2, 5, 8),
+                                                     (1, 2, 200), range(3)):
+            whole = np.random.default_rng(seed)
+            each = np.random.default_rng(seed)
+            block = whole.integers(0, p, size=(candidates, n), dtype=np.int64)
+            rows = [each.integers(0, p, size=n, dtype=np.int64)
+                    for _ in range(candidates)]
+            assert np.array_equal(block, np.array(rows)), (n, candidates)
+            assert whole.bit_generator.state == each.bit_generator.state
+
+    @pytest.mark.parametrize("p, n, kmax, candidates, seeds", [
+        pytest.param(p, n, kmax, 200, range(3), id=f"{p}-{n}-{kmax}")
+        for p, n, kmax in ((2, 8, 5), (3, 4, 4), (5, 4, 3), (7, 5, 3))
+    ] + [
+        # One candidate: seeds 4 and 7 draw the all-ones row, of norm
+        # sqrt 5 > p, where the key counts the 2n vectors of p Z^n.
+        pytest.param(2, 5, 1, 1, (4, 7), id="2-5-1-one-candidate")])
+    def test_carried_shortest_norm_matches_enumeration(self, p, n, kmax,
+                                                       candidates, seeds):
+        # The search carries the code's shortest squared norm and its
+        # count, unclipped, from rank to rank: those of its rows' code.
+        for seed in seeds:
+            rows, short, mult = _greedy_search(p, n, kmax, seed, candidates)
+            cw = gf.all_codewords(rows, p)[1:]
+            norms = (np.minimum(cw, p - cw) ** 2).sum(axis=1)
+            assert (short, mult) == (norms.min(),
+                                     np.count_nonzero(norms == norms.min()))
+
+    def test_one_hot_tables_stay_small_at_large_p(self):
+        # At p = 211 one one-hot table over all 105 x 200 (c, candidate)
+        # columns would hold 8.9 M entries (71 MB); a table takes at most
+        # BLOCK_ELEMENTS // (n p) columns.
+        peak = repeat_call_peak(lambda k: pick_generator_rows(211, 2, k), 1)
+        assert peak < 4 * 2 ** 20
 
     def test_few_candidates_match_reference(self):
         # With one or two candidates per rank some draws are dependent,
