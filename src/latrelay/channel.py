@@ -257,7 +257,6 @@ class P2PStats:
     pe_hat: float
     pe_ci95: float
     list_size: int
-    mean_list_size: float
     n: int
     p: int
     ranks: tuple[int, ...]
@@ -299,7 +298,6 @@ def simulate_p2p(chain, awgn: AwgnParams, trials: int, seed: int,
     n = coarse.n
     half = coarse.voronoi_box_halfwidth()
     errors = 0
-    size_total = 0
     log = []
     for batch, first in enumerate(range(0, trials, CHUNK)):
         m = min(CHUNK, trials - first)
@@ -320,14 +318,12 @@ def simulate_p2p(chain, awgn: AwgnParams, trials: int, seed: int,
             raise AssertionError(
                 "error-event identity violated: (t not in L) != (Z' not in V_s)")
         errors += int(np.count_nonzero(miss))
-        size_total += m * lists.shape[1]
         if keep_log:
             log.extend(zip(range(first, first + m), (w + 1).tolist(),
                            [lists.shape[1]] * m, miss.astype(int).tolist()))
     pe = errors / trials
     return P2PStats(trials=trials, pe_hat=pe, pe_ci95=ci95(pe, trials),
                     list_size=decoder.list_size,
-                    mean_list_size=size_total / trials,
                     n=coarse.n, p=coarse.p,
                     ranks=(coarse.k, mid.k, fine.k),
                     P=awgn.P, N=awgn.N, seed=seed, log=log)

@@ -40,6 +40,8 @@ DEFAULT_ENUM_BUDGET = 2_000_000
 # and the working set stays small whatever the batch size.
 SCAN_ELEMENTS = 32_768
 
+MOMENT_POINTS = 8192   # points of second_moment's quadrature of a cell
+
 # Box draws the rejection sampler makes for one sample before it gives up.
 REJECTION_ATTEMPTS = 200_000
 
@@ -319,13 +321,6 @@ class ConstructionALattice(Lattice):
         h = self.voronoi_box_halfwidth()
         return self.mod_many(rng.uniform(-h, h, size=(m, self.n)))
 
-    def second_moment_exact(self) -> Optional[float]:
-        if self.k == 0:
-            return (self.gamma * self.p) ** 2 / 12.0
-        if self.k == self.n:
-            return self.gamma ** 2 / 12.0
-        return None
-
     def scaled(self, factor: float) -> "ConstructionALattice":
         return ConstructionALattice(self.p, self.rows, gamma=self.gamma * factor,
                                     n=self.n)
@@ -342,14 +337,25 @@ class ConstructionALattice(Lattice):
                 f"gamma={self.gamma!r})")
 
 
-def second_moment(lattice: ConstructionALattice, samples: int, seed: int) -> float:
-    """Monte Carlo estimate of the per-dimension second moment of the cell:
-    the mean squared norm of ``samples`` rows of
-    :meth:`ConstructionALattice.draw_cell` on ``default_rng(seed)``."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    U = lattice.draw_cell(np.random.default_rng(seed), samples)
-    return float((U * U).sum()) / (samples * lattice.n)
+def second_moment(lattice: ConstructionALattice) -> float:
+    """Per-dimension second moment of the cell, from the lattice alone:
+    (gamma p)^2 / 12 at rank 0 and gamma^2 / 12 at rank n, exactly;
+    otherwise the mean of |u mod Lambda|^2 / n over the MOMENT_POINTS
+    points frac(0.5 + i alpha), alpha_j = phi^-j with phi^(n+1) = phi + 1
+    (the Kronecker sequence R_d), on :meth:`draw_cell`'s cube, which the
+    crypto lemma makes a fixed quadrature of the cell."""
+    n = lattice.n
+    if lattice.k == 0:
+        return (lattice.gamma * lattice.p) ** 2 / 12.0
+    if lattice.k == n:
+        return lattice.gamma ** 2 / 12.0
+    phi = 1.0
+    for _ in range(30):   # a contraction onto the positive root
+        phi = (1.0 + phi) ** (1.0 / (n + 1))
+    i = np.arange(1, MOMENT_POINTS + 1)[:, None]
+    unit = (0.5 + i * phi ** -np.arange(1.0, n + 1)) % 1.0
+    U = lattice.mod_many(lattice.voronoi_box_halfwidth() * (2.0 * unit - 1.0))
+    return float((U * U).sum()) / U.size
 
 
 def is_sublattice(coarse: ConstructionALattice,

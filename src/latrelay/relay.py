@@ -61,6 +61,8 @@ class DegradedRelayParams:
             raise ValueError("powers and noise variances must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("power split alpha must lie strictly in (0, 1)")
+        if self.R < 0 or self.RR < 0:
+            raise ValueError("rates must be nonnegative")
         if self.B < 2:
             raise ValueError("need at least 2 blocks")
 

@@ -32,8 +32,6 @@ from .lattice import (
 )
 from .rates import TwrcParams, capacity_c
 
-# Monte Carlo samples for the second moment of a non-cubic Lambda_2.
-POWER_SAMPLES = 2000
 # Spawn key of the relay codebook's and bin table's stream, with the
 # codebook seed as entropy.
 RELAY_CODEBOOK_KEY = 0xC0DE
@@ -130,9 +128,10 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
     and the relay's bin codebook.
 
     The shaping lattice for terminal 1 is rank 0 (exact power P1); terminal
-    2's rank is chosen to approximate P2 on the volume grid and its
-    achieved power is measured and used by the MMSE front ends. Lattice
-    order in the chain is by volume, coarse to fine.
+    2's rank is chosen to approximate P2 on the volume grid, and its
+    achieved power, :func:`second_moment` of its rows alone, feeds the
+    MMSE front ends and the broadcast-rate check. Lattice order in the
+    chain is by volume, coarse to fine.
     """
     gf.check_prime(p)
     ch = params.channel
@@ -154,10 +153,7 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
     lam_s1 = size_list_lattice(lam1, lam_c1, P=ch.P1, N=ch.N2)
     lam_s2 = size_list_lattice(lam2, lam_c2, P=ch.P2, N=ch.N1)
 
-    power1 = lam1.second_moment_exact()
-    exact2 = lam2.second_moment_exact()
-    power2 = exact2 if exact2 is not None else second_moment(
-        lam2, POWER_SAMPLES, seed)
+    power1, power2 = second_moment(lam1), second_moment(lam2)
 
     mi1 = capacity_c(ch.PR / (power1 + ch.N2))
     mi2 = capacity_c(ch.PR / (power2 + ch.N1))

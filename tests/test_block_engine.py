@@ -336,7 +336,7 @@ def test_example_cli_outputs_pinned(tmp_path, seed):
 
 # sha256 of `twrc-sim`'s outputs at the benchmark's TWRC point, whose
 # Lambda_2 has rank 1: its dither is one draw_cell cube draw reduced mod
-# Lambda_2 and its power is the Monte-Carlo second_moment of draw_cell rows.
+# Lambda_2 and its power is second_moment's fixed quadrature of the cell.
 BM_PINNED = {
     0: {"twrc_blocks.csv": "7555a20a0c20d797c727efc7eb1ad912"
                            "bff7aa537045af6523908ceadc7ec1a2",

@@ -191,6 +191,13 @@ class TestRelaySim:
         _config_error(tmp_path, capsys, "relay-sim", "relay_summary.csv",
                       self.CFG.replace("p = 5", "p = 1"))
 
+    @pytest.mark.parametrize("old, new", [("\nR = 0.7", "\nR = -1.0"),
+                                          ("RR = 0.7", "RR = -2.0")])
+    def test_negative_rate_is_config_error(self, tmp_path, capsys, old, new):
+        err = _config_error(tmp_path, capsys, "relay-sim",
+                            "relay_summary.csv", self.CFG.replace(old, new))
+        assert "rates must be nonnegative" in err
+
 
 class TestTwrcSim:
     CFG = ("[twrc-sim]\nP1 = 4.0\nP2 = 4.0\nPR = 200.0\n"

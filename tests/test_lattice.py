@@ -251,8 +251,8 @@ class TestZeroAtAnyScale:
     def test_second_moment_scales_as_gamma_squared(self, gamma):
         lat = ConstructionALattice(3, self.ROWS, gamma=gamma)
         unit = ConstructionALattice(3, self.ROWS, gamma=1.0)
-        assert second_moment(lat, 2000, seed=2) / gamma ** 2 == pytest.approx(
-            second_moment(unit, 2000, seed=2), rel=1e-9)
+        assert second_moment(lat) / gamma ** 2 == pytest.approx(
+            second_moment(unit), rel=1e-9)
 
 
 class TestModLattice:
@@ -344,21 +344,40 @@ class TestVolumeAndConstruction:
 
 
 class TestSecondMoment:
+    # Exact per-dimension second moments, sigma^2 = G V^(2/n): D4 from the
+    # [4,3] even-weight code at p = 2 (G = 13 / (120 sqrt 2), V = 2) and
+    # sqrt2 E8 from the [8,4,4] extended Hamming code (G = 929 / 12960,
+    # V = 16); Conway and Sloane, ch. 21.
+    D4 = ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], 13 / 120)
+    E8 = ([[1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1, 0, 0],
+           [0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 0, 1, 0, 1]], 929 / 6480)
+
+    @pytest.mark.parametrize("rows, exact", [D4, E8], ids=["D4", "E8"])
+    def test_exact_oracles(self, rows, exact):
+        lat = ConstructionALattice(2, rows)
+        assert second_moment(lat) == pytest.approx(exact, rel=1e-3)
+
+    def test_against_grid_quadrature(self, small_lattice):
+        for lat in (small_lattice, ConstructionALattice(5, [[1, 2]])):
+            assert second_moment(lat) == pytest.approx(
+                second_moment_quadrature(lat, grid=300), rel=5e-4)
+
     def test_unit_interval(self):
-        lat = integer_lattice(1)
-        est = second_moment(lat, 20_000, seed=1)
-        se = (1 / 12) / np.sqrt(20_000)   # rough scale of the estimator sd
-        assert abs(est - 1 / 12) < 3 * 4 * se
+        assert second_moment(integer_lattice(1)) == 1 / 12
 
     def test_scaling(self):
         g = 1.7
-        est = second_moment(integer_lattice(1, gamma=g), 20_000, seed=1)
-        assert est == pytest.approx(g * g / 12, rel=0.05)
+        assert second_moment(integer_lattice(1, gamma=g)) == g * g / 12
 
-    def test_against_grid_quadrature(self, small_lattice):
-        mc = second_moment(small_lattice, 40_000, seed=3)
-        quad = second_moment_quadrature(small_lattice, grid=140)
-        assert mc == pytest.approx(quad, rel=0.05)
+    def test_cubic_cell_exact(self):
+        # Bit-equal to the closed forms at rank 0 and rank n.
+        for gamma, p, n in itertools.product((0.8, 1e-12, 1e12),
+                                             (2, 3, 7), (1, 2, 8)):
+            coarse = ConstructionALattice(p, np.zeros((0, n), dtype=int),
+                                          gamma=gamma, n=n)
+            fine = ConstructionALattice(p, np.eye(n, dtype=int), gamma=gamma)
+            assert second_moment(coarse) == (gamma * p) ** 2 / 12
+            assert second_moment(fine) == gamma ** 2 / 12
 
     @staticmethod
     def _mod_loop(lat, samples, seed):
@@ -372,11 +391,9 @@ class TestSecondMoment:
         rows = np.array([[1, 1], [0, 1]])[:k]
         lat = ConstructionALattice(3, rows, gamma=0.8, n=2)
         for seed, samples in itertools.product(range(4), (1, 9, 2000)):
-            U = self._mod_loop(lat, samples, seed)
             assert np.array_equal(
-                lat.draw_cell(np.random.default_rng(seed), samples), U)
-            assert second_moment(lat, samples, seed) == pytest.approx(
-                np.mean(np.sum(U * U, axis=1)) / 2, rel=1e-12)
+                lat.draw_cell(np.random.default_rng(seed), samples),
+                self._mod_loop(lat, samples, seed))
 
     def test_equals_per_sample_loop_n8(self):
         rng = np.random.default_rng(6)
@@ -386,22 +403,14 @@ class TestSecondMoment:
             assert np.array_equal(
                 lat.draw_cell(np.random.default_rng(seed), 300), U)
             assert not direct_scan_nearest(lat, U).any()
-            assert second_moment(lat, 300, seed) == pytest.approx(
-                np.mean(np.sum(U * U, axis=1)) / 8, rel=1e-12)
 
     def test_cell_with_tiny_acceptance_ratio(self):
         # Z^8 fills 7^-8 of its box of side 7, so a rejection sampler would
         # give up here; the reduced cube draw is uniform on the unit cube.
         lat = ConstructionALattice(7, np.eye(8, dtype=int), n=8)
+        U = lat.draw_cell(np.random.default_rng(0), 2000)
         se = np.sqrt((1 / 80 - 1 / 144) / (2000 * 8))   # sd of the mean u^2
-        assert abs(second_moment(lat, 2000, seed=0) - 1 / 12) < 3 * se
-
-    def test_cubic_cell_exact(self):
-        lat = ConstructionALattice(3, np.zeros((0, 2), dtype=int),
-                                   gamma=1.0, n=2)
-        assert lat.second_moment_exact() == pytest.approx(9 / 12, rel=1e-12)
-        assert second_moment(lat, 30_000, seed=7) == pytest.approx(
-            9 / 12, rel=0.05)
+        assert abs(np.mean(U * U) - second_moment(lat)) < 3 * se
 
 
 class TestIsSublattice:
@@ -503,8 +512,7 @@ class TestVoronoiSampling:
         rng = np.random.default_rng(17)
         pts = np.array([small_lattice.sample_voronoi(rng)
                         for _ in range(20_000)])
-        sd = np.sqrt(small_lattice.second_moment_exact()
-                     or second_moment(small_lattice, 5000, 0))
+        sd = np.sqrt(second_moment(small_lattice))
         assert np.max(np.abs(pts.mean(axis=0))) < 4 * sd / np.sqrt(20_000)
 
 

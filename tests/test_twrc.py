@@ -153,6 +153,18 @@ class TestBuildCodebooks:
         assert all(is_sublattice(a, b) for a, b in zip(lats, lats[1:]))
         assert cbs.lam2.k >= cbs.lam1.k   # smaller power, finer shaping
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rank_one_power_depends_on_the_rows_alone(self, seed):
+        # The benchmark's point: a rank-1 Lambda_2 at p = 3, n = 2, whose
+        # rows vary with the codebook seed. Every such cell is a hexagon
+        # of second moment 116/81, from polygon integration.
+        ch = TwrcParams(P1=4.0, P2=1.0, PR=200.0, N1=1.0, N2=1.0, NR=0.01)
+        params = TwrcSimParams(channel=ch, R1=1.58, R2=0.8, R=4.0, B=20)
+        cbs = build_twrc_codebooks(params, p=3, n=2, seed=seed)
+        assert cbs.lam2.k == 1
+        assert cbs.power1 == pytest.approx(4.0, rel=1e-12)
+        assert cbs.power2 == pytest.approx(116 / 81, rel=1e-3)
+
     def test_broadcast_rate_enforced(self):
         ch = TwrcParams(P1=2.0, P2=1.0, PR=100.0, N1=0.5, N2=0.5, NR=0.5)
         params = TwrcSimParams(channel=ch, R1=0.79, R2=0.79, R=0.1, B=5)
