@@ -97,7 +97,8 @@ def _greedy_search(p: int, n: int, kmax: int, seed: int,
     weight = 1 if p == 2 else 2
     big = p ** kmax + 2 * n + 1              # above any multiplicity
     rows = np.zeros((0, n), dtype=np.int64)
-    cw = np.zeros((1, n), dtype=np.int64)    # codewords of rows, 0 first
+    # Codewords of rows, 0 first, in the least type that holds p - 1.
+    cw = np.zeros((1, n), dtype=np.min_scalar_type(p - 1))
     # At rank 0 there is no nonzero codeword: a minimum above any norm.
     old_min, old_mult = n * p * p + 1, 0
     for rank in range(kmax):
@@ -122,7 +123,8 @@ def _greedy_search(p: int, n: int, kmax: int, seed: int,
         rows = np.vstack([rows, cands[i][None, :]])
         old_min, old_mult = int(short[i]), int(mult[i])
         if rank + 1 < kmax:
-            cw = np.concatenate([(cw + c * cands[i]) % p for c in range(p)])
+            cw = np.concatenate([((cw + c * cands[i]) % p).astype(cw.dtype)
+                                 for c in range(p)])
     return rows, old_min, old_mult
 
 

@@ -58,11 +58,12 @@ class _ScanTable:
 
     ``cols = cw + p * arange(n)`` for each of the g p^k codewords cw
     (g p^k x n) is the column of each codeword coordinate in the scan's
-    flattened (n, p) lift table, and ``onehot`` (n p x g p^k) is 1 at
-    ``[cols[c, j], c]``; both are read-only. ``classes``, one entry per
-    column, is None unless the owner sets it; then the scan returns the
-    winning column's entry in place of its point. A step of the scan
-    takes at most ``chunk`` rows.
+    flattened (n, p) lift table, and ``onehot`` (n p x g p^k) is 1/4 at
+    ``[cols[c, j], c]``, so that its product with the squared-distance
+    table is a quarter of each coset's squared distance; both are
+    read-only. ``classes``, one entry per column, is None unless the
+    owner sets it; then the scan returns the winning column's entry in
+    place of its point. A step of the scan takes at most ``chunk`` rows.
 
     The table keeps the work arrays of one step (:meth:`new_work`), grown
     to the largest one-step scan seen and used as leading-row views, so a
@@ -80,7 +81,7 @@ class _ScanTable:
         words = (shifts[:, None, :] + gf.all_codewords(rows, p)) % p
         self.cols = words.reshape(count, n) + p * np.arange(n)
         self.onehot = np.zeros((n * p, count))
-        self.onehot[self.cols, np.arange(count)[:, None]] = 1.0
+        self.onehot[self.cols, np.arange(count)[:, None]] = 0.25
         self.cols.setflags(write=False)
         self.onehot.setflags(write=False)
         self.p = p
@@ -92,8 +93,8 @@ class _ScanTable:
 
     def new_work(self, m: int) -> tuple[np.ndarray, ...]:
         """Uninitialised work arrays of a step of ``m`` rows: the lift and
-        squared-distance tables (m, n p), the distance array (m, cosets)
-        and its window (m groups, cosets / groups)."""
+        squared-distance tables (m, n p), the cosets' squared distances
+        (m, cosets) and their far marks (m groups, cosets / groups)."""
         count, width = self.onehot.shape[1], len(self.residues)
         return (np.empty((m, width)), np.empty((m, width)),
                 np.empty((m, count)),
@@ -125,10 +126,20 @@ def _coset_scan(Y: np.ndarray, table: _ScanTable) -> np.ndarray:
     cw_j + pZ, which depends only on (y_j, cw_j). So one (m, n p) table
     holds the rounded lift of every residue, entry j p + r for residue r
     of coordinate j, and another its squared distance. Coset c's squared
-    distance, the sum over j of the entries j p + cw_j, is column c of one
-    matrix product of the squared-distance table with ``onehot``. Within
-    each group, among the cosets within 1e-12 of the group's shortest
-    distance the lexicographically smallest point wins.
+    distance, the sum over j of the entries j p + cw_j, is 4 times column
+    c of one matrix product of the squared-distance table with ``onehot``.
+    Within each group, among the cosets within 1e-12 of the group's
+    shortest distance the lexicographically smallest point wins. The
+    product only screens, on quartered squared distances: the group's
+    first shortest coset (one argmin) sets half the edge, sqrt(d_min) / 2
+    + 1e-12 / 2, and a coset is near while d / 4 <= (edge / 2)^2 (1 +
+    2e-15 n), which holds every coset of the window whatever order the
+    product summed in; a quarter keeps that bound finite wherever the
+    distances are. A group with one near coset has the argmin as its point. In
+    a group with more, the window is decided on the near cosets'
+    distances summed anew coordinate by coordinate, as a direct scan sums
+    them, and its lexicographically smallest point wins. So one row and a
+    batch of any size pick the same point at the window's edge too.
 
     Where a coordinate's squared distance is inf at every residue (finite
     |y_j| >~ 1e170), inf * 0 makes the whole product row NaN; every coset
@@ -147,9 +158,13 @@ def _coset_scan(Y: np.ndarray, table: _ScanTable) -> np.ndarray:
 def _scan_chunk(Y: np.ndarray, table: _ScanTable,
                 work: tuple[np.ndarray, ...]) -> np.ndarray:
     """:func:`_coset_scan` of one step of rows, on the leading rows of
-    ``work``; every array it returns is new."""
-    # ufunc reductions rather than the array methods: this runs once per
-    # single-vector call, where the methods' Python wrappers show.
+    ``work``; every array it returns is new. The (rows, cosets) table
+    holds quartered squared distances throughout: sqrt is taken of each
+    group's shortest entry, and of the distances summed anew for a group
+    with more than one near coset."""
+    # ufunc reductions rather than the array methods, whose Python
+    # wrappers show on a one-row call; argmin and take have no ufunc form,
+    # and their methods beat the np.argmin and np.take functions.
     m, n = Y.shape
     p, groups = table.p, table.groups
     lift, sq, d, far = work
@@ -163,25 +178,39 @@ def _scan_chunk(Y: np.ndarray, table: _ScanTable,
     lift += table.residues
     np.subtract(lift, sq, out=sq)
     sq *= sq
-    np.matmul(sq, table.onehot, out=d)
-    np.sqrt(d, out=d)
+    np.matmul(sq, table.onehot, out=d)   # a quarter of each squared distance
     size = far.shape[1]
     d = d.reshape(m * groups, size)   # row i * groups + g: group g of row i
-    # Greater-than marks the cosets outside the window; a NaN row marks none.
-    np.greater(d, (np.minimum.reduce(d, axis=1) + 1e-12)[:, None], out=far)
-    pick = far.argmin(axis=1)   # the first column in each row's window
-    if groups > 1:
-        pick = pick.reshape(m, groups)
-        pick += np.arange(0, size * groups, size)   # each group's first column
-        pick = pick.reshape(m * groups)
+    pick = d.argmin(axis=1)   # each row's first shortest coset, or first NaN
+    if len(pick) > 1:         # as an entry of the flat d, row r's at r size
+        pick += np.arange(0, d.size, size)
+    half = np.sqrt(d.take(pick)) + 0.5e-12   # half the edge
+    # Far: above (edge / 2)^2 slack. Two orders of summing the same n
+    # squares differ by at most 2 (n - 1) 2^-53 of the sum; with the
+    # roundings of two square roots and of the bound, the slack covers
+    # that, as 2e-15 n > (4 n + 8) 2^-53. The quarter keeps the bound
+    # finite unless the full d is past 4 max / slack, where a product of
+    # unquartered d would overflow itself; a NaN row marks none far.
+    slack = 1.0 + 2e-15 * n
+    np.greater(d, (half * half * slack)[:, None], out=far)
+    if m > 1:   # the entry's column: row i of Y starts at i size groups
+        pick = pick % (size * groups)
     if np.count_nonzero(far) < m * groups * (size - 1):
         for i in np.flatnonzero(np.add.reduce(far, axis=1) < size - 1
                                 ).tolist():
             row, g = divmod(i, groups)
             if np.logical_and.reduce(np.isfinite(Y[row])):  # else coset 0
                 tied = size * g + np.flatnonzero(~far[i])
-                pts = lift[row].take(table.cols[tied]).tolist()
-                # Lists compare lexicographically.
+                pts = lift[row].take(table.cols[tied])
+                # The window on distances summed anew. From d = 2^1022 on,
+                # where such a sum could overflow, only huge coordinates
+                # count, whose lifts are the same in every coset: all tie.
+                if half[i] < 2.0 ** 510:
+                    diff = pts - Y[row]
+                    dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
+                    keep = dist <= np.minimum.reduce(dist) + 1e-12
+                    tied, pts = tied[keep], pts[keep]
+                pts = pts.tolist()   # lists compare lexicographically
                 pick[i] = tied[min(range(len(pts)), key=pts.__getitem__)]
     if table.classes is not None:
         return table.classes.take(pick)

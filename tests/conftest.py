@@ -73,12 +73,13 @@ def direct_scan_nearest(lat: ConstructionALattice, X) -> np.ndarray:
     Every row rounds into every coset c + pZ^n at once, as an (m, p^k, n)
     array of points; among the cosets within 1e-12 of the shortest
     distance the lexicographically smallest point wins. The library kernel
-    sums each coset's squared distances in another order (a matrix
-    product), so the distances may differ in the last bits, but its
-    points must match bit for bit: a rounding difference can move a
-    point only inside the 1e-12 window. That holds while a row's lift is
-    exact in float64 (|y_j| / gamma well below 2^52), and where a huge
-    coordinate (about 1e150 and up) swamps every other term.
+    screens the cosets by a matrix product, which sums each coset's
+    squared distances in another order, but decides every window that
+    holds more than one coset on distances summed as here, from the same
+    lift. So its points must match bit for bit, at the window's edge too,
+    and even where the lift is inexact (|y_j| / gamma beyond about 2^52).
+    Where a huge coordinate (about 1e170 and up) makes every distance inf,
+    both tie every coset.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = X / lat.gamma

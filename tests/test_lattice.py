@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +30,13 @@ from latrelay.lattice import (
     second_moment,
 )
 from conftest import (
+    _codeword_grid,
     brute_force_nearest,
     direct_scan_nearest,
     message_index_oracle,
     repeat_call_peak,
     second_moment_quadrature,
+    shift_rescan_decode,
 )
 
 
@@ -187,6 +190,170 @@ class TestCosetScanKernel:
                                for x in X])
         assert np.array_equal(single, want, equal_nan=True)
         assert np.array_equal(beside, want, equal_nan=True)
+
+    @staticmethod
+    def _window_edge_rows(lat, rng, pairs=12, ulps=40):
+        """Rows (m, n) in units of gamma beside the bisector of a pair of
+        lattice points lo and hi, lo lexicographically first, one a
+        shortest vector from the other: each pair's row y on hi's side
+        whose distance gap |y - lo| - |y - hi| is the scan's 1e-12 window,
+        then y moved by -ulps..ulps coordinate ulps toward lo. Inside the
+        window lo wins the tie; beyond it hi is nearest. Returns the rows
+        and each row's lo and hi."""
+        p, n = lat.p, lat.n
+        words = np.array(_codeword_grid(lat))
+        lifts = words - p * (words > p / 2)     # centered lifts, 0 first
+        vecs = np.vstack([lifts[1:], p * np.eye(n, dtype=int)])
+        norms = (vecs * vecs).sum(axis=1)
+        short = vecs[norms == norms.min()]
+        steps = np.arange(-ulps, ulps + 1)[:, None]
+        rows, los, his = [], [], []
+        for _ in range(pairs):
+            a = lifts[rng.integers(len(lifts))] + p * rng.integers(-1, 2, n)
+            lo, hi = sorted([a, a + short[rng.integers(len(short))]],
+                            key=tuple)
+            s = np.linalg.norm(lo - hi)
+            u = (lo - hi) / s                      # from hi toward lo
+            w = rng.normal(size=n)
+            w -= (w @ u) * u
+            w *= 0.05 * s / np.linalg.norm(w)      # off the bisector's axis
+            r = np.hypot(s / 2, 0.05 * s)          # |y - lo| ~ |y - hi|
+            y = (lo + hi) / 2 + w - 1e-12 * r / s * u   # gap 1e-12
+            rows.append(y + steps * np.abs(np.spacing(y)) * np.sign(u))
+            los.append(np.repeat(lo[None], len(steps), axis=0))
+            his.append(np.repeat(hi[None], len(steps), axis=0))
+        return np.vstack(rows), np.vstack(los), np.vstack(his)
+
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e4])
+    @pytest.mark.parametrize("p, n, k", [
+        (3, 2, 1), (3, 4, 2), (3, 8, 4), (5, 4, 2), (2, 8, 4), (3, 8, 6)])
+    def test_window_edge(self, p, n, k, gamma):
+        # Rows whose two nearest points differ by the 1e-12 window within
+        # a few ulps, where the window decides between them: single and
+        # batched nearest points match the direct scan, whose window is
+        # decided on distances, and the grouped decode matches the
+        # shift-and-rescan members, bit for bit.
+        ch = build_chain(p, n, [0, k, k + 1], gamma=gamma, seed=3)
+        lat, dec = ch[1], ch.list_decoder
+        rng = np.random.default_rng(1000 * p + 10 * n + k)
+        Y, lo, hi = self._window_edge_rows(lat, rng)
+        X = gamma * Y
+        step = 64
+        want = np.vstack([direct_scan_nearest(lat, X[i:i + step])
+                          for i in range(0, len(X), step)])
+        assert np.array_equal(lat.nearest_many(X), want)
+        assert np.array_equal(np.array([lat.nearest(x) for x in X]), want)
+        # Both sides of the edge are reached: the window flips rows to lo.
+        unit = np.rint(want / gamma)
+        assert np.all(unit == lo, axis=1).any()
+        assert np.all(unit == hi, axis=1).any()
+        members = np.vstack([shift_rescan_decode(X[i:i + step], ch[0], ch[1],
+                                                 ch[2])
+                             for i in range(0, len(X), step)])
+        want = message_index_oracle(dec.codebook.points,
+                                    members.reshape(-1, n), gamma
+                                    ).reshape(len(X), dec.list_size)
+        assert np.all(want > 0)
+        assert np.array_equal(dec.decode_many(X), want)
+        assert np.array_equal(
+            np.vstack([dec.decode_many(X[i:i + 1]) for i in range(len(X))]),
+            want)
+
+    @pytest.mark.parametrize("p, n, k", [(3, 8, 4), (3, 4, 2), (5, 4, 2)])
+    def test_inexact_lifts_single_matches_batch(self, p, n, k):
+        # Tie-grid rows with coordinates of magnitude 1e10-1e40, whose
+        # lifts are inexact from about 1e16 on and whose near ties the
+        # product's rounding would decide: one row, the batch and the
+        # direct scan still pick the same point.
+        lat = build_chain(p, n, [k], gamma=0.5, seed=3)[0]
+        rng = np.random.default_rng(7 * p + n + k)
+        m = 4000
+        X = rng.integers(-2 * p, 2 * p + 1, size=(m, n)) / 2.0
+        big = rng.random((m, n)) < 0.3
+        X[big] = (rng.choice([-1.0, 1.0], size=big.sum())
+                  * 10.0 ** rng.uniform(10, 40, size=big.sum()))
+        X *= lat.gamma
+        want = np.vstack([direct_scan_nearest(lat, X[i:i + 500])
+                          for i in range(0, m, 500)])
+        assert np.array_equal(lat.nearest_many(X), want)
+        assert np.array_equal(np.array([lat.nearest(x) for x in X]), want)
+
+    @pytest.mark.parametrize("p, n, k", [
+        (3, 2, 1), (3, 4, 2), (3, 8, 4), (5, 4, 2), (2, 8, 4), (3, 8, 6)])
+    def test_numpy_warnings_by_magnitude(self, p, n, k):
+        # Tie-grid rows with coordinates of magnitude 10^e. Up to 1e152 a
+        # scan raises no warning. Beyond, a step of the scan may raise one
+        # overflow (the squared distances) and one invalid value (inf * 0
+        # in the product), and no other: the bound on the squared
+        # distances adds no overflow. Steps hold one batch or one row.
+        ch = build_chain(p, n, [0, k, k + 1], gamma=0.5, seed=3)
+        lat, dec = ch[1], ch.list_decoder
+        rng = np.random.default_rng(p + n + k)
+        allowed = {"overflow encountered in multiply",
+                   "invalid value encountered in matmul"}
+        calls = (lat.nearest_many, dec.decode_many,
+                 lambda X: lat.nearest(X[0]), lambda X: dec.decode_many(X[:1]))
+        seen, m = set(), 8
+        for e in np.arange(0.0, 300.5, 2.5):
+            X = rng.integers(-2 * p, 2 * p + 1, size=(m, n)) / 4.0
+            big = rng.random((m, n)) < 0.5
+            X[big] = (rng.choice([-1.0, 1.0], size=big.sum())
+                      * 10.0 ** (e + rng.uniform(0, 0.5, size=big.sum())))
+            if e + 0.5 <= 152:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    for call in calls:
+                        call(X)
+                continue
+            for call in calls:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    call(X)
+                messages = [str(w.message) for w in caught]
+                assert set(messages) <= allowed, (e, messages)
+                assert len(messages) == len(set(messages)), (e, messages)
+                seen.update(messages)
+        # At p = 2 a huge coordinate's lift is itself: its square is 0.
+        assert seen == (allowed if p > 2 else set())
+
+    def test_no_overflow_near_float_maximum(self):
+        # Rows of huge coordinates, each one ulp 2^e from its lift, so that
+        # no square overflows: 3 in each binade e = 488..511, whose squared
+        # distance to every coset, 2^1024 - 2^976, is within the window's
+        # slack of the float maximum; and 4 at e = 511, whose sum 2^1024 is
+        # past it (the direct scan's sum overflows there). The scan raises
+        # no warning, not even on its bound, and all cosets tie.
+        p, n = 3, 72
+        ch = build_chain(p, n, [0, 1, 2], gamma=1.0, seed=3)
+        lat, dec = ch[1], ch.list_decoder
+        rng = np.random.default_rng(5)
+
+        def off_by_ulp(e):
+            while True:
+                v = rng.choice([-1.0, 1.0]) * (
+                    2.0 ** (e + 52) + rng.integers(1, 2 ** 52) * 2.0 ** e)
+                if abs(np.ceil(v / p - 0.5) * p - v) == 2.0 ** e:
+                    return v
+
+        below = [[off_by_ulp(488 + j // 3) for j in range(n)]
+                 for _ in range(3)]
+        past = [[off_by_ulp(511) for _ in range(4)] + [0.25] * (n - 4)
+                for _ in range(3)]
+        X = np.array(below + past)
+        sq = (np.ceil(X / p - 0.5) * p - X) ** 2
+        assert np.all(sq[:3].sum(axis=1) == np.ldexp(2.0 ** 48 - 1, 976))
+        assert np.all(sq[3:, :4] == 2.0 ** 1022)
+        with np.errstate(over="ignore"):
+            want = direct_scan_nearest(lat, X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(lat.nearest_many(X), want)
+            assert np.array_equal(np.array([lat.nearest(x) for x in X]),
+                                  want)
+            batch = dec.decode_many(X)
+            assert np.array_equal(
+                np.vstack([dec.decode_many(X[i:i + 1])
+                           for i in range(len(X))]), batch)
 
 
 class TestScanWorkArrays:
