@@ -3,10 +3,10 @@
 decoder's block error rate as CSV (stdout)."""
 
 import argparse
-import math
 
 from latrelay.chain import build_chain
 from latrelay.channel import AwgnParams, simulate_p2p
+from latrelay.lattice import cubic_gamma
 
 
 def main():
@@ -20,7 +20,7 @@ def main():
     args = ap.parse_args()
 
     ranks = [int(t) for t in args.ranks.split(",")]
-    gamma = math.sqrt(12.0 * args.P) / args.p
+    gamma = cubic_gamma(args.p, args.P)
     chain = build_chain(args.p, args.n, ranks, gamma=gamma, seed=args.seed)
     print("N,pe_hat,pe_ci95,list_size")
     for N in (0.05, 0.1, 0.2, 0.4, 0.8, 1.6):

@@ -12,8 +12,8 @@ from .errors import LatrelayError
 from .lattice import (
     ConstructionALattice,
     Lattice,
+    cubic_gamma,
     enumerate_codebook,
-    integer_lattice,
     is_sublattice,
     second_moment,
 )
@@ -44,8 +44,6 @@ from .relay import (
 from .twrc import (
     TwrcSimParams,
     build_twrc_codebooks,
-    recover_t1_from_sum,
-    recover_t2_from_sum,
     sum_codeword,
     twrc_round_trip,
 )

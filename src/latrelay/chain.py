@@ -97,8 +97,9 @@ def _greedy_search(p: int, n: int, kmax: int, seed: int,
     weight = 1 if p == 2 else 2
     big = p ** kmax + 2 * n + 1              # above any multiplicity
     rows = np.zeros((0, n), dtype=np.int64)
-    # Codewords of rows, 0 first, in the least type that holds p - 1.
-    cw = np.zeros((1, n), dtype=np.min_scalar_type(p - 1))
+    # Codewords of rows, 0 first, in the least type that holds the sum
+    # 2 (p - 1) of two residues.
+    cw = np.zeros((1, n), dtype=np.min_scalar_type(2 * (p - 1)))
     # At rank 0 there is no nonzero codeword: a minimum above any norm.
     old_min, old_mult = n * p * p + 1, 0
     for rank in range(kmax):
@@ -122,9 +123,10 @@ def _greedy_search(p: int, n: int, kmax: int, seed: int,
             raise InvalidRanks("could not extend rows to requested rank")
         rows = np.vstack([rows, cands[i][None, :]])
         old_min, old_mult = int(short[i]), int(mult[i])
-        if rank + 1 < kmax:
-            cw = np.concatenate([((cw + c * cands[i]) % p).astype(cw.dtype)
-                                 for c in range(p)])
+        if rank + 1 < kmax:   # cw + c cand for c = 0..p-1, in that order
+            shifts = (np.arange(p)[:, None] * cands[i] % p).astype(cw.dtype)
+            cw = (cw + shifts[:, None, :]).reshape(-1, n)
+            cw %= p
     return rows, old_min, old_mult
 
 
@@ -187,9 +189,6 @@ class LatticeChain:
 
     def __getitem__(self, i: int) -> ConstructionALattice:
         return self.lattices[i]
-
-    def volume(self, i: int) -> float:
-        return self.lattices[i].volume
 
     @cached_property
     def list_decoder(self) -> NestedListDecoder:

@@ -77,23 +77,24 @@ def ci95(pe: float, count: int) -> float:
 def trial_rng(seed: int, key: int) -> np.random.Generator:
     """Independent stream derived from (seed, key):
     ``SeedSequence(entropy=seed, spawn_key=(key,))``. ``simulate_p2p`` keys
-    it by batch of trials, the block-Markov engines by kind of draw
-    (``STREAM_KEYS``)."""
+    it by batch of trials, every other seeded draw by ``STREAM_KEYS``."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                         spawn_key=(key,)))
 
 
-# Spawn keys of the block-Markov streams, one per kind of draw, by
-# position: the messages of each codebook, each dither, each noise.
+# Spawn keys of every seeded stream but simulate_p2p's batches, all
+# distinct. The block-Markov draws are one stream per kind, by position:
 # DF draws w; U1, U2; ZR, Z2'. TWRC draws w1, w2; U1, U2; ZR, Z1, Z2.
-# They differ from every other spawn key used with a run seed: the bins'
-# (relay.BINNING_KEY), the TWRC relay codebook's (twrc.RELAY_CODEBOOK_KEY),
-# the gap draws' (cli.GAPS_KEY), and the batch numbers of any p2p run of
-# fewer than 10^8 trials.
+# The bins of DF messages and the gap draws take the run seed, the TWRC
+# relay codebook and its bin table the codebook seed. The one other
+# stream is chain._greedy_search's, seeded by the chain seed alone.
 STREAM_KEYS = {
     "messages": (0xB10C1, 0xB10C2),
     "dithers": (0xB10C3, 0xB10C4),
     "noises": (0xB10C5, 0xB10C6, 0xB10C7),
+    "bins": 0xB1A5,
+    "relay_codebook": 0xC0DE,
+    "gaps": 0x6A9,
 }
 
 

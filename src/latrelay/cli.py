@@ -20,10 +20,15 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .chain import build_chain
-from .channel import AwgnParams, simulate_p2p, P2PStats, ci95
+from .channel import (
+    STREAM_KEYS,
+    AwgnParams,
+    P2PStats,
+    ci95,
+    simulate_p2p,
+    trial_rng,
+)
 from .errors import (
     ConfigInvalid,
     EnumerationBudgetExceeded,
@@ -33,6 +38,7 @@ from .errors import (
     NotPrime,
 )
 from .gf import check_prime
+from .lattice import cubic_gamma
 from .rates import (
     TwrcParams,
     cutset_degraded,
@@ -80,7 +86,7 @@ _TWRC_POWERS = _floats("P1", "P2", "PR", "NR")
 _REGIONS = {"mode": (str, "none"), **_TWRC_POWERS}
 
 # section -> key -> (parser, default or REQUIRED). A p2p-sim gamma of None
-# stands for sqrt(12 P) / p, the cubic shaping of power P.
+# stands for lattice.cubic_gamma(p, P), the cubic shaping of power P.
 SCHEMA = {
     "chain-info": {**_CODE, "ranks": (_ints, REQUIRED), "gamma": (float, 1.0)},
     "p2p-sim": {**_CODE, "ranks": (_ints, REQUIRED), **_floats("P", "N"),
@@ -99,8 +105,6 @@ _PHYSICAL_REGIONS = {**_REGIONS, **_floats("N1p", "N2p")}
 # The key of each section that --trials overrides.
 COUNT = {"p2p-sim": "trials", "relay-sim": "runs", "twrc-sim": "runs",
          "gaps": "draws"}
-# Spawn key of the gap draws' stream, with the run seed as entropy.
-GAPS_KEY = 0x6A9
 
 
 def section_keys(command: str, section) -> dict:
@@ -200,8 +204,7 @@ def cmd_p2p_sim(c: dict, args) -> int:
     check_prime(p)
     try:
         awgn = _build(AwgnParams, c)
-        gamma = (math.sqrt(12.0 * awgn.P) / p if c["gamma"] is None
-                 else c["gamma"])
+        gamma = cubic_gamma(p, awgn.P) if c["gamma"] is None else c["gamma"]
         chain = build_chain(p, c["n"], c["ranks"], gamma=gamma,
                             seed=args.seed)
     except ValueError as exc:
@@ -313,8 +316,7 @@ def cmd_gaps(c: dict, args) -> int:
     if not (math.isfinite(hi) and 0.0 < lo < hi):
         raise ConfigInvalid(
             f"[gaps] needs finite 0 < lo < hi, got lo = {lo!r}, hi = {hi!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(
-        entropy=args.seed, spawn_key=(GAPS_KEY,)))
+    rng = trial_rng(args.seed, STREAM_KEYS["gaps"])
     rows = []
     worst = None
     for d in range(draws):

@@ -37,7 +37,8 @@ DEFAULT_ENUM_BUDGET = 2_000_000
 # (rows x cosets) distance table or the (rows x n p) lift table, so a step
 # takes SCAN_ELEMENTS // max(cosets, n p) rows (at least one): a 40-row
 # list decode of the 3^6 cosets of a rank-6 code at n = 8 is one step,
-# and the working set stays small whatever the batch size.
+# and the working set stays small whatever the batch size. TWRC's bin
+# decode bounds its (rows x bins x n) difference arrays by it too.
 SCAN_ELEMENTS = 32_768
 
 MOMENT_POINTS = 8192   # points of second_moment's quadrature of a cell
@@ -266,11 +267,6 @@ class Lattice:
             f"no accept in {REJECTION_ATTEMPTS} attempts (halfwidth {h:g})")
 
 
-def integer_lattice(n: int, gamma: float = 1.0) -> "ConstructionALattice":
-    """The scaled integer lattice ``gamma * Z^n`` (Construction A, k = n)."""
-    return ConstructionALattice(2, np.eye(n, dtype=np.int64), gamma=gamma)
-
-
 class ConstructionALattice(Lattice):
     """Construction-A lattice: scaled lift of a linear code over GF(p).
 
@@ -385,6 +381,13 @@ def second_moment(lattice: ConstructionALattice) -> float:
     unit = (0.5 + i * phi ** -np.arange(1.0, n + 1)) % 1.0
     U = lattice.mod_many(lattice.voronoi_box_halfwidth() * (2.0 * unit - 1.0))
     return float((U * U).sum()) / U.size
+
+
+def cubic_gamma(p: int, power: float) -> float:
+    """The gamma whose rank-0 lattice, the cube gamma p Z^n, has
+    per-dimension second moment ``power``: the inverse of
+    :func:`second_moment`'s (gamma p)^2 / 12."""
+    return math.sqrt(12.0 * power) / p
 
 
 def is_sublattice(coarse: ConstructionALattice,

@@ -23,12 +23,13 @@ import numpy as np
 from . import gf
 from .chain import LatticeChain, build_chain, rank_for_rate, size_list_lattice
 from .channel import (
+    STREAM_KEYS,
     block_draws,
     resolve,
-    trial_rng,  # noqa: F401 -- perfbench's tracer test reads relay.trial_rng
+    trial_rng,
     unique_decode,
 )
-from .lattice import Codebook
+from .lattice import Codebook, cubic_gamma
 from .rates import best_power_split
 
 
@@ -75,17 +76,12 @@ class DegradedRelayParams:
         return 1.0 + math.sqrt(self.PR / (self.abar * self.P))
 
 
-# Spawn key of the binning map's stream, with the run seed as entropy.
-BINNING_KEY = 0xB1A5
-
-
 def bin_table(num_messages: int, num_bins: int, seed: int) -> np.ndarray:
     """Uniform i.i.d. assignment of message indices to bins, shared by all
     nodes through the seed: a read-only array whose entry w-1 is message
     w's bin, 1..num_bins."""
-    rng = np.random.default_rng(np.random.SeedSequence(
-        entropy=seed, spawn_key=(BINNING_KEY,)))
-    table = rng.integers(1, num_bins + 1, size=num_messages)
+    table = trial_rng(seed, STREAM_KEYS["bins"]).integers(
+        1, num_bins + 1, size=num_messages)
     table.setflags(write=False)
     return table
 
@@ -110,30 +106,25 @@ class DfCodebooks:
         return len(self.resolution_codebook)
 
 
-def _shaping_gamma(p: int, target_power: float) -> float:
-    # rank-0 lattice: cubic cell of side gamma*p, second moment (gamma p)^2/12
-    return math.sqrt(12.0 * target_power) / p
-
-
 def build_df_codebooks(params: DegradedRelayParams, p: int, n: int,
                        seed: int = 0) -> DfCodebooks:
     """Build the two nested codebooks with shaping powers alpha*P, abar*P.
 
     The list lattice is sized for the destination's effective channel
-    (signal alpha*P, noise N + NR). Shaping lattices use rank 0, whose
-    cubic cell of side sqrt(12 target) has second moment exactly the
-    target. The destination's bin decode runs on the resolution pair
-    scaled by kappa, built here once for ``params.kappa``.
+    (signal alpha*P, noise N + NR). Shaping lattices use rank 0 at
+    :func:`~latrelay.lattice.cubic_gamma`, whose cubic cell has second
+    moment exactly the target. The destination's bin decode runs on the
+    resolution pair scaled by kappa, built here once for ``params.kappa``.
     """
     gf.check_prime(p)
-    gamma1 = _shaping_gamma(p, params.alpha * params.P)
+    gamma1 = cubic_gamma(p, params.alpha * params.P)
     dk1 = max(1, rank_for_rate(p, n, params.R))
     base1 = build_chain(p, n, [0, dk1], gamma=gamma1, seed=seed)
     ls1 = size_list_lattice(base1[0], base1[1],
                             P=params.alpha * params.P, N=params.N + params.NR)
     chain1 = build_chain(p, n, [0, ls1.k, dk1], gamma=gamma1, rows=base1.rows)
 
-    gamma2 = _shaping_gamma(p, params.abar * params.P)
+    gamma2 = cubic_gamma(p, params.abar * params.P)
     dk2 = max(1, rank_for_rate(p, n, params.RR))
     chain2 = build_chain(p, n, [0, dk2], gamma=gamma2, seed=seed + 1)
     chain1.list_decoder   # built here, with its codebook, not in a run

@@ -9,8 +9,9 @@ its direct observation of the previous block and keeps the unique list
 member whose implied sum falls in the decoded bin.
 
 Terminal 2's dither enters with a plus sign (X2 = (t2 + U2) mod Lambda_2)
-so the decoded sum is exactly (t1 + t2 - Q2(t2 + U2)) mod Lambda_1 and the
-algebraic recovery identities below hold verbatim.
+so the decoded sum is exactly T = (t1 + t2 - Q2(t2 + U2)) mod Lambda_1,
+from which either codeword follows given the other:
+t1 = (T - t2 + Q2(t2 + U2)) mod Lambda_1 and t2 = (T - t1) mod Lambda_2.
 """
 
 from __future__ import annotations
@@ -22,19 +23,23 @@ import numpy as np
 
 from . import gf
 from .chain import build_chain, rank_for_rate, size_list_lattice
-from .channel import NestedListDecoder, block_draws, resolve
-from .errors import Infeasible, NotACodeword, NotNested
+from .channel import (
+    STREAM_KEYS,
+    NestedListDecoder,
+    block_draws,
+    resolve,
+    trial_rng,
+    unique_decode,
+)
+from .errors import Infeasible, NotACodeword
 from .lattice import (
+    SCAN_ELEMENTS,
     Codebook,
     ConstructionALattice,
-    is_sublattice,
+    cubic_gamma,
     second_moment,
 )
 from .rates import TwrcParams, capacity_c
-
-# Spawn key of the relay codebook's and bin table's stream, with the
-# codebook seed as entropy.
-RELAY_CODEBOOK_KEY = 0xC0DE
 
 
 def sum_codeword(t1: np.ndarray, t2: np.ndarray, U2: np.ndarray,
@@ -43,26 +48,6 @@ def sum_codeword(t1: np.ndarray, t2: np.ndarray, U2: np.ndarray,
     """T = (t1 + t2 - Q2(t2 + U2)) mod Lambda_1, of each row of a batch
     (m, n)."""
     return lam1.mod_many(t1 + t2 - lam2.nearest_many(t2 + U2))
-
-
-def recover_t1_from_sum(T: np.ndarray, t2: np.ndarray, U2: np.ndarray,
-                        lam1: ConstructionALattice, lam2: ConstructionALattice
-                        ) -> np.ndarray:
-    """t1 = (T - t2 + Q2(t2 + U2)) mod Lambda_1, exact algebra, of each
-    row of a batch (m, n)."""
-    if not is_sublattice(lam1, lam2):
-        raise NotNested("Lambda_1 must be a sublattice of Lambda_2")
-    return lam1.mod_many(T - t2 + lam2.nearest_many(t2 + U2))
-
-
-def recover_t2_from_sum(T: np.ndarray, t1: np.ndarray,
-                        lam1: ConstructionALattice, lam2: ConstructionALattice
-                        ) -> np.ndarray:
-    """t2 = (T mod Lambda_2 - t1) mod Lambda_2, of each row of a batch
-    (m, n), using the distributive mod law for Lambda_1 subseteq Lambda_2."""
-    if not is_sublattice(lam1, lam2):
-        raise NotNested("Lambda_1 must be a sublattice of Lambda_2")
-    return lam2.mod_many(lam2.mod_many(T) - t1)
 
 
 @dataclass(frozen=True)
@@ -135,7 +120,7 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
     """
     gf.check_prime(p)
     ch = params.channel
-    gamma = math.sqrt(12.0 * ch.P1) / p
+    gamma = cubic_gamma(p, ch.P1)
     k1 = 0
     k2 = _rank_for_power(p, n, ch.P1, ch.P2)
     dk1 = rank_for_rate(p, n, params.R1)
@@ -167,8 +152,7 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
     # 2^(nR) bins, at most one per sum: capped before the power overflows.
     num_bins = max(1, round(2.0 ** min(n * params.R,
                                        math.log2(len(sum_codebook)))))
-    rng = np.random.default_rng(np.random.SeedSequence(
-        entropy=seed, spawn_key=(RELAY_CODEBOOK_KEY,)))
+    rng = trial_rng(seed, STREAM_KEYS["relay_codebook"])
     relay_codebook = rng.normal(0.0, math.sqrt(ch.PR), size=(num_bins, n))
     bin_table = rng.integers(1, num_bins + 1, size=len(sum_codebook))
     if num_bins == len(sum_codebook):
@@ -188,12 +172,13 @@ def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
 def relay_decode_sum(YR: np.ndarray, U1: np.ndarray, U2: np.ndarray,
                      cbs: TwrcCodebooks, NR: float) -> np.ndarray:
     """MMSE-scaled lattice decode of the dithered sum codeword, from each
-    row of a batch of observations (m, n)."""
+    row of a batch of observations (m, n): :func:`unique_decode` on the
+    finer of the two fine lattices."""
     fine = cbs.lam_c1 if cbs.lam_c1.k >= cbs.lam_c2.k else cbs.lam_c2
     psum = cbs.power1 + cbs.power2
     alpha = psum / (psum + NR)
     y = cbs.lam1.mod_many(alpha * YR + U1 - U2)
-    return cbs.lam1.mod_many(fine.nearest_many(y))
+    return unique_decode(y, cbs.lam1, fine)
 
 
 @dataclass
@@ -231,12 +216,19 @@ def _min_distance_index(Y: np.ndarray, codebook: np.ndarray) -> np.ndarray:
 
     Each observation's differences are scaled by one power of two to
     below 1 in magnitude. The scaling is exact, so it keeps every argmin
-    and tie, and the squares cannot overflow.
+    and tie, and the squares cannot overflow. The rows go in blocks whose
+    difference arrays hold at most SCAN_ELEMENTS entries (at least one
+    row each); a row's scale and sums are its own, so the blocks change
+    no index.
     """
-    diff = codebook - Y[:, None, :]
-    _, exp = np.frexp(np.abs(diff).max(axis=(1, 2), keepdims=True))
-    d = np.sum(np.ldexp(diff, -exp) ** 2, axis=2)
-    return np.argmin(d, axis=1) + 1
+    out = np.empty(len(Y), dtype=np.int64)
+    step = max(1, SCAN_ELEMENTS // codebook.size)
+    for lo in range(0, len(Y), step):
+        diff = codebook - Y[lo:lo + step, None, :]
+        _, exp = np.frexp(np.abs(diff).max(axis=(1, 2), keepdims=True))
+        d = np.sum(np.ldexp(diff, -exp) ** 2, axis=2)
+        out[lo:lo + step] = np.argmin(d, axis=1) + 1
+    return out
 
 
 def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,

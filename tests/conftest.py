@@ -10,7 +10,10 @@ direct form, whose points the kernel's matrix-product scan must reproduce
 bit for bit, and ``shift_rescan_decode`` is the list decode as |L| such
 scans of the list lattice, whose members the grouped scan must reproduce.
 ``message_index_oracle`` finds codebook rows by a dict of their integer
-coordinates, where the library reads a class table.
+coordinates, where the library reads a class table. ``integer_lattice``
+builds gamma Z^n, and ``recover_t1_from_sum`` / ``recover_t2_from_sum``
+state the TWRC recovery algebra that the engine, which resolves in
+message indices, never runs.
 """
 
 import itertools
@@ -21,18 +24,43 @@ import pytest
 from hypothesis import settings
 
 from latrelay.channel import NestedListDecoder
-from latrelay.errors import EnumerationBudgetExceeded
+from latrelay.errors import EnumerationBudgetExceeded, NotNested
 from latrelay.lattice import (
     DEFAULT_ENUM_BUDGET,
     TOL,
     ConstructionALattice,
     enumerate_codebook,
+    is_sublattice,
 )
 
 # Property tests draw the same examples on every run and keep no example
 # database on disk.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+def integer_lattice(n: int, gamma: float = 1.0) -> ConstructionALattice:
+    """The scaled integer lattice ``gamma * Z^n`` (Construction A, k = n)."""
+    return ConstructionALattice(2, np.eye(n, dtype=np.int64), gamma=gamma)
+
+
+def recover_t1_from_sum(T, t2, U2, lam1: ConstructionALattice,
+                        lam2: ConstructionALattice) -> np.ndarray:
+    """t1 = (T - t2 + Q2(t2 + U2)) mod Lambda_1, exact algebra, of each
+    row of a batch (m, n) of TWRC sums T = (t1 + t2 - Q2(t2 + U2)) mod
+    Lambda_1."""
+    if not is_sublattice(lam1, lam2):
+        raise NotNested("Lambda_1 must be a sublattice of Lambda_2")
+    return lam1.mod_many(T - t2 + lam2.nearest_many(t2 + U2))
+
+
+def recover_t2_from_sum(T, t1, lam1: ConstructionALattice,
+                        lam2: ConstructionALattice) -> np.ndarray:
+    """t2 = (T mod Lambda_2 - t1) mod Lambda_2, of each row of a batch
+    (m, n), using the distributive mod law for Lambda_1 subseteq Lambda_2."""
+    if not is_sublattice(lam1, lam2):
+        raise NotNested("Lambda_1 must be a sublattice of Lambda_2")
+    return lam2.mod_many(lam2.mod_many(T) - t1)
 
 
 def brute_force_nearest(lat: ConstructionALattice, y, reach: int = 3):

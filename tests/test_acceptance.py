@@ -39,11 +39,10 @@ from latrelay.relay import (
 from latrelay.twrc import (
     TwrcSimParams,
     build_twrc_codebooks,
-    recover_t1_from_sum,
-    recover_t2_from_sum,
     sum_codeword,
     twrc_round_trip,
 )
+from conftest import recover_t1_from_sum, recover_t2_from_sum
 
 
 def _verdict(num, ok, detail):

@@ -27,29 +27,30 @@ from latrelay.channel import (
     trial_rng,
     unique_decode,
 )
-from latrelay.cli import GAPS_KEY, main
+from latrelay.cli import main
 from latrelay.errors import DimensionMismatch
 from latrelay.lattice import ConstructionALattice
 from latrelay.rates import TwrcParams
 from latrelay.relay import (
-    BINNING_KEY,
     DegradedRelayParams,
     build_df_codebooks,
     df_round_trip,
 )
 from latrelay.twrc import (
-    RELAY_CODEBOOK_KEY,
     TwrcSimParams,
     build_twrc_codebooks,
-    recover_t1_from_sum,
-    recover_t2_from_sum,
     relay_decode_sum,
     sum_codeword,
     twrc_round_trip,
 )
 import block_reference as ref
 from block_reference import df_reference, twrc_reference
-from conftest import message_index_oracle, shift_rescan_decode
+from conftest import (
+    message_index_oracle,
+    recover_t1_from_sum,
+    recover_t2_from_sum,
+    shift_rescan_decode,
+)
 
 SEEDS = range(50)
 
@@ -286,10 +287,9 @@ def test_stream_keys_are_disjoint():
     # Every stream keyed with a run or codebook seed has its own spawn key,
     # so no kind of block draw can replay the bins, the TWRC relay
     # codebook or the gap draws.
-    keys = [key for kind in STREAM_KEYS.values() for key in kind]
-    keys += [BINNING_KEY, RELAY_CODEBOOK_KEY, GAPS_KEY]
-    assert (BINNING_KEY, RELAY_CODEBOOK_KEY, GAPS_KEY) == (0xB1A5, 0xC0DE,
-                                                           0x6A9)
+    keys = list(np.hstack(list(STREAM_KEYS.values())))
+    assert (STREAM_KEYS["bins"], STREAM_KEYS["relay_codebook"],
+            STREAM_KEYS["gaps"]) == (0xB1A5, 0xC0DE, 0x6A9)
     assert len(keys) == len(set(keys)) == 10
 
 

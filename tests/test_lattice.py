@@ -25,7 +25,6 @@ from latrelay.lattice import (
     Codebook,
     ConstructionALattice,
     enumerate_codebook,
-    integer_lattice,
     is_sublattice,
     second_moment,
 )
@@ -33,6 +32,7 @@ from conftest import (
     _codeword_grid,
     brute_force_nearest,
     direct_scan_nearest,
+    integer_lattice,
     message_index_oracle,
     repeat_call_peak,
     second_moment_quadrature,

@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latrelay import twrc
 from latrelay.chain import build_chain
 from latrelay.errors import Infeasible, NotNested
-from latrelay.lattice import enumerate_codebook, integer_lattice, is_sublattice
+from latrelay.lattice import enumerate_codebook, is_sublattice
 from latrelay.rates import TwrcParams
 from latrelay.twrc import (
     TwrcSimParams,
     build_twrc_codebooks,
-    recover_t1_from_sum,
-    recover_t2_from_sum,
     relay_decode_sum,
     sum_codeword,
     twrc_round_trip,
 )
+from conftest import integer_lattice, recover_t1_from_sum, recover_t2_from_sum
 
 
 def _chain_p3():
@@ -245,3 +245,46 @@ class TestRoundTrip:
         assert (a.errors_dir1, a.errors_dir2) == (b.errors_dir1, b.errors_dir2)
         assert [r.csv_row() for r in a.transcript] == \
             [r.csv_row() for r in b.transcript]
+
+
+def _bin_decode_whole(Y, codebook):
+    """The bin decode as one (m, bins, n) difference array, each row
+    scaled by its own power of two."""
+    diff = codebook - Y[:, None, :]
+    _, exp = np.frexp(np.abs(diff).max(axis=(1, 2), keepdims=True))
+    return np.argmin(np.sum(np.ldexp(diff, -exp) ** 2, axis=2), axis=1) + 1
+
+
+class TestBinDecodeBlocks:
+    @pytest.mark.parametrize("scale", ["unit", "huge", "mixed"])
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3, 7])
+    def test_blocks_change_no_index(self, monkeypatch, rows_per_block, scale):
+        # Integer and half-integer rows against an integer codebook with
+        # repeated rows tie exactly. At 1e150 the unscaled squares would
+        # overflow; "mixed" puts rows of scale 1 and 1e300 in one block,
+        # where a scale shared by the block would flush the small rows'
+        # squares to 0. Blocks of a few rows must give the whole array's
+        # indices bit for bit, and at scale 1 the unscaled argmin's.
+        rng = np.random.default_rng(rows_per_block)
+        for bins, n in ((5, 2), (9, 3), (40, 4)):
+            codebook = rng.integers(-2, 3, size=(bins, n)).astype(float)
+            Y = np.vstack([rng.integers(-3, 4, size=(20, n)),
+                           0.5 * rng.integers(-6, 7, size=(10, n)),
+                           rng.normal(0.0, 2.0, size=(20, n))])
+            d = np.sum((codebook - Y[:, None, :]) ** 2, axis=2)
+            assert np.any(np.sum(d == d.min(axis=1, keepdims=True), axis=1)
+                          > 1)
+            if scale == "huge":
+                codebook, Y = 1e150 * codebook, 1e150 * Y
+            elif scale == "mixed":
+                Y[1::2] *= 1e300
+            want = _bin_decode_whole(Y, codebook)
+            if scale == "unit":
+                assert want.tolist() == (np.argmin(d, axis=1) + 1).tolist()
+            assert twrc._min_distance_index(Y, codebook).tolist() == \
+                want.tolist()
+            monkeypatch.setattr(twrc, "SCAN_ELEMENTS",
+                                rows_per_block * codebook.size)
+            assert twrc._min_distance_index(Y, codebook).tolist() == \
+                want.tolist()
+            monkeypatch.undo()
