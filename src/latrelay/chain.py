@@ -268,7 +268,9 @@ def size_list_lattice(coarse: ConstructionALattice, fine: ConstructionALattice,
     Picks the largest rank k_s (smallest volume V_s) with
     V_s >= (N/(P+N))^(n/2) * V, clamped so that
     Lambda subseteq Lambda_s subseteq Lambda_c. Expected list size V_s/Vc.
-    The bound is at most V, so the coarse rank always qualifies.
+    The bound is at most V, so the coarse rank always qualifies. The test
+    is on V_s / V = p^(k - k_s), k the coarse rank, where gamma^n cancels:
+    it holds where gamma^n underflows or overflows too.
     """
     if not (math.isfinite(P) and math.isfinite(N) and P > 0 and N > 0):
         raise ValueError(
@@ -276,9 +278,8 @@ def size_list_lattice(coarse: ConstructionALattice, fine: ConstructionALattice,
     if not (is_sublattice(coarse, fine)
             and np.array_equal(coarse.rows, fine.rows[:coarse.k])):
         raise InvalidRanks("pair rows must be prefix-nested")
-    n = coarse.n
-    target = required_list_volume(coarse.volume, P, N, n)
+    target = required_list_volume(1.0, P, N, coarse.n)   # of V_s / V
     k_s = next((k for k in range(fine.k, coarse.k, -1)
-                if coarse.gamma ** n * float(coarse.p) ** (n - k)
+                if float(coarse.p) ** (coarse.k - k)
                 >= target - 1e-12 * target), coarse.k)
     return fine.with_rank(k_s)

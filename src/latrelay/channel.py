@@ -218,24 +218,36 @@ class NestedListDecoder:
         of the fine points in (Y_prime[i] + V_s), member g in ``reps[g]`` +
         Lambda_s. ``codebook.points[idx - 1]`` are their points."""
         Y = np.asarray(Y_prime, dtype=float)
-        n, gamma = self.fine.n, self.fine.gamma
+        n = self.fine.n
         if Y.ndim != 2 or Y.shape[1] != n:
             raise DimensionMismatch(
                 f"expected rows of length {n}, got shape {Y.shape}")
+        return self._lists(Y).reshape(len(Y), self.list_size)
+
+    def _lists(self, Y: np.ndarray) -> np.ndarray:
+        """:meth:`decode_many` of a checked float batch (m, n), as one
+        flat array of m * size indices."""
+        gamma = self.fine.gamma
         if self.list_size > 1:
-            return _coset_scan(Y / gamma, self._scan).reshape(
-                len(Y), self.list_size)
+            return _coset_scan(Y / gamma, self._scan)
         # Lambda_s = Lambda_c: the list is Q_c(y').
         words = np.rint(self.fine.nearest_many(Y) / gamma).astype(np.int64)
-        return self.codebook.classes(words).reshape(len(Y), 1)
+        return self.codebook.classes(words)
 
     def decode(self, y_prime: np.ndarray,
                truth: Optional[np.ndarray] = None) -> ListDecodeResult:
         """The list of one observation (n,): its message indices, whose
         points (reduced mod the coarse lattice) are gathered from the
         codebook only when read. ``truth``, a codebook point, is matched
-        by its message index."""
-        idx = self.decode_many(np.asarray(y_prime, dtype=float)[None, :])[0]
+        by its message index. The same indices as row 0 of
+        :meth:`decode_many` of ``y_prime[None]``, without its second
+        conversion, check and reshape."""
+        y = np.asarray(y_prime, dtype=float)
+        if y.shape != (self.fine.n,):
+            raise DimensionMismatch(
+                f"expected a vector of length {self.fine.n}, got shape "
+                f"{y.shape}")
+        idx = self._lists(y[None])
         contains = None
         if truth is not None:
             w = self.codebook.index(np.asarray(truth, dtype=float)[None, :])[0]

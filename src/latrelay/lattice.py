@@ -15,6 +15,7 @@ Lambda_1 is inside Lambda_2 exactly when code C_1 is a subcode of C_2
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional
 
 import numpy as np
@@ -67,10 +68,11 @@ class _ScanTable:
     place of its point. A step of the scan takes at most ``chunk`` rows.
 
     The table keeps the work arrays of one step (:meth:`new_work`), grown
-    to the largest one-step scan seen and used as leading-row views, so a
-    scan of one step allocates none of them; one table therefore runs one
-    scan at a time. Raises EnumerationBudgetExceeded before it enumerates
-    anything when g p^k exceeds DEFAULT_ENUM_BUDGET.
+    to the largest one-step scan seen, and the views of them that a step
+    of the last row count read (:meth:`step`), so a scan of one step
+    allocates none of them, and a repeated one builds no view; one table
+    therefore runs one scan at a time. Raises EnumerationBudgetExceeded
+    before it enumerates anything when g p^k exceeds DEFAULT_ENUM_BUDGET.
     """
 
     def __init__(self, p: int, rows: np.ndarray, shifts: np.ndarray):
@@ -90,22 +92,53 @@ class _ScanTable:
         self.groups = len(shifts)
         self.classes: Optional[np.ndarray] = None
         self.chunk = max(1, SCAN_ELEMENTS // max(count, n * p))
+        # The scan's scalars, p, 1/2, half the 1e-12 window and the
+        # window's slack (see _scan_chunk), as 0-d arrays: a ufunc reads
+        # them faster than Python numbers, and to the same values.
+        self.scalars = tuple(np.array(c) for c in (
+            float(p), 0.5, 0.5e-12, 1.0 + 2e-15 * n))
         self._work = self.new_work(0)
+        self._step: tuple = (0, self.views(self._work, 0))
 
     def new_work(self, m: int) -> tuple[np.ndarray, ...]:
         """Uninitialised work arrays of a step of ``m`` rows: the lift and
         squared-distance tables (m, n p), the cosets' squared distances
-        (m, cosets) and their far marks (m groups, cosets / groups)."""
+        and the bound of each coset's window (m, cosets), and their far
+        marks (m groups, cosets / groups). The scan writes the bound only
+        after the product has read the squared-distance table, so the two
+        share one buffer."""
         count, width = self.onehot.shape[1], len(self.residues)
-        return (np.empty((m, width)), np.empty((m, width)),
-                np.empty((m, count)),
+        shared = np.empty(m * max(width, count))
+        return (np.empty((m, width)), shared[:m * width].reshape(m, width),
+                np.empty((m, count)), shared[:m * count].reshape(m, count),
                 np.empty((m * self.groups, count // self.groups), dtype=bool))
 
-    def work(self, m: int) -> tuple[np.ndarray, ...]:
-        """The kept work arrays, first grown to ``m`` rows if smaller."""
-        if m > len(self._work[0]):
-            self._work = self.new_work(m)
-        return self._work
+    def views(self, work: tuple[np.ndarray, ...], m: int) -> tuple:
+        """What a step of ``m`` rows on ``work`` reads: the leading rows of
+        its lift, squared-distance (also as (m, n, p)), distance (also as
+        (m groups, cosets / groups)) and bound (as (m groups, cosets /
+        groups)) tables and of its far marks, each group's first flat
+        entry (None for one group of one row), and each row's first flat
+        lift entry (None for one row)."""
+        lift, sq, d, bound, far = work
+        width, m_groups, size = lift.shape[1], m * self.groups, far.shape[1]
+        lift, sq, d = lift[:m], sq[:m], d[:m]
+        return (lift, sq, sq.reshape(m, width // self.p, self.p), d,
+                d.reshape(m_groups, size),
+                bound[:m].reshape(m_groups, size), far[:m_groups],
+                np.arange(0, m_groups * size, size) if m_groups > 1 else None,
+                width * np.arange(m)[:, None] if m > 1 else None)
+
+    def step(self, m: int) -> tuple:
+        """:meth:`views` of a step of ``m`` rows on the kept work arrays,
+        first grown to ``m`` rows if smaller. The views of the last row
+        count are kept: a table's steps mostly repeat one count (a
+        decoder's are all of one row)."""
+        if m != self._step[0]:
+            if m > len(self._work[0]):
+                self._work = self.new_work(m)
+            self._step = (m, self.views(self._work, m))
+        return self._step[1]
 
 
 def _coset_scan(Y: np.ndarray, table: _ScanTable) -> np.ndarray:
@@ -150,50 +183,53 @@ def _coset_scan(Y: np.ndarray, table: _ScanTable) -> np.ndarray:
     """
     chunk = table.chunk
     if len(Y) <= chunk:
-        return _scan_chunk(Y, table, table.work(len(Y)))
+        return _scan_chunk(Y, table, table.step(len(Y)))
     work = table.new_work(chunk)
-    return np.concatenate([_scan_chunk(Y[lo:lo + chunk], table, work)
-                           for lo in range(0, len(Y), chunk)])
+    return np.concatenate([
+        _scan_chunk(Y[lo:lo + chunk], table,
+                    table.views(work, min(chunk, len(Y) - lo)))
+        for lo in range(0, len(Y), chunk)])
 
 
-def _scan_chunk(Y: np.ndarray, table: _ScanTable,
-                work: tuple[np.ndarray, ...]) -> np.ndarray:
-    """:func:`_coset_scan` of one step of rows, on the leading rows of
-    ``work``; every array it returns is new. The (rows, cosets) table
-    holds quartered squared distances throughout: sqrt is taken of each
-    group's shortest entry, and of the distances summed anew for a group
-    with more than one near coset."""
+def _scan_chunk(Y: np.ndarray, table: _ScanTable, views: tuple) -> np.ndarray:
+    """:func:`_coset_scan` of one step of rows, on ``views``
+    (:meth:`_ScanTable.views` of its row count); every array it returns is
+    new. The (rows, cosets) table holds quartered squared distances
+    throughout: sqrt is taken of each group's shortest entry, and of the
+    distances summed anew for a group with more than one near coset."""
     # ufunc reductions rather than the array methods, whose Python
     # wrappers show on a one-row call; argmin and take have no ufunc form,
     # and their methods beat the np.argmin and np.take functions.
     m, n = Y.shape
-    p, groups = table.p, table.groups
-    lift, sq, d, far = work
-    lift, sq, d, far = lift[:m], sq[:m], d[:m], far[:m * groups]
-    sq.reshape(m, n, p)[...] = Y[:, :, None]   # entry j p + r of row i: y_ij
+    groups = table.groups
+    lift, sq, sq3, d, dg, bound, far, group_starts, row_starts = views
+    p, one_half, half_window, slack = table.scalars
+    sq3[...] = Y[:, :, None]                   # entry j p + r of row i: y_ij
     np.subtract(sq, table.residues, out=lift)  # r + p ceil((y - r) / p - 0.5)
     lift /= p
-    lift -= 0.5
+    lift -= one_half
     np.ceil(lift, out=lift)
     lift *= p
     lift += table.residues
     np.subtract(lift, sq, out=sq)
     sq *= sq
     np.matmul(sq, table.onehot, out=d)   # a quarter of each squared distance
-    size = far.shape[1]
-    d = d.reshape(m * groups, size)   # row i * groups + g: group g of row i
-    pick = d.argmin(axis=1)   # each row's first shortest coset, or first NaN
-    if len(pick) > 1:         # as an entry of the flat d, row r's at r size
-        pick += np.arange(0, d.size, size)
-    half = np.sqrt(d.take(pick)) + 0.5e-12   # half the edge
-    # Far: above (edge / 2)^2 slack. Two orders of summing the same n
-    # squares differ by at most 2 (n - 1) 2^-53 of the sum; with the
-    # roundings of two square roots and of the bound, the slack covers
-    # that, as 2e-15 n > (4 n + 8) 2^-53. The quarter keeps the bound
-    # finite unless the full d is past 4 max / slack, where a product of
-    # unquartered d would overflow itself; a NaN row marks none far.
-    slack = 1.0 + 2e-15 * n
-    np.greater(d, (half * half * slack)[:, None], out=far)
+    size = far.shape[1]   # dg's row i * groups + g: group g of row i
+    pick = dg.argmin(axis=1)   # each row's first shortest coset, or first NaN
+    if group_starts is not None:   # as an entry of the flat dg: row r's
+        pick += group_starts       # first is at r size
+    half = np.sqrt(dg.take(pick)) + half_window   # half the edge
+    # Far: above (edge / 2)^2 slack, slack = 1 + 2e-15 n. Two orders of
+    # summing the same n squares differ by at most 2 (n - 1) 2^-53 of the
+    # sum; with the roundings of two square roots and of the bound, the
+    # slack covers that, as 2e-15 n > (4 n + 8) 2^-53. The quarter keeps
+    # the bound finite unless the full d is past 4 max / slack, where a
+    # product of unquartered d would overflow itself; a NaN row marks none
+    # far. The bound is copied out to every coset first: np.greater
+    # against a (rows, 1) operand runs through numpy's buffered iterator,
+    # which allocates a buffer of up to 64 KB on each call.
+    bound[...] = (half * half * slack)[:, None]
+    np.greater(dg, bound, out=far)
     if m > 1:   # the entry's column: row i of Y starts at i size groups
         pick = pick % (size * groups)
     if np.count_nonzero(far) < m * groups * (size - 1):
@@ -216,8 +252,8 @@ def _scan_chunk(Y: np.ndarray, table: _ScanTable,
     if table.classes is not None:
         return table.classes.take(pick)
     index = table.cols[pick].reshape(m, -1)   # entries of row i's lift row
-    if m > 1:               # row i's lift starts at entry i n p, row 0's at 0
-        index += n * p * np.arange(m)[:, None]
+    if row_starts is not None:   # row i's lift starts at entry i n p
+        index += row_starts
     return lift.take(index).reshape(m * groups, n)
 
 
@@ -288,8 +324,10 @@ class ConstructionALattice(Lattice):
             raise DimensionMismatch(f"rows have {dim} columns, expected n={n}")
         if k and len(gf.rref(rows, p)[1]) != k:
             raise ValueError("code generator rows are linearly dependent mod p")
-        if not (math.isfinite(gamma) and gamma > 0):
-            raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
+        # A subnormal gamma has too few bits for the scan's arithmetic.
+        if not (math.isfinite(gamma) and gamma >= sys.float_info.min):
+            raise ValueError(f"gamma must be finite and positive, and not "
+                             f"subnormal, got {gamma!r}")
         self.p = int(p)
         self.n = dim
         self.k = k
@@ -416,7 +454,7 @@ def enumerate_codebook(coarse: ConstructionALattice,
     message <-> codeword bijection. Cardinality is checked exactly."""
     if not is_sublattice(coarse, fine):
         raise NotNested("coarse lattice is not a sublattice of fine lattice")
-    expected = int(round(coarse.volume / fine.volume))
+    expected = coarse.p ** (fine.k - coarse.k)   # V / V_c, exactly
     if expected > DEFAULT_ENUM_BUDGET:
         raise EnumerationBudgetExceeded(
             f"codebook size {expected} exceeds budget {DEFAULT_ENUM_BUDGET}")

@@ -233,18 +233,20 @@ def df_round_trip(codebooks: DfCodebooks, params: DegradedRelayParams,
     # ones only through the bin it sends, so every block first runs as if
     # the relay's previous decode were right; then the blocks whose bin
     # changed run again until none does. Block 1 always sends bin 1, so each
-    # pass fixes at least one more block.
+    # pass fixes at least one more block. The first pass sends s_true, whose
+    # signal is X2.
     s_relay = s_true
-    V = np.empty_like(U2)
+    V = X2.copy()
     w_relay = np.zeros(B + 1, dtype=np.int64)
     rows = np.arange(B + 1)
     while rows.size:
-        V[rows] = lam2.mod_many(res_points[s_relay[rows] - 1] - U2[rows])
         y = lam1.mod_many(alpha_relay * (YR[rows] - V[rows]) + U1[rows])
         w_relay[rows] = msg_book.index(unique_decode(y, lam1, lam_c1))
         implied = sent_bins(w_relay)
         rows = np.flatnonzero(implied != s_relay)
         s_relay = implied
+        if rows.size:
+            V[rows] = lam2.mod_many(res_points[s_relay[rows] - 1] - U2[rows])
     relay_ok = (w_relay == w_true) & (s_relay == s_true)
 
     # Destination: decode the bin, subtract its signal, list decode.

@@ -96,15 +96,24 @@ class TwrcCodebooks:
 
     def bin_of_sum(self, T: np.ndarray) -> np.ndarray:
         """Bin (1-based) of each sum codeword in a batch (m, n)."""
-        index = self.sum_codebook.index(T)
+        return self.bin_of_index(self.sum_codebook.index(T))
+
+    def bin_of_index(self, index: np.ndarray) -> np.ndarray:
+        """Bin of each sum by its ``sum_codebook`` index; raises
+        NotACodeword for index 0, no sum codeword."""
         if not index.all():
             raise NotACodeword("not a sum codeword")
         return self.bin_table[index - 1]
 
 
 def _rank_for_power(p: int, n: int, P1: float, P2: float) -> int:
-    # cubic-cell approximation: second moment scales like V^(2/n)
-    return max(0, round(0.5 * n * math.log(P1 / P2, p)))
+    # cubic-cell approximation: second moment scales like V^(2/n). A ratio
+    # past double precision asks for more than any rank of dimension n
+    # holds: n + 1, as rank_for_rate caps it.
+    ratio = P1 / P2
+    if math.isinf(ratio):
+        return n + 1
+    return max(0, round(0.5 * n * math.log(ratio, p)))
 
 
 def build_twrc_codebooks(params: TwrcSimParams, p: int, n: int, seed: int = 0,
@@ -261,13 +270,18 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
     t1 = cbs.entries1[w1 - 1]
     t2 = cbs.entries2[w2 - 1]
     X1 = lam1.mod_many(t1 - U1)
-    X2 = lam2.mod_many(t2 + U2)
+    # Q2(t2 + U2) gives X2, which is lam2.mod_many(t2 + U2), and the sum.
+    D2 = t2 + U2
+    Q2 = lam2.nearest_many(D2)
+    X2 = D2 - Q2
+    T_true = lam1.mod_many(t1 + t2 - Q2)
 
     # Relay: decode each block's sum, bin it for the next block.
-    T_true = sum_codeword(t1, t2, U2, lam1, lam2)
     T_hat = relay_decode_sum(X1 + X2 + ZR, U1, U2, cbs, ch.NR)
-    sum_ok = cbs.sum_codebook.index(T_hat) == cbs.sum_codebook.index(T_true)
-    relay_s = np.concatenate([[1], cbs.bin_of_sum(T_hat)[:-1]])
+    sum_hat = cbs.sum_codebook.index(T_hat)
+    sum_true = cbs.sum_codebook.index(T_true)
+    sum_ok = sum_hat == sum_true
+    relay_s = np.concatenate([[1], cbs.bin_of_index(sum_hat)[:-1]])
     XR = cbs.relay_codebook[relay_s - 1]
 
     # Terminals: own transmit signal is dropped by the channel model.
@@ -297,7 +311,7 @@ def twrc_round_trip(cbs: TwrcCodebooks, params: TwrcSimParams, seed: int,
     bins2 = member_bins[B * l1:].reshape(B, l2)
     _, resolve1_ok = resolve(idx1, bins1, s2_hat[1:], w1[:B])
     _, resolve2_ok = resolve(idx2, bins2, s1_hat[1:], w2[:B])
-    prev_bin = cbs.bin_of_sum(T_true[:B])
+    prev_bin = cbs.bin_of_index(sum_true[:B])
     bin_ok = (s1_hat[1:] == prev_bin) & (s2_hat[1:] == prev_bin)
 
     transcript: list[TwrcBlockRecord] = []

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latrelay import channel
+from latrelay import channel, twrc
 from latrelay.channel import (
     STREAM_KEYS,
     block_draws,
@@ -28,7 +28,7 @@ from latrelay.channel import (
     unique_decode,
 )
 from latrelay.cli import main
-from latrelay.errors import DimensionMismatch
+from latrelay.errors import DimensionMismatch, NotACodeword
 from latrelay.lattice import ConstructionALattice
 from latrelay.rates import TwrcParams
 from latrelay.relay import (
@@ -200,6 +200,80 @@ def test_list_members_are_codebook_rows(kind, point):
         assert np.all(want > 0)
         assert np.array_equal(dec.decode_many(Y),
                               want.reshape(len(Y), dec.list_size))
+
+
+@pytest.mark.parametrize("kind", ["df", "twrc"])
+def test_one_row_decode_is_the_batch_row(kind):
+    # decode runs the scan on one row by itself, on views its table keeps;
+    # its indices must be row 0 of decode_many of that row, on the tie
+    # grid and on random rows, through the engines' own decoders.
+    rng = np.random.default_rng(1)
+    for dec, _ in _list_decoders(kind, "block_markov"):
+        c, n = dec.coarse, dec.coarse.n
+        half = c.gamma * c.p / 2
+        Y = np.vstack([_half_grid(c.gamma),
+                       rng.uniform(-half, half, size=(300, n))])
+        for y in Y:
+            got = dec.decode(y).indices
+            assert got.shape == (dec.list_size,)
+            assert np.array_equal(got, dec.decode_many(y[None])[0])
+        with pytest.raises(DimensionMismatch):
+            dec.decode(Y[:1])
+
+
+@pytest.mark.parametrize("point", ["block_markov", "found"])
+def test_round_trip_shares_q2(monkeypatch, point):
+    # twrc_round_trip computes Q2(t2 + U2) once, for X2 and the sum T; on
+    # the draws of its own runs, the relay's input X1 + X2 + ZR and the
+    # true sum must be, bit for bit, what lam2.mod_many(t2 + U2) and
+    # sum_codeword give.
+    d = TWRC_BM if point == "block_markov" else TWRC_FOUND
+    params = _twrc_params(d)
+    cbs = build_twrc_codebooks(params, 3, 2, seed=0,
+                               enforce_broadcast_rate=False)
+    lam1, lam2, ch, B = cbs.lam1, cbs.lam2, params.channel, params.B
+    assert lam2.k >= 1
+    relay_in, relay_out, indexed = [], [], []
+    decode_sum, index = twrc.relay_decode_sum, cbs.sum_codebook.index
+
+    def recording_decode(YR, *args):
+        relay_in.append(YR)
+        relay_out.append(decode_sum(YR, *args))
+        return relay_out[-1]
+
+    def recording_index(T):
+        indexed.append(T)
+        return index(T)
+    monkeypatch.setattr(twrc, "relay_decode_sum", recording_decode)
+    monkeypatch.setattr(cbs.sum_codebook, "index", recording_index)
+    for seed in range(5):
+        indexed.clear()
+        twrc_round_trip(cbs, params, seed)
+        (w1, w2), (U1, U2), (ZR, _, _) = block_draws(
+            seed, B, (len(cbs.entries1), len(cbs.entries2)), (lam1, lam2),
+            (ch.NR, ch.N1, ch.N2))
+        t1, t2 = cbs.entries1[w1 - 1], cbs.entries2[w2 - 1]
+        X1 = lam1.mod_many(t1 - U1)
+        assert np.array_equal(relay_in[-1],
+                              X1 + lam2.mod_many(t2 + U2) + ZR)
+        # The sums indexed per block: the relay's decode, then the truth.
+        T_hat, T_true = [T for T in indexed if len(T) == B + 1]
+        assert T_hat is relay_out[-1]
+        assert np.array_equal(T_true, sum_codeword(t1, t2, U2, lam1, lam2))
+
+
+def test_zero_sum_index_raises(monkeypatch, bm_codebooks):
+    # A bin is read by a sum's index; index 0 (no sum codeword) raises,
+    # in bin_of_index and in a round trip whose relay decodes no sum.
+    cbs = bm_codebooks
+    assert np.array_equal(cbs.bin_of_index(np.array([1, 2])),
+                          cbs.bin_table[:2])
+    with pytest.raises(NotACodeword):
+        cbs.bin_of_index(np.array([1, 0]))
+    monkeypatch.setattr(twrc, "relay_decode_sum",
+                        lambda *args: np.full((21, 2), np.nan))
+    with pytest.raises(NotACodeword):
+        twrc_round_trip(cbs, _twrc_params(TWRC_BM), 0)
 
 
 def _draw_args(kind):

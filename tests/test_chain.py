@@ -275,6 +275,19 @@ class TestSizeListLattice:
         with pytest.raises(ValueError, match="finite and positive"):
             size_list_lattice(ch[0], ch[1], P=P, N=N)
 
+    @pytest.mark.parametrize("P, N", [(1e-200, 0.1), (1.0, 1.0),
+                                      (4.0, 0.1), (1e6, 1e-6)])
+    def test_rank_does_not_depend_on_gamma(self, P, N):
+        # V_s / V = p^(k - k_s): gamma^n cancels, so a gamma whose volumes
+        # underflow (gamma^8 = 0 at gamma = 1e-100) sizes the list as
+        # gamma = 1 does, and tiny P gives the whole codebook.
+        ranks = [size_list_lattice(ch[0], ch[1], P=P, N=N).k
+                 for ch in (build_chain(3, 8, [1, 6], gamma=g, seed=1)
+                            for g in (1e-100, 1.0, 1e30))]
+        assert ranks[0] == ranks[1] == ranks[2]
+        if P < N:
+            assert ranks[0] == 1
+
     def test_coarse_rank_when_noise_swamps_signal(self):
         # The bound (N/(P+N))^(n/2) V never exceeds V, so the coarse rank
         # is the floor of the search.

@@ -261,6 +261,15 @@ class TestGroupedDecode:
         assert 40 <= SCAN_ELEMENTS // 3 ** 6     # one step
         assert repeat_call_peak(dec.decode_many, Y) < 40 * 3 ** 6 * 8
 
+    def test_repeat_one_row_decode_allocates_no_work_array(self):
+        # 3^8 fine cosets in 9 groups at n = 8: a one-row step's lift table
+        # (n p doubles) and far marks (one byte per coset) together are
+        # 6,753 bytes, which a repeated decode must stay well below.
+        ch = build_chain(3, 8, [0, 6, 8], gamma=2 / 3 ** 0.5, seed=1)
+        dec = ch.list_decoder
+        y = np.random.default_rng(0).uniform(-2, 2, size=8)
+        assert repeat_call_peak(dec.decode, y) < (8 * 3 * 8 + 3 ** 8) / 2
+
     def test_results_do_not_alias_work_arrays(self):
         dec = self._p2p_n8_chain().list_decoder
         rng = np.random.default_rng(1)

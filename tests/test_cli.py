@@ -156,6 +156,12 @@ class TestP2pSim:
         self._config_error(tmp_path, capsys,
                            self.CFG.replace("P = 1.0", f"P = {P}"))
 
+    @pytest.mark.parametrize("gamma", ["5e-324", "1e-310"])
+    def test_subnormal_gamma_is_config_error(self, tmp_path, capsys, gamma):
+        err = self._config_error(tmp_path, capsys,
+                                 self.CFG + f"gamma = {gamma}\n")
+        assert "subnormal" in err
+
 
 class TestRelaySim:
     CFG = ("[relay-sim]\nP = 2.0\nPR = 50.0\nNR = 1e-12\nN = 1e-12\n"
@@ -245,6 +251,15 @@ class TestTwrcSim:
                           self.CFG.replace("n = 2", "n = 40"))
         assert "exceed budget" in err
 
+    @pytest.mark.parametrize("P2", ["1e-308", "5e-324"])
+    def test_power_ratio_past_double_is_infeasible(self, tmp_path, capsys,
+                                                   P2):
+        # P1 / P2 overflows to inf: Lambda_2's rank comes from
+        # log P1 - log P2, capped at n + 1.
+        err = _infeasible(tmp_path, capsys, "twrc-sim", "twrc_summary.csv",
+                          self.CFG.replace("P2 = 4.0", f"P2 = {P2}"))
+        assert "> n = 2" in err
+
     def test_nan_rate_is_config_error(self, tmp_path, capsys):
         _config_error(tmp_path, capsys, "twrc-sim", "twrc_summary.csv",
                       self.CFG.replace("R1 = 0.8", "R1 = nan"))
@@ -256,6 +271,33 @@ class TestTwrcSim:
     def test_n_zero_is_config_error(self, tmp_path, capsys):
         _config_error(tmp_path, capsys, "twrc-sim", "twrc_summary.csv",
                       self.CFG.replace("n = 2", "n = 0"))
+
+
+# Powers at which gamma^n underflows to 0 (n = 4): the codebooks are
+# counted as p^(rank difference) and the lists sized on V_s / V, both
+# free of gamma, so each run completes.
+TINY_POWERS = {
+    "p2p-sim": ("p2p.csv", "[p2p-sim]\np = 3\nn = 4\nranks = 0,2,4\n"
+                "P = 1e-200\nN = 0.1\ntrials = 50\n"),
+    "relay-sim": ("relay_summary.csv",
+                  "[relay-sim]\nP = 1e-200\nPR = 4.0\nNR = 0.02\nN = 0.02\n"
+                  "alpha = 0.5\nB = 4\nR = 0.5\nRR = 0.5\np = 3\nn = 4\n"
+                  "runs = 1\n"),
+    "twrc-sim": ("twrc_summary.csv",
+                 "[twrc-sim]\nP1 = 1e-200\nP2 = 1e-200\nPR = 200.0\n"
+                 "N1 = 1.0\nN2 = 1.0\nNR = 0.01\nR1 = 0.8\nR2 = 0.8\n"
+                 "R = 4.0\nB = 4\np = 3\nn = 4\nruns = 1\n"
+                 "enforce_broadcast_rate = false\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TINY_POWERS))
+def test_powers_too_small_for_gamma_n_run(tmp_path, capsys, command):
+    output, body = TINY_POWERS[command]
+    cfg = _write_cfg(tmp_path, body)
+    code = main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"])
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / output).exists()
 
 
 class TestRegions:

@@ -24,6 +24,8 @@ from latrelay.lattice import (
     SCAN_ELEMENTS,
     Codebook,
     ConstructionALattice,
+    _coset_scan,
+    _ScanTable,
     enumerate_codebook,
     is_sublattice,
     second_moment,
@@ -398,6 +400,33 @@ class TestScanWorkArrays:
             assert np.array_equal(lat.nearest_many(X),
                                   direct_scan_nearest(lat, X))
 
+    @pytest.mark.parametrize("grouped", [False, True],
+                             ids=["one_group", "list_groups"])
+    def test_step_views_match_fresh_table(self, grouped):
+        # One table through steps of 1, chunk and chunk + 1 rows, 1 again
+        # after the larger steps, and row counts that change at every
+        # step: each result equals that of a fresh table, which builds its
+        # arrays and views for that batch alone, and a one-step batch's
+        # views are of the table's kept arrays, not of arrays it dropped.
+        ch = build_chain(3, 8, [0, 4, 6], gamma=2 / 3 ** 0.5, seed=1)
+        if grouped:
+            def fresh():
+                return NestedListDecoder(ch[0], ch[1], ch[2])._scan
+        else:
+            def fresh():
+                return _ScanTable(3, ch[1].rows, np.zeros((1, 8), dtype=int))
+        table = fresh()
+        chunk = table.chunk
+        sizes = [1, chunk, chunk + 1, 1, 1] + list(range(2, 10)) + [1, chunk]
+        rng = np.random.default_rng(4)
+        for m in sizes:
+            Y = rng.integers(-6, 7, size=(m, 8)) / 2.0
+            Y[::2] += rng.uniform(-0.3, 0.3, size=Y[::2].shape)
+            got = _coset_scan(Y, table)
+            assert np.array_equal(got, _coset_scan(Y, fresh())), m
+            if m <= chunk:
+                assert np.shares_memory(table.step(m)[0], table._work[0])
+
 
 class TestZeroAtAnyScale:
     """Nearest points are gamma times integers, so "the nearest point is
@@ -481,6 +510,13 @@ class TestVolumeAndConstruction:
     def test_bad_gamma_rejected(self, gamma):
         with pytest.raises(ValueError):
             ConstructionALattice(3, [[1, 1]], gamma=gamma, n=2)
+
+    @pytest.mark.parametrize("gamma", [5e-324, sys.float_info.min / 2])
+    def test_subnormal_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="subnormal"):
+            ConstructionALattice(3, [[1, 1]], gamma=gamma, n=2)
+        assert ConstructionALattice(3, [[1, 1]], gamma=sys.float_info.min,
+                                    n=2).gamma == sys.float_info.min
 
     @pytest.mark.parametrize("p, rows", [
         (3, [[1, 1], [2, 2]]),
@@ -727,6 +763,19 @@ class TestEnumerateCodebook:
                     keys = [tuple(k) for k in
                             np.rint(codebook / gamma).astype(int).tolist()]
                     assert keys == sorted(set(keys)), (p, gamma, seed, i, j)
+
+    def test_count_exact_where_volumes_underflow(self):
+        # gamma^4 underflows to 0 at gamma = 1e-300; the codebook still
+        # holds p^(k_fine - k_coarse) points, the gamma = 1 codebook scaled.
+        tiny = build_chain(3, 4, [0, 2, 4], gamma=1e-300, seed=2)
+        unit = build_chain(3, 4, [0, 2, 4], gamma=1.0, seed=2)
+        assert tiny[0].volume == 0.0
+        for i, j in ((0, 2), (0, 1), (1, 2)):
+            codebook = enumerate_codebook(tiny[i], tiny[j])
+            assert len(codebook) == 3 ** (tiny[j].k - tiny[i].k)
+            assert np.array_equal(np.rint(codebook / 1e-300),
+                                  enumerate_codebook(unit[i], unit[j]))
+        assert tiny.list_decoder.list_size == 9
 
     def test_not_nested_raises(self):
         with pytest.raises(NotNested):

@@ -153,6 +153,18 @@ class TestBuildCodebooks:
         assert all(is_sublattice(a, b) for a, b in zip(lats, lats[1:]))
         assert cbs.lam2.k >= cbs.lam1.k   # smaller power, finer shaping
 
+    @pytest.mark.parametrize("P1, P2, n, k2", [
+        (6.0, 2.0, 3, 2), (27.0, 9.0, 3, 2), (6.0, 2.0, 1, 0)])
+    def test_half_step_power_ratio_rounds_to_even(self, P1, P2, n, k2):
+        # 0.5 n log_3(P1 / P2) is exactly 1.5 or 0.5 here, and Lambda_2's
+        # rank is its round to even; log P1 - log P2 would read 1.5 one
+        # ulp low at (6, 2) and (27, 9), and round it down.
+        params = TwrcSimParams(channel=_sym_params(P1=P1, P2=P2), R1=0.0,
+                               R2=0.0, R=3.0, B=5)
+        cbs = build_twrc_codebooks(params, p=3, n=n, seed=0,
+                                   enforce_broadcast_rate=False)
+        assert cbs.lam2.k == k2
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rank_one_power_depends_on_the_rows_alone(self, seed):
         # The benchmark's point: a rank-1 Lambda_2 at p = 3, n = 2, whose
