@@ -160,7 +160,9 @@ def encode_dithered(t: np.ndarray, U: np.ndarray,
     """X = (t - U) mod Lambda. Requires t to lie in the coarse cell."""
     t = np.asarray(t, dtype=float)
     # Nearest points are gamma times integers: 0 exactly or at least gamma.
-    if coarse.nearest_many(t).any():
+    # (ufunc reductions rather than the array methods, whose Python
+    # wrappers show on a batch of a few rows.)
+    if np.logical_or.reduce(coarse.nearest_many(t), axis=None):
         raise NotACodeword("t does not lie in the coarse fundamental region")
     return coarse.mod_many(t - U)
 
@@ -169,14 +171,18 @@ def receiver_front_end(Y: np.ndarray, U: np.ndarray, P: float, N: float,
                        coarse: ConstructionALattice) -> np.ndarray:
     """Y' = (alpha Y + U) mod Lambda with the MMSE coefficient."""
     alpha = P / (P + N)
-    return coarse.mod_many(alpha * np.asarray(Y, dtype=float) + U)
+    V = alpha * np.asarray(Y, dtype=float)
+    V += U
+    return coarse.mod_many(V)
 
 
 def effective_noise(X: np.ndarray, Z: np.ndarray, P: float, N: float,
                     coarse: ConstructionALattice) -> np.ndarray:
     """Z' = (-(1-alpha) X + alpha Z) mod Lambda."""
     alpha = P / (P + N)
-    return coarse.mod_many(-(1.0 - alpha) * X + alpha * Z)
+    V = -(1.0 - alpha) * X
+    V += alpha * Z
+    return coarse.mod_many(V)
 
 
 class NestedListDecoder:
@@ -227,7 +233,7 @@ class NestedListDecoder:
     def _lists(self, Y: np.ndarray) -> np.ndarray:
         """:meth:`decode_many` of a checked float batch (m, n), as one
         flat array of m * size indices."""
-        gamma = self.fine.gamma
+        gamma = self.fine.scalars[0]
         if self.list_size > 1:
             return _coset_scan(Y / gamma, self._scan)
         # Lambda_s = Lambda_c: the list is Q_c(y').
@@ -303,6 +309,13 @@ def simulate_p2p(chain, awgn: AwgnParams, trials: int, seed: int,
     event (message w not among the list's indices) is cross-checked
     against the direct effective-noise event (Z' not in V_s); a mismatch
     is a bug and raises.
+
+    Precondition: the chain's gamma is of the signal's scale, as
+    ``cubic_gamma(p, awgn.P)`` (the CLI's) makes it. The front end reduces
+    alpha Y + U, of the size of the signal and the noise, modulo a cell
+    of size gamma p; with a gamma many orders of magnitude smaller, the
+    reduction keeps no bit at gamma's scale, the list and the direct
+    event disagree, and the identity check raises AssertionError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -325,9 +338,9 @@ def simulate_p2p(chain, awgn: AwgnParams, trials: int, seed: int,
         y_prime = receiver_front_end(X + Z, U, awgn.P, awgn.N, coarse)
         lists = decoder.decode_many(y_prime)
         z_eff = effective_noise(X, Z, awgn.P, awgn.N, coarse)
-        z_outside = mid.nearest_many(z_eff).any(axis=1)
-        miss = ~np.any(lists == (w + 1)[:, None], axis=1)
-        if np.any(miss != z_outside):
+        z_outside = np.logical_or.reduce(mid.nearest_many(z_eff), axis=1)
+        miss = ~np.logical_or.reduce(lists == (w + 1)[:, None], axis=1)
+        if np.logical_or.reduce(miss != z_outside):
             raise AssertionError(
                 "error-event identity violated: (t not in L) != (Z' not in V_s)")
         errors += int(np.count_nonzero(miss))

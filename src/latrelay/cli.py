@@ -85,12 +85,11 @@ _BLOCKS = {**_CODE, "B": (int, 10), "runs": (int, 1)}
 _TWRC_POWERS = _floats("P1", "P2", "PR", "NR")
 _REGIONS = {"mode": (str, "none"), **_TWRC_POWERS}
 
-# section -> key -> (parser, default or REQUIRED). A p2p-sim gamma of None
-# stands for lattice.cubic_gamma(p, P), the cubic shaping of power P.
+# section -> key -> (parser, default or REQUIRED).
 SCHEMA = {
     "chain-info": {**_CODE, "ranks": (_ints, REQUIRED), "gamma": (float, 1.0)},
     "p2p-sim": {**_CODE, "ranks": (_ints, REQUIRED), **_floats("P", "N"),
-                "gamma": (float, None), "trials": (int, 1000)},
+                "trials": (int, 1000)},
     "relay-sim": {**_BLOCKS,
                   **_floats("P", "PR", "NR", "N", "alpha", "R", "RR")},
     "twrc-sim": {**_BLOCKS, **_TWRC_POWERS,
@@ -183,6 +182,12 @@ def cmd_chain_info(c: dict, args) -> int:
                             seed=args.seed)
     except ValueError as exc:
         raise ConfigInvalid(str(exc))
+    finest = chain.lattices[-1]   # of the smallest volume
+    if finest.volume < sys.float_info.min:
+        raise ConfigInvalid(
+            f"[chain-info] the volume gamma^n p^(n-k) of lattice "
+            f"{len(chain.lattices) - 1} underflows double precision "
+            f"(gamma = {c['gamma']!r}, n = {c['n']}, k = {finest.k})")
     rows = []
     for i, lat in enumerate(chain.lattices):
         r_prev = chain.rate(i - 1, i) if i > 0 else 0.0
@@ -204,9 +209,8 @@ def cmd_p2p_sim(c: dict, args) -> int:
     check_prime(p)
     try:
         awgn = _build(AwgnParams, c)
-        gamma = cubic_gamma(p, awgn.P) if c["gamma"] is None else c["gamma"]
-        chain = build_chain(p, c["n"], c["ranks"], gamma=gamma,
-                            seed=args.seed)
+        chain = build_chain(p, c["n"], c["ranks"],
+                            gamma=cubic_gamma(p, awgn.P), seed=args.seed)
     except ValueError as exc:
         raise ConfigInvalid(str(exc))
     stats = simulate_p2p(chain, awgn, trials=c["trials"], seed=args.seed)

@@ -42,15 +42,29 @@ DEFAULT_ENUM_BUDGET = 2_000_000
 # decode bounds its (rows x bins x n) difference arrays by it too.
 SCAN_ELEMENTS = 32_768
 
+# Largest distance, in units of gamma, of a coordinate from the nearest
+# multiple of gamma that Codebook.index still reads as on the fine grid:
+# far above the rounding of the engines' sums of lattice points (about
+# 1e-15 gamma in a cell of a few gamma p), far below the 1/2 at which a
+# point would round to another grid point.
+GRID_TOL = 1e-6
+
 MOMENT_POINTS = 8192   # points of second_moment's quadrature of a cell
 
 # Box draws the rejection sampler makes for one sample before it gives up.
 REJECTION_ATTEMPTS = 200_000
 
 
+# 1/2 as a 0-d array: a ufunc reads it faster than a Python float, and
+# to the same value.
+_HALF = np.array(0.5)
+
+
 def _round_ties_down(y: np.ndarray) -> np.ndarray:
-    """Nearest integer, exact halves toward -inf (lexicographic tie rule)."""
-    return np.ceil(y - 0.5)
+    """Round ``y`` in place to the nearest integer, exact halves toward
+    -inf (the lexicographic tie rule), as ceil(y - 1/2); returns ``y``."""
+    y -= _HALF
+    return np.ceil(y, out=y)
 
 
 class _ScanTable:
@@ -92,11 +106,11 @@ class _ScanTable:
         self.groups = len(shifts)
         self.classes: Optional[np.ndarray] = None
         self.chunk = max(1, SCAN_ELEMENTS // max(count, n * p))
-        # The scan's scalars, p, 1/2, half the 1e-12 window and the
-        # window's slack (see _scan_chunk), as 0-d arrays: a ufunc reads
-        # them faster than Python numbers, and to the same values.
+        # The scan's scalars, p, half the 1e-12 window and the window's
+        # slack (see _scan_chunk), as 0-d arrays: a ufunc reads them
+        # faster than Python numbers, and to the same values.
         self.scalars = tuple(np.array(c) for c in (
-            float(p), 0.5, 0.5e-12, 1.0 + 2e-15 * n))
+            float(p), 0.5e-12, 1.0 + 2e-15 * n))
         self._work = self.new_work(0)
         self._step: tuple = (0, self.views(self._work, 0))
 
@@ -203,12 +217,11 @@ def _scan_chunk(Y: np.ndarray, table: _ScanTable, views: tuple) -> np.ndarray:
     m, n = Y.shape
     groups = table.groups
     lift, sq, sq3, d, dg, bound, far, group_starts, row_starts = views
-    p, one_half, half_window, slack = table.scalars
+    p, half_window, slack = table.scalars
     sq3[...] = Y[:, :, None]                   # entry j p + r of row i: y_ij
     np.subtract(sq, table.residues, out=lift)  # r + p ceil((y - r) / p - 0.5)
     lift /= p
-    lift -= one_half
-    np.ceil(lift, out=lift)
+    _round_ties_down(lift)
     lift *= p
     lift += table.residues
     np.subtract(lift, sq, out=sq)
@@ -286,9 +299,12 @@ class Lattice:
         return x - self.nearest(x)
 
     def mod_many(self, X: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`mod` for a batch (m x n), bit for bit."""
+        """Row-wise :meth:`mod` for a batch (m x n), bit for bit. The
+        difference is written over the nearest points, which
+        :meth:`nearest_many` returns in a fresh array."""
         X = np.asarray(X, dtype=float)
-        return X - self.nearest_many(X)
+        Q = self.nearest_many(X)
+        return np.subtract(X, Q, out=Q)
 
     def sample_voronoi(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform sample from the Voronoi cell by box rejection."""
@@ -332,6 +348,10 @@ class ConstructionALattice(Lattice):
         self.n = dim
         self.k = k
         self.gamma = float(gamma)
+        # gamma, p and gamma p as 0-d arrays, the operands of _nearest's
+        # ufuncs: read faster than Python numbers, and to the same values.
+        self.scalars = tuple(np.array(c) for c in (
+            self.gamma, float(self.p), self.gamma * self.p))
         self.rows = rows
         self.rows.setflags(write=False)
         self._scan: Optional[_ScanTable] = None
@@ -345,7 +365,8 @@ class ConstructionALattice(Lattice):
         return self._nearest(self._check_dim(x)[None, :])[0]
 
     def nearest_many(self, X: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`nearest` for a batch (m x n), bit for bit."""
+        """Row-wise :meth:`nearest` for a batch (m x n), bit for bit, in a
+        fresh array that shares no memory with ``X`` or any kept table."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise DimensionMismatch(
@@ -355,18 +376,29 @@ class ConstructionALattice(Lattice):
     def _nearest(self, X: np.ndarray) -> np.ndarray:
         """Nearest points to each row of a batch (m, n).
 
-        Rank 0 and rank n round coordinate by coordinate; otherwise every
-        row scans all p^k cosets as one group of :func:`_coset_scan`.
+        Rank 0 and rank n round coordinate by coordinate, gamma p
+        ceil(X / gamma / p - 1/2) and gamma ceil(X / gamma - 1/2), in the
+        one buffer X / gamma; otherwise every row scans all p^k cosets as
+        one group of :func:`_coset_scan`, whose fresh result is scaled in
+        place. Either way the result is a new array.
         """
-        Y = X / self.gamma
+        gamma, p, gamma_p = self.scalars
+        Y = X / gamma
         if self.k == 0:
-            return self.gamma * self.p * _round_ties_down(Y / self.p)
+            Y /= p
+            _round_ties_down(Y)
+            Y *= gamma_p
+            return Y
         if self.k == self.n:
-            return self.gamma * _round_ties_down(Y)
+            _round_ties_down(Y)
+            Y *= gamma
+            return Y
         if self._scan is None:   # the code's p^k codewords as one group
             self._scan = _ScanTable(self.p, self.rows,
                                     np.zeros((1, self.n), dtype=np.int64))
-        return self.gamma * _coset_scan(Y, self._scan)
+        Q = _coset_scan(Y, self._scan)
+        Q *= gamma
+        return Q
 
     def voronoi_box_halfwidth(self) -> float:
         # gamma*p*Z^n is a sublattice, so the cell sits inside its cube cell.
@@ -488,6 +520,7 @@ class Codebook:
         self.points = enumerate_codebook(coarse, fine)
         self.points.setflags(write=False)
         self.p, self.gamma, self._keys = p, gamma, np.rint(self.points / gamma)
+        self._gamma = fine.scalars[0]   # gamma as a 0-d array
         echelon, pivots = gf.rref(fine.rows, p)
         self._pivot_coords = np.array(pivots, dtype=np.intp)
         self._place_values = p ** np.arange(k - 1, -1, -1)
@@ -509,15 +542,20 @@ class Codebook:
 
     def index(self, points: np.ndarray) -> np.ndarray:
         """The 1-based row of ``points`` equal to each row of a batch
-        (m, n) in units of gamma, or 0 where none is (so for a point off
-        the fine lattice or outside the cell, or with a NaN or inf)."""
+        (m, n), or 0 where none is: for a point outside the cell, with a
+        NaN or inf, or off the fine lattice, that is with a coordinate
+        more than GRID_TOL gamma from the nearest multiple of gamma."""
         P = np.asarray(points, dtype=float)
         if P.ndim != 2 or P.shape[1] != self.points.shape[1]:
             raise DimensionMismatch(f"expected rows of length "
                                     f"{self.points.shape[1]}, got {P.shape}")
-        Q = np.rint(P / self.gamma)
-        # A non-finite coordinate's residue reads 0; the row matches none.
-        w = self.classes((np.where(np.isfinite(Q), Q, 0.0) % self.p
-                          ).astype(np.int64))
-        hit = np.logical_and.reduce(self._keys[w - 1] == Q, axis=1)
-        return np.where(hit, w, 0)
+        S = P / self._gamma
+        Q = np.rint(S)
+        # A non-finite coordinate reads 0, so its residue is 0's, and its
+        # offset S - Q stays inf or NaN: the row matches none.
+        Q = np.where(np.isfinite(Q), Q, 0.0)
+        S -= Q
+        w = self.classes((Q % self.p).astype(np.int64))
+        hit = self._keys[w - 1] == Q
+        hit &= np.abs(S, out=S) <= GRID_TOL
+        return np.where(np.logical_and.reduce(hit, axis=1), w, 0)

@@ -29,7 +29,7 @@ from latrelay.channel import (
 )
 from latrelay.cli import main
 from latrelay.errors import DimensionMismatch, NotACodeword
-from latrelay.lattice import ConstructionALattice
+from latrelay.lattice import GRID_TOL, ConstructionALattice
 from latrelay.rates import TwrcParams
 from latrelay.relay import (
     DegradedRelayParams,
@@ -494,6 +494,21 @@ def test_relay_decode_sum_and_bins_batch_match_single(bm_codebooks):
     bins = cbs.bin_of_sum(sums)
     assert bins.shape == (len(sums),) and bins.dtype.kind == "i"
     assert bins.tolist() == list(map(ref.sum_bin_lookup(cbs), sums))
+
+
+def test_sum_index_reads_off_grid_points_as_none(bm_codebooks):
+    # Points within gamma / 2 of the zero sum (row 5) but off the fine
+    # grid, and a NaN row, are no codeword; a row within GRID_TOL gamma
+    # of a codeword, as the engines' sums are, still reads as it.
+    book = bm_codebooks.sum_codebook
+    g = book.gamma
+    assert book.index(np.zeros((1, 2))).tolist() == [5]
+    off = g * np.array([[0.3, -0.2], [0.49, 0.0], [0.5, 0.5],
+                        [GRID_TOL * 1.5, 0.0]])
+    assert book.index(off).tolist() == [0, 0, 0, 0]
+    assert book.index(np.array([[np.nan, np.nan]])).tolist() == [0]
+    near = book.points + g * GRID_TOL * np.array([0.5, -0.5])
+    assert book.index(near).tolist() == list(range(1, len(book) + 1))
 
 
 # name: the map applied to array arguments all of one shape, on the

@@ -89,6 +89,14 @@ class TestChainInfo:
                             self.CFG, "--trials", "5")
         assert "no count for --trials" in err
 
+    @pytest.mark.parametrize("gamma", ["1e-300", "1e-80"])
+    def test_volume_underflow_is_config_error(self, tmp_path, capsys, gamma):
+        # gamma^4 is 0 at 1e-300 and subnormal at 1e-80: no volume to write.
+        err = _config_error(tmp_path, capsys, "chain-info", "chain_info.csv",
+                            "[chain-info]\np = 3\nn = 4\nranks = 0,2,4\n"
+                            f"gamma = {gamma}\n")
+        assert "volume" in err and "underflows double precision" in err
+
     def test_row_search_over_budget_exit_3(self, tmp_path, capsys):
         # 3^30 codewords at the last rank: the row search stops at once.
         err = _infeasible(tmp_path, capsys, "chain-info", "chain_info.csv",
@@ -129,9 +137,6 @@ class TestP2pSim:
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         self._config_error(tmp_path, capsys, self.CFG, "--seed", "-1")
 
-    def test_inf_gamma_is_config_error(self, tmp_path, capsys):
-        self._config_error(tmp_path, capsys, self.CFG + "gamma = inf\n")
-
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_nonpositive_trials_is_config_error(self, tmp_path, capsys,
                                                 trials):
@@ -156,11 +161,13 @@ class TestP2pSim:
         self._config_error(tmp_path, capsys,
                            self.CFG.replace("P = 1.0", f"P = {P}"))
 
-    @pytest.mark.parametrize("gamma", ["5e-324", "1e-310"])
-    def test_subnormal_gamma_is_config_error(self, tmp_path, capsys, gamma):
+    @pytest.mark.parametrize("gamma", ["inf", "5e-324", "1e-310", "1e-20"])
+    def test_gamma_key_is_unknown(self, tmp_path, capsys, gamma):
+        # gamma is cubic_gamma(p, P); the section has no gamma key. 1e-20
+        # once reached the error-event identity's AssertionError.
         err = self._config_error(tmp_path, capsys,
                                  self.CFG + f"gamma = {gamma}\n")
-        assert "subnormal" in err
+        assert "[p2p-sim] unknown key 'gamma'" in err
 
 
 class TestRelaySim:

@@ -428,6 +428,74 @@ class TestScanWorkArrays:
                 assert np.shares_memory(table.step(m)[0], table._work[0])
 
 
+def _kept_arrays(obj):
+    """Every array ``obj`` holds, directly, in a tuple, or in a scan
+    table it holds, views included."""
+    found = []
+    for value in vars(obj).values():
+        if isinstance(value, _ScanTable):
+            found += _kept_arrays(value)
+        elif isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, tuple):
+            for item in value:
+                if isinstance(item, np.ndarray):
+                    found.append(item)
+                elif isinstance(item, tuple):
+                    found += [v for v in item if isinstance(v, np.ndarray)]
+    return found
+
+
+class TestFreshResults:
+    """The rounding runs in place on a buffer of its own: nearest_many
+    returns a fresh, writable array, and mod_many writes its difference
+    over that array, so its input stays as it was."""
+
+    # Rank 0, a scanned rank and rank n of one chain.
+    CHAIN = build_chain(3, 4, [0, 2, 4], gamma=0.7, seed=5)
+
+    @pytest.mark.parametrize("m", [1, 7], ids=["one_row", "many_rows"])
+    @pytest.mark.parametrize("i", [0, 1, 2], ids=["rank0", "scanned", "rankn"])
+    def test_nearest_many_is_fresh(self, i, m):
+        lat = self.CHAIN[i]
+        X = np.random.default_rng(i + m).uniform(-3, 3, size=(m, 4))
+        first = lat.nearest_many(X)
+        second = lat.nearest_many(X)   # a repeat reuses any kept arrays
+        assert np.array_equal(first, second)
+        for Q in (first, second):
+            assert Q.flags.writeable
+            assert not np.shares_memory(Q, X)
+            for kept in _kept_arrays(lat):
+                assert not np.shares_memory(Q, kept)
+        assert not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("m", [1, 7], ids=["one_row", "many_rows"])
+    @pytest.mark.parametrize("i", [0, 1, 2], ids=["rank0", "scanned", "rankn"])
+    def test_mod_many_keeps_its_input(self, i, m):
+        lat = self.CHAIN[i]
+        X = np.random.default_rng(10 + i + m).uniform(-3, 3, size=(m, 4))
+        before = X.copy()
+        R = lat.mod_many(X)
+        assert np.array_equal(X, before)
+        assert not np.shares_memory(R, X)
+        assert np.array_equal(R, X - lat.nearest_many(X))
+
+    @pytest.mark.parametrize("gamma", [1e-100, 1.0, 1e100])
+    def test_round_formulas_on_tie_grid(self, gamma):
+        # Half-integer multiples of gamma: at rank n every coordinate is a
+        # tie or a lattice coordinate, at rank 0 every third one a tie.
+        p, n = 3, 2
+        grid = np.arange(-12, 13) / 2.0
+        X = gamma * np.array(list(itertools.product(grid, grid)))
+        Y = X / gamma
+        cube = ConstructionALattice(p, np.zeros((0, n), int), gamma, n=n)
+        ints = ConstructionALattice(p, np.eye(n, dtype=int), gamma, n=n)
+        assert np.array_equal(cube.nearest_many(X),
+                              gamma * p * np.ceil(Y / p - 0.5))
+        assert np.array_equal(ints.nearest_many(X),
+                              gamma * np.ceil(Y - 0.5))
+
+
 class TestZeroAtAnyScale:
     """Nearest points are gamma times integers, so "the nearest point is
     0" is an exact test at every gamma: no absolute tolerance decides it.

@@ -361,6 +361,43 @@ class TestGapReport:
             assert lhs >= capacity_c(p.P1 / p.NR) - 1e-12
 
 
+class TestGapSupremum:
+    """The gap caps are suprema that gap_report approaches: as P1 / P2
+    grows with P2 = NR and the other terminal's noise at its floor, user
+    2's achievable rate [1/2 log2(P2 / (P1 + P2) + P2 / NR)]^+ falls to 0
+    while its cut-set bound tends to C(k), k = 1 in scenario 1 and 2 in
+    scenario 2. So gap2 tends to sup_x C(k x) - [1/2 log2 x]^+ =
+    1/2 log2(1 + k), from below, by about P2 / (2 ln 2 P1)."""
+
+    NR = P2 = 1e-3
+    PR = 1e9
+    CAPS = {1: 0.5, 2: 0.5 * math.log2(3)}
+
+    def _gap2(self, scenario, ratio):
+        P1, NR = self.P2 * ratio, self.NR
+        if scenario == 1:
+            params = TwrcParams.physically_degraded(
+                P1=P1, P2=self.P2, PR=self.PR, NR=NR, N1p=0.0, N2p=1.0)
+        else:
+            params = TwrcParams(P1=P1, P2=self.P2, PR=self.PR, N1=NR,
+                                N2=NR + 1.0, NR=NR, mode="stochastic")
+        return gap_report(params, scenario).gap2
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_gap_within_1e9_of_cap(self, scenario):
+        cap = self.CAPS[scenario]
+        assert cap - 1e-9 <= self._gap2(scenario, 1e9) <= cap
+
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_shortfall_falls_as_p2_over_p1(self, scenario):
+        cap = self.CAPS[scenario]
+        for ratio in (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9):
+            shortfall = cap - self._gap2(scenario, ratio)
+            assert shortfall > 0.0
+            assert shortfall * 2 * math.log(2) * ratio == pytest.approx(
+                1.0, rel=2e-3)
+
+
 class TestMaximizeUnimodal:
     def test_quadratic(self):
         x, v = maximize_unimodal(lambda x: -(x - 0.3) ** 2, 0.0, 1.0)

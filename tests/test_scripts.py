@@ -67,3 +67,16 @@ def test_example_config_draws_the_region_figure(tmp_path):
     assert lines[0] == "name,R1,R2"
     assert lines[1:] == [f"{name},{r.R1!r},{r.R2!r}"
                          for name, r in want.items()]
+
+
+def test_ab_inprocess_runs_one_checkout_against_itself():
+    lines = _run_script("ab_inprocess.py", str(ROOT), str(ROOT),
+                        "--workload", "p2p_n2", "--blocks", "2",
+                        "--rounds", "1")
+    assert lines[0] == "workload p2p_n2, seed 9701, 2 blocks of 1 rounds " \
+                       "per side"
+    assert lines[1].startswith(f"A {ROOT}: median ")
+    assert lines[2].startswith(f"B {ROOT}: median ")
+    assert lines[1].endswith(" ms/op") and lines[2].endswith(" ms/op")
+    assert lines[3].startswith("paired median B/A ")
+    assert " of 2 blocks, A in " in lines[3]
