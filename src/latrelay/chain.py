@@ -256,11 +256,6 @@ def rank_for_rate(p: int, n: int, rate: float) -> int:
     return round(min(rate * n / math.log2(p), n + 1))
 
 
-def required_list_volume(V: float, P: float, N: float, n: int) -> float:
-    """Minimum V_s for vanishing list-decode error: (N/(P+N))^(n/2) * V."""
-    return (N / (P + N)) ** (n / 2.0) * V
-
-
 def size_list_lattice(coarse: ConstructionALattice, fine: ConstructionALattice,
                       P: float, N: float) -> ConstructionALattice:
     """Intermediate list-decoding lattice for the nested pair (coarse, fine).
@@ -278,7 +273,7 @@ def size_list_lattice(coarse: ConstructionALattice, fine: ConstructionALattice,
     if not (is_sublattice(coarse, fine)
             and np.array_equal(coarse.rows, fine.rows[:coarse.k])):
         raise InvalidRanks("pair rows must be prefix-nested")
-    target = required_list_volume(1.0, P, N, coarse.n)   # of V_s / V
+    target = (N / (P + N)) ** (coarse.n / 2.0)   # of V_s / V
     k_s = next((k for k in range(fine.k, coarse.k, -1)
                 if float(coarse.p) ** (coarse.k - k)
                 >= target - 1e-12 * target), coarse.k)

@@ -127,9 +127,9 @@ def read_section(cfg: configparser.ConfigParser, command: str,
     lower = {k.lower(): k for k in keys}
     for key in raw:
         if key not in keys:
-            close = difflib.get_close_matches(key.lower(), lower, cutoff=0)
-            raise ConfigInvalid(f"[{command}] unknown key '{key}'; "
-                                f"did you mean '{lower[close[0]]}'?")
+            close = difflib.get_close_matches(key.lower(), lower, n=1)
+            hint = f"; did you mean '{lower[close[0]]}'?" if close else ""
+            raise ConfigInvalid(f"[{command}] unknown key '{key}'{hint}")
     values = {}
     for key, (parse, default) in keys.items():
         if key in raw:

@@ -61,12 +61,8 @@ def rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 def in_rowspan_many(rows: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
     """Vectorized row-span membership for many vectors (m x n), mod p."""
-    vecs = np.asarray(vecs, dtype=np.int64) % p
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    if rows.shape[0] == 0 or rows.size == 0:
-        return np.all(vecs % p == 0, axis=1)
+    res = np.asarray(vecs, dtype=np.int64) % p
     ech, pivots = rref(rows, p)
-    res = vecs.copy()
     for row, c in zip(ech, pivots):
         res = (res - res[:, c:c + 1] * row[None, :]) % p
     return np.all(res == 0, axis=1)
@@ -86,36 +82,3 @@ def all_codewords(rows: np.ndarray, p: int) -> np.ndarray:
         np.meshgrid(*([np.arange(p)] * k), indexing="ij"), axis=-1
     ).reshape(-1, k)
     return (coeffs @ rows) % p
-
-
-def quotient_coset_reps(rows_coarse: np.ndarray, rows_fine: np.ndarray, p: int) -> np.ndarray:
-    """Coset representatives of C_fine / C_coarse as codewords mod p.
-
-    Requires C_coarse to be a subcode of C_fine. Returns p^(k_fine - k_coarse)
-    representatives, one per coset, in a deterministic order.
-    """
-    rows_coarse = np.atleast_2d(np.asarray(rows_coarse, dtype=np.int64))
-    rows_fine = np.atleast_2d(np.asarray(rows_fine, dtype=np.int64))
-    n = rows_fine.shape[1]
-    # Extend a basis of the coarse code to a basis of the fine code with
-    # the fine rows, in order, that are independent of the rows before
-    # them. Each row is reduced by an echelon basis grown one row at a
-    # time: basis row i is zero at the pivots of rows 0..i-1, so reducing
-    # in insertion order clears every pivot.
-    rows_coarse = rows_coarse.reshape(-1, n)
-    basis: list[np.ndarray] = []
-    pivots: list[int] = []
-    extra: list[np.ndarray] = []
-    for i, row in enumerate(np.vstack([rows_coarse, rows_fine])):
-        r = row % p
-        for b, c in zip(basis, pivots):
-            r = (r - r[c] * b) % p
-        nonzero = np.flatnonzero(r)
-        if nonzero.size == 0:
-            continue
-        c = int(nonzero[0])
-        basis.append((r * pow(int(r[c]), p - 2, p)) % p)
-        pivots.append(c)
-        if i >= len(rows_coarse):
-            extra.append(row)
-    return all_codewords(np.array(extra, dtype=np.int64).reshape(len(extra), n), p)

@@ -165,10 +165,9 @@ def _coset_scan(Y: np.ndarray, table: _ScanTable) -> np.ndarray:
     gathers no point.
 
     Rows go in steps of ``table.chunk`` rows. A batch of one step runs on
-    the table's kept work arrays. A longer batch (set-up work such as
-    enumerate_codebook's reduction of a large codebook) runs its steps on
-    one set of arrays of its own and drops it, so it leaves no large
-    arrays behind.
+    the table's kept work arrays. A longer batch (set-up work such as a
+    Codebook's reduction of its codewords) runs its steps on one set of
+    arrays of its own and drops it, so it leaves no large arrays behind.
 
     Coordinate j of coset cw + pZ^n rounds to the nearest point of
     cw_j + pZ, which depends only on (y_j, cw_j). So one (m, n p) table
@@ -476,59 +475,55 @@ def is_sublattice(coarse: ConstructionALattice,
     return bool(np.all(gf.in_rowspan_many(fine.rows, coarse.rows, fine.p)))
 
 
-def enumerate_codebook(coarse: ConstructionALattice,
-                       fine: ConstructionALattice) -> np.ndarray:
-    """Codebook of the nested pair: the fine points inside the coarse cell,
-    as a (V/Vc, n) array.
-
-    Rows are sorted lexicographically by integer coordinates (units of
-    gamma), not by rounding noise; row w-1 is message w, fixing the
-    message <-> codeword bijection. Cardinality is checked exactly."""
-    if not is_sublattice(coarse, fine):
-        raise NotNested("coarse lattice is not a sublattice of fine lattice")
-    expected = coarse.p ** (fine.k - coarse.k)   # V / V_c, exactly
-    if expected > DEFAULT_ENUM_BUDGET:
-        raise EnumerationBudgetExceeded(
-            f"codebook size {expected} exceeds budget {DEFAULT_ENUM_BUDGET}")
-    reps = gf.quotient_coset_reps(coarse.rows, fine.rows, coarse.p)
-    points = coarse.mod_many(coarse.gamma * reps.astype(float))
-    if len(points) != expected:
-        raise NotNested(
-            f"enumerated {len(points)} codewords, expected V/Vc = {expected}")
-    keys = np.rint(points / coarse.gamma)
-    return points[np.lexsort(keys[:, ::-1].T)]
-
-
 class Codebook:
     """The codebook of a nested pair (coarse, fine) and its message map.
 
-    ``points``, :func:`enumerate_codebook` of the pair, is read-only: row
-    w-1 is message w. A fine point's class mod the coarse lattice depends
-    only on its codeword, fixed by its residues mod p on the pivots of
-    ``gf.rref(fine.rows)``, its coefficients on the echelon rows. So one
-    read-only table of p^k_fine message indices, in the radix order of
-    those coefficients, maps fine points to messages. p^k_fine >
-    DEFAULT_ENUM_BUDGET raises EnumerationBudgetExceeded first.
+    ``points``, the fine points inside the coarse cell, is a read-only
+    (V/Vc, n) array sorted lexicographically by integer coordinates (units
+    of gamma), not by rounding noise: row w-1 is message w.
+
+    The fine code's basis is taken as the coarse rows, then the
+    complement: the fine rows independent of the coarse rows and of those
+    kept before them. In :func:`gf.all_codewords`' radix order, codeword
+    j of that basis is complement codeword j mod V/Vc plus a coarse
+    codeword, which lifts to a coarse point, so the two share a class.
+    Only the V/Vc complement codewords are reduced: they are the points.
+    A fine point's codeword, so its class, is fixed by its residues mod p
+    on the pivots of ``gf.rref(fine.rows)``, and one read-only table of
+    p^k_fine message indices in the radix order of those residues maps
+    fine points to messages. A pair that is not nested raises NotNested;
+    p^k_fine > DEFAULT_ENUM_BUDGET raises EnumerationBudgetExceeded before
+    anything is enumerated.
     """
 
     def __init__(self, coarse: ConstructionALattice,
                  fine: ConstructionALattice):
+        if not is_sublattice(coarse, fine):
+            raise NotNested("coarse lattice is not a sublattice of fine lattice")
         p, k, gamma = fine.p, fine.k, fine.gamma
         if p ** k > DEFAULT_ENUM_BUDGET:
             raise EnumerationBudgetExceeded(
                 f"{p ** k} codewords exceed budget {DEFAULT_ENUM_BUDGET}")
-        self.points = enumerate_codebook(coarse, fine)
+        basis = coarse.rows
+        for row in fine.rows:
+            if not gf.in_rowspan_many(basis, row[None], p)[0]:
+                basis = np.vstack([basis, row])
+        words = gf.all_codewords(basis[coarse.k:], p)
+        points = coarse.mod_many(coarse.gamma * words.astype(float))
+        keys = np.rint(points / coarse.gamma)
+        order = np.lexsort(keys[:, ::-1].T)
+        self.points, self._keys = points[order], keys[order]
         self.points.setflags(write=False)
-        self.p, self.gamma, self._keys = p, gamma, np.rint(self.points / gamma)
+        self.p, self.gamma = p, gamma
         self._gamma = fine.scalars[0]   # gamma as a 0-d array
-        echelon, pivots = gf.rref(fine.rows, p)
-        self._pivot_coords = np.array(pivots, dtype=np.intp)
+        self._pivot_coords = np.array(gf.rref(fine.rows, p)[1], dtype=np.intp)
         self._place_values = p ** np.arange(k - 1, -1, -1)
-        # Each codeword's class: its lift reduced mod the coarse lattice,
-        # then its row among the sorted distinct classes (the codebook's).
-        words = coarse.mod_many(gamma * gf.all_codewords(echelon, p))
-        self._table = np.unique(np.rint(words / gamma).astype(np.int64),
-                                axis=0, return_inverse=True)[1].ravel() + 1
+        # Codeword j of the basis has the message of complement codeword
+        # j mod V/Vc.
+        message = order.argsort() + 1
+        self._table = np.empty(p ** k, dtype=np.int64)
+        self._table[gf.all_codewords(basis[:, self._pivot_coords], p)
+                    @ self._place_values] = np.tile(message, p ** coarse.k)
         self._table.setflags(write=False)
 
     def __len__(self) -> int:
@@ -559,3 +554,9 @@ class Codebook:
         hit = self._keys[w - 1] == Q
         hit &= np.abs(S, out=S) <= GRID_TOL
         return np.where(np.logical_and.reduce(hit, axis=1), w, 0)
+
+
+def enumerate_codebook(coarse: ConstructionALattice,
+                       fine: ConstructionALattice) -> np.ndarray:
+    """The points of the pair's :class:`Codebook`, row w-1 message w."""
+    return Codebook(coarse, fine).points

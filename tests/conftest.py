@@ -23,6 +23,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from latrelay import gf
+from latrelay.chain import build_chain
 from latrelay.channel import NestedListDecoder
 from latrelay.errors import EnumerationBudgetExceeded, NotNested
 from latrelay.lattice import (
@@ -169,6 +171,30 @@ def _codeword_grid(lat: ConstructionALattice):
     for coeffs in itertools.product(range(p), repeat=k):
         out.append(np.array(coeffs, dtype=int) @ lat.rows % p)
     return out
+
+
+def non_prefix_pairs():
+    """Nested pairs (coarse, fine) whose coarse rows are random GF(p)
+    combinations of the fine rows rather than a prefix of them, at every
+    coarse rank 1 to k_fine and fine rank 2 to n of a few chains, so the
+    fine rows a codebook keeps beside the coarse ones are not its last
+    rows. Deterministic."""
+    pairs = []
+    for p, n, gamma, seed in ((2, 4, 1.3, 5), (3, 3, 1.0, 6), (5, 3, 0.37, 7),
+                              (7, 2, 0.99, 8), (3, 4, 0.5, 9)):
+        ch = build_chain(p, n, list(range(n + 1)), gamma=gamma, seed=2)
+        rng = np.random.default_rng(seed)
+        for kf in range(2, n + 1):
+            fine = ch[kf]
+            for kc in range(1, kf + 1):
+                while True:
+                    rows = rng.integers(0, p, size=(kc, kf)) @ fine.rows % p
+                    if (len(gf.rref(rows, p)[1]) == kc
+                            and not np.array_equal(rows, fine.rows[:kc])):
+                        break
+                pairs.append((ConstructionALattice(p, rows, gamma=gamma, n=n),
+                              fine))
+    return pairs
 
 
 def second_moment_quadrature(lat: ConstructionALattice, grid: int = 120):

@@ -17,9 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latrelay import channel, twrc
+from latrelay import channel, gf, twrc
+from latrelay.chain import build_chain
 from latrelay.channel import (
     STREAM_KEYS,
+    NestedListDecoder,
     block_draws,
     effective_noise,
     encode_dithered,
@@ -29,7 +31,12 @@ from latrelay.channel import (
 )
 from latrelay.cli import main
 from latrelay.errors import DimensionMismatch, NotACodeword
-from latrelay.lattice import GRID_TOL, ConstructionALattice
+from latrelay.lattice import (
+    GRID_TOL,
+    Codebook,
+    ConstructionALattice,
+    cubic_gamma,
+)
 from latrelay.rates import TwrcParams
 from latrelay.relay import (
     DegradedRelayParams,
@@ -47,6 +54,7 @@ import block_reference as ref
 from block_reference import df_reference, twrc_reference
 from conftest import (
     message_index_oracle,
+    non_prefix_pairs,
     recover_t1_from_sum,
     recover_t2_from_sum,
     shift_rescan_decode,
@@ -434,6 +442,61 @@ def test_rank_one_twrc_outputs_pinned(tmp_path, seed):
     for name, digest in BM_PINNED[seed].items():
         got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert got == digest, name
+
+
+# sha256 over the bytes of codebooks and list decoders: each codebook's
+# points and the classes of its fine code's codewords in gf.all_codewords'
+# order, each decoder's reps and the classes of its scan's columns. They
+# cover every pair and triple of fixed chains, the non-prefix pairs, the
+# block_markov DF and TWRC set-ups (Lambda_2 of rank 1) and the p2p
+# benchmark chains.
+CODEBOOK_BYTES = ("18238bfba2a2e29ae3d36c765685c93f"
+                  "ccff564fe21fbad3739def2a583fd7d0")
+
+
+def test_codebook_bytes_pinned():
+    h = hashlib.sha256()
+
+    def put(a, dtype):
+        a = np.ascontiguousarray(a, dtype=dtype)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+
+    def put_book(book, fine):
+        put(book.points, np.float64)
+        put(book.classes(gf.all_codewords(fine.rows, fine.p)), np.int64)
+
+    def put_decoder(dec):
+        put_book(dec.codebook, dec.fine)
+        put(dec.reps, np.float64)
+        if dec.list_size > 1:
+            put(dec._scan.classes, np.int64)
+
+    for p, n, gamma in ((2, 4, 1.3), (3, 3, 1.0), (5, 2, 0.37), (7, 2, 0.99),
+                        (3, 5, 0.5)):
+        ch = build_chain(p, n, list(range(n + 1)), gamma=gamma, seed=4)
+        for i, j in itertools.combinations_with_replacement(range(n + 1), 2):
+            put_book(Codebook(ch[i], ch[j]), ch[j])
+        for i, j, k in itertools.combinations_with_replacement(
+                range(n + 1), 3):
+            put_decoder(NestedListDecoder(ch[i], ch[j], ch[k]))
+    for coarse, fine in non_prefix_pairs():
+        put_book(Codebook(coarse, fine), fine)
+    for seed in (0, 1, 2):
+        df = build_df_codebooks(DegradedRelayParams(**DF_BM), 3, 2, seed=seed)
+        put_decoder(df.message_chain.list_decoder)
+        put_book(df.resolution_codebook, df.resolution_chain[1])
+        tw = build_twrc_codebooks(_twrc_params(TWRC_BM), 3, 2, seed=seed)
+        assert tw.lam2.k == 1
+        put_decoder(tw.dec1)
+        put_decoder(tw.dec2)
+        put_book(tw.sum_codebook, max(tw.lam_c1, tw.lam_c2, key=lambda l: l.k))
+    gamma = cubic_gamma(3, 1.0)
+    put_decoder(build_chain(3, 2, [0, 1, 2], gamma=gamma, seed=0).list_decoder)
+    for seed in (1, 2):
+        put_decoder(build_chain(3, 8, [0, 4, 6], gamma=gamma,
+                                seed=seed).list_decoder)
+    assert h.hexdigest() == CODEBOOK_BYTES
 
 # --- batch-only protocol maps ---------------------------------------------
 

@@ -36,6 +36,7 @@ from conftest import (
     direct_scan_nearest,
     integer_lattice,
     message_index_oracle,
+    non_prefix_pairs,
     repeat_call_peak,
     second_moment_quadrature,
     shift_rescan_decode,
@@ -904,6 +905,31 @@ class TestCodebookIndex:
                      + p * rng.integers(-2, 3, size=(100, n)))
             want = message_index_oracle(
                 book.points, coarse.mod_many(gamma * words), gamma)
+            assert np.all(want > 0)
+            assert np.array_equal(book.classes(words), want)
+
+    def test_non_prefix_pairs_match_box_oracle(self):
+        # Coarse rows that are combinations of the fine rows: the codebook
+        # is the box's fine points whose direct-scan nearest coarse point
+        # is 0, in integer lexicographic order, and each fine point's
+        # class is the row of its direct-scan reduction.
+        rng = np.random.default_rng(47)
+        for coarse, fine in non_prefix_pairs():
+            p, n, gamma = fine.p, fine.n, fine.gamma
+            book = Codebook(coarse, fine)
+            box = np.array(list(itertools.product(
+                range(-(p // 2) - 1, p // 2 + 2), repeat=n)))
+            box = box[gf.in_rowspan_many(fine.rows, box % p, p)]
+            inside = ~direct_scan_nearest(coarse, gamma * box).any(axis=1)
+            want = sorted(map(tuple, box[inside].tolist()))
+            assert len(want) == p ** (fine.k - coarse.k)
+            assert np.rint(book.points / gamma).astype(int).tolist() == \
+                [list(w) for w in want]
+            words = (gf.all_codewords(fine.rows, p)
+                     + p * rng.integers(-2, 3, size=(p ** fine.k, n)))
+            X = gamma * words
+            want = message_index_oracle(
+                book.points, X - direct_scan_nearest(coarse, X), gamma)
             assert np.all(want > 0)
             assert np.array_equal(book.classes(words), want)
 
