@@ -13,8 +13,9 @@ set the workload up from the same seed. Block b runs rounds b R to
 (b + 1) R - 1 of the workload's operations on each side, the side that
 goes first alternating from block to block, and times the block as a
 whole. The script prints each side's median time per operation over the
-blocks, the median over blocks of the ratio B / A, and the number of
-blocks each side was faster in.
+blocks, the median over blocks of the ratio B / A, the number of blocks
+each side was faster in, and the number of operations whose outputs the
+two sides agree on, compared by value (``output_key``) after the timing.
 
 Interleaved blocks in one process see the same machine state, so the
 sign of a few-percent difference shows through noise that moves whole
@@ -24,6 +25,7 @@ benchmark processes by much more.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -77,28 +79,51 @@ def bind_workloads(pkg: types.ModuleType, alias: str) -> types.ModuleType:
     return module
 
 
+def output_key(workloads: types.ModuleType, name: str, out):
+    """What an operation's output is compared by across the two sides,
+    built of plain values so that records of the two packages compare:
+    a p2p sweep point's CSV row and trial log, a block-Markov
+    operation's counts and transcripts, a gap draw's rates, gaps and
+    parameters."""
+    if name.startswith("p2p"):
+        return out.csv_row(), out.log
+    if name == "block_markov":
+        return workloads._summary(out)
+    if name == "gap_batch":
+        return ((out.achievable.R1, out.achievable.R2, out.outer.R1,
+                 out.outer.R2, out.gap1, out.gap2),
+                dataclasses.asdict(out.params))
+    raise KeyError(name)
+
+
 class Side:
-    """One checkout's workload, set up, and its block times."""
+    """One checkout's workload, set up, its block times and the keys of
+    its outputs."""
 
     def __init__(self, root: Path, alias: str, workload: str, seed: int):
         self.root = root
-        self.wl = bind_workloads(load_package(root, alias), alias).make(
-            workload)
+        self.name = workload
+        self.workloads = bind_workloads(load_package(root, alias), alias)
+        self.wl = self.workloads.make(workload)
         self.state = self.wl.setup(seed)
         self.per_op: list[float] = []
+        self.keys: list = []
 
     def run_block(self, first: int, rounds: int) -> float:
         """Run rounds first .. first + rounds - 1; record and return the
-        seconds per operation."""
+        seconds per operation, and keep each output's key."""
         wl, state = self.wl, self.state
         inputs = [inp for r in range(first, first + rounds)
                   for inp in wl.round_inputs(state, r)]
+        outputs = []
         perf = time.perf_counter
         start = perf()
         for inp in inputs:
-            wl.run(state, inp)
+            outputs.append(wl.run(state, inp)[0])
         elapsed = (perf() - start) / len(inputs)
         self.per_op.append(elapsed)
+        self.keys.extend(output_key(self.workloads, self.name, out)
+                         for out in outputs)
         return elapsed
 
 
@@ -113,7 +138,9 @@ def compare(a: Side, b: Side, blocks: int, rounds: int) -> dict:
             "b_ms": statistics.median(b.per_op) * 1e3,
             "ratio": statistics.median(ratios),
             "b_wins": sum(r < 1.0 for r in ratios),
-            "a_wins": sum(r > 1.0 for r in ratios)}
+            "a_wins": sum(r > 1.0 for r in ratios),
+            "ops": len(a.keys),
+            "equal": sum(ka == kb for ka, kb in zip(a.keys, b.keys))}
 
 
 def main(argv=None) -> int:
@@ -138,6 +165,7 @@ def main(argv=None) -> int:
     print(f"paired median B/A {res['ratio']:.4f} "
           f"({(res['ratio'] - 1) * 100:+.1f} %); B faster in "
           f"{res['b_wins']} of {args.blocks} blocks, A in {res['a_wins']}")
+    print(f"outputs equal in {res['equal']} of {res['ops']} operations")
     return 0
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import difflib
 import math
 import sys
 from dataclasses import fields
@@ -127,6 +126,7 @@ def read_section(cfg: configparser.ConfigParser, command: str,
     lower = {k.lower(): k for k in keys}
     for key in raw:
         if key not in keys:
+            import difflib   # only here: it costs every CLI start-up
             close = difflib.get_close_matches(key.lower(), lower, n=1)
             hint = f"; did you mean '{lower[close[0]]}'?" if close else ""
             raise ConfigInvalid(f"[{command}] unknown key '{key}'{hint}")
@@ -206,6 +206,11 @@ def cmd_p2p_sim(c: dict, args) -> int:
     p = c["p"]
     if len(c["ranks"]) != 3:
         raise ConfigInvalid("[p2p-sim] ranks must list exactly 3 ranks")
+    if c["ranks"][0] != 0:
+        raise ConfigInvalid(
+            f"[p2p-sim] the coarsest rank must be 0, got {c['ranks'][0]}: "
+            "shaping uses the cubic cell of power P, which is the coarse "
+            "lattice only at rank 0")
     check_prime(p)
     try:
         awgn = _build(AwgnParams, c)

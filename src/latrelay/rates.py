@@ -5,6 +5,12 @@ achievable region and the physically degraded cut-set bound follow the
 displayed formulas; the stochastic-case outer bound is the standard
 Gaussian full-duplex cut-set bound with correlated inputs, derived in the
 README, since no closed form is displayed for that case.
+
+``TwrcParams`` is a frozen parameter record; ``RatePoint`` and
+``GapReport`` are plain result records, built once per call and cheap to
+build. Each bound is a few float operations per user, done by a
+module-level helper (``_region_rate``, ``best_power_split``,
+``_general_rate``) rather than a closure made on every call.
 """
 
 from __future__ import annotations
@@ -62,9 +68,9 @@ def maximize_unimodal(f: Callable[[float], float], lo: float, hi: float,
     return x, float(f(x))
 
 
-@dataclass(frozen=True)
+@dataclass
 class RatePoint:
-    """Per-user rate bounds in bits per channel use."""
+    """Per-user rate bounds in bits per channel use (a result record)."""
     R1: float
     R2: float
 
@@ -92,40 +98,43 @@ class TwrcParams:
     N2p: Optional[float] = None
 
     def __post_init__(self):
-        values = (self.P1, self.P2, self.PR, self.N1, self.N2, self.NR)
-        if not all(math.isfinite(v) for v in values):
+        P1, P2, PR, N1, N2, NR = values = (
+            self.P1, self.P2, self.PR, self.N1, self.N2, self.NR)
+        if not all(map(math.isfinite, values)):
             raise ValueError(
                 "powers and noise variances must be finite, got "
-                f"P1={self.P1!r}, P2={self.P2!r}, PR={self.PR!r}, "
-                f"N1={self.N1!r}, N2={self.N2!r}, NR={self.NR!r}")
-        if min(self.P1, self.P2, self.N1, self.N2, self.NR) <= 0 or self.PR < 0:
+                f"P1={P1!r}, P2={P2!r}, PR={PR!r}, "
+                f"N1={N1!r}, N2={N2!r}, NR={NR!r}")
+        if min(P1, P2, N1, N2, NR) <= 0 or PR < 0:
             raise ValueError("powers and noise variances must be positive")
-        if self.P1 < self.P2:
+        if P1 < P2:
             raise ValueError("convention requires P1 >= P2")
-        if self.mode not in ("none", "stochastic", "physical"):
-            raise ValueError(f"unknown degradation mode {self.mode!r}")
-        if self.mode == "physical":
-            if self.N1p is None or self.N2p is None:
+        mode = self.mode
+        if mode == "physical":
+            N1p, N2p = self.N1p, self.N2p
+            if N1p is None or N2p is None:
                 raise ValueError("physical degradation requires N1p and N2p")
-            if self.N1p < 0 or self.N2p < 0:
+            if N1p < 0 or N2p < 0:
                 raise ValueError(
                     "physical degradation requires N1p, N2p >= 0, got "
-                    f"N1p={self.N1p!r}, N2p={self.N2p!r}")
-            if (abs(self.N1 - (self.NR + self.N1p)) > 1e-9 * self.N1
-                    or abs(self.N2 - (self.NR + self.N2p)) > 1e-9 * self.N2):
+                    f"N1p={N1p!r}, N2p={N2p!r}")
+            if (abs(N1 - (NR + N1p)) > 1e-9 * N1
+                    or abs(N2 - (NR + N2p)) > 1e-9 * N2):
                 raise ValueError("physical degradation requires Ni = NR + Nip")
-        elif self.mode == "stochastic":
-            if self.N1 < self.NR or self.N2 < self.NR:
+        elif mode == "stochastic":
+            if N1 < NR or N2 < NR:
                 raise ValueError("stochastic degradation requires N1, N2 >= NR")
+        elif mode != "none":
+            raise ValueError(f"unknown degradation mode {mode!r}")
 
     @classmethod
     def physically_degraded(cls, P1, P2, PR, NR, N1p, N2p) -> "TwrcParams":
-        return cls(P1=P1, P2=P2, PR=PR, N1=NR + N1p, N2=NR + N2p, NR=NR,
-                   mode="physical", N1p=N1p, N2p=N2p)
+        return cls(P1, P2, PR, NR + N1p, NR + N2p, NR, "physical", N1p, N2p)
 
 
-@dataclass(frozen=True)
+@dataclass
 class GapReport:
+    """One parameter draw's rates and per-user gaps (a result record)."""
     achievable: RatePoint
     outer: RatePoint
     gap1: float
@@ -146,14 +155,16 @@ def twrc_region(params: TwrcParams) -> RatePoint:
     R_i <= min([1/2 log2(Pi/(P1+P2) + Pi/NR)]+, C((Pi+PR)/N_other)).
     """
     p = params
+    Psum = p.P1 + p.P2
+    return RatePoint(_region_rate(p.P1, Psum, p.PR, p.NR, p.N2),
+                     _region_rate(p.P2, Psum, p.PR, p.NR, p.N1))
 
-    def one(Pi: float, Nother: float) -> float:
-        sum_term = positive_part(
-            0.5 * math.log2(Pi / (p.P1 + p.P2) + Pi / p.NR))
-        bc_term = capacity_c((Pi + p.PR) / Nother)
-        return min(sum_term, bc_term)
 
-    return RatePoint(R1=one(p.P1, p.N2), R2=one(p.P2, p.N1))
+def _region_rate(Pi: float, Psum: float, PR: float, NR: float,
+                 Nother: float) -> float:
+    """User i's bound in ``twrc_region``, with Psum = P1 + P2."""
+    sum_term = positive_part(0.5 * math.log2(Pi / Psum + Pi / NR))
+    return min(sum_term, capacity_c((Pi + PR) / Nother))
 
 
 def _cut_crossing(a: float, Pi: float, PR: float, D: float) -> float:
@@ -201,11 +212,8 @@ def cutset_degraded(params: TwrcParams) -> RatePoint:
     if params.mode != "physical":
         raise ScenarioViolation("cutset_degraded requires physical degradation")
     p = params
-
-    def one(Pi: float, Nother_p: float) -> float:
-        return best_power_split(Pi, p.PR, p.NR, Nother_p + p.NR)[0]
-
-    return RatePoint(R1=one(p.P1, p.N2p), R2=one(p.P2, p.N1p))
+    return RatePoint(best_power_split(p.P1, p.PR, p.NR, p.N2p + p.NR)[0],
+                     best_power_split(p.P2, p.PR, p.NR, p.N1p + p.NR)[0])
 
 
 def cutset_general(params: TwrcParams) -> RatePoint:
@@ -219,12 +227,14 @@ def cutset_general(params: TwrcParams) -> RatePoint:
     in the README.
     """
     p = params
+    return RatePoint(_general_rate(p.P1, p.PR, p.NR, p.N2),
+                     _general_rate(p.P2, p.PR, p.NR, p.N1))
 
-    def one(Pi: float, Nother: float) -> float:
-        a = Pi * (1.0 / p.NR + 1.0 / Nother)
-        return capacity_c(_cut_crossing(a, Pi, p.PR, Nother))
 
-    return RatePoint(R1=one(p.P1, p.N2), R2=one(p.P2, p.N1))
+def _general_rate(Pi: float, PR: float, NR: float, Nother: float) -> float:
+    """User i's bound in ``cutset_general``."""
+    a = Pi * (1.0 / NR + 1.0 / Nother)
+    return capacity_c(_cut_crossing(a, Pi, PR, Nother))
 
 
 def sample_twrc_params(scenario: int, rng: np.random.Generator,
@@ -239,11 +249,9 @@ def sample_twrc_params(scenario: int, rng: np.random.Generator,
         rng.uniform(math.log(lo), math.log(hi), 6)).tolist()
     P1, P2 = max(Pa, Pb), min(Pa, Pb)
     if scenario == 1:
-        return TwrcParams.physically_degraded(P1=P1, P2=P2, PR=PR, NR=NR,
-                                              N1p=x1, N2p=x2)
+        return TwrcParams.physically_degraded(P1, P2, PR, NR, x1, x2)
     if scenario == 2:
-        return TwrcParams(P1=P1, P2=P2, PR=PR, N1=NR + x1, N2=NR + x2,
-                          NR=NR, mode="stochastic")
+        return TwrcParams(P1, P2, PR, NR + x1, NR + x2, NR, "stochastic")
     raise ScenarioViolation(f"unknown scenario {scenario}")
 
 

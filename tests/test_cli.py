@@ -161,6 +161,18 @@ class TestP2pSim:
         self._config_error(tmp_path, capsys,
                            self.CFG.replace("P = 1.0", f"P = {P}"))
 
+    @pytest.mark.parametrize("n,ranks", [(4, "2,3,4"), (2, "1,1,2")])
+    def test_nonzero_coarsest_rank_is_config_error(self, tmp_path, capsys,
+                                                   n, ranks):
+        # gamma = cubic_gamma(p, P) is power P only for the cubic coarse
+        # lattice; at ranks 2,3,4 (n = 4) its second moment would be 0.337
+        # while p2p.csv reported P = 1.
+        err = self._config_error(tmp_path, capsys, self.CFG.replace(
+            "n = 2\nranks = 0,1,2", f"n = {n}\nranks = {ranks}").replace(
+            "N = 1e-12", "N = 0.05"))
+        assert "[p2p-sim] the coarsest rank must be 0, got " \
+               f"{ranks[0]}" in err
+
     @pytest.mark.parametrize("gamma", ["inf", "5e-324", "1e-310", "1e-20"])
     def test_gamma_key_is_unknown(self, tmp_path, capsys, gamma):
         # gamma is cubic_gamma(p, P); the section has no gamma key. 1e-20

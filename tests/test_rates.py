@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -6,8 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from latrelay.channel import AwgnParams
+from latrelay.cli import main
 from latrelay.errors import NegativeArgument, ScenarioViolation
 from latrelay.rates import (
+    GapReport,
     RatePoint,
     TwrcParams,
     capacity_c,
@@ -20,7 +25,8 @@ from latrelay.rates import (
     two_way_no_relay,
     twrc_region,
 )
-from latrelay.relay import df_capacity
+from latrelay.relay import DegradedRelayParams, df_capacity
+from latrelay.twrc import TwrcSimParams
 
 
 def crossing(f_dec, g_inc, lo=0.0, hi=1.0):
@@ -407,3 +413,118 @@ class TestMaximizeUnimodal:
     def test_endpoint(self):
         x, v = maximize_unimodal(lambda x: x, 0.0, 1.0)
         assert v == pytest.approx(1.0, abs=1e-6)
+
+
+class TestRecordContract:
+    """Parameter records are frozen and hashable; result records are plain
+    dataclasses that still validate, compare by value and work with the
+    dataclasses module's helpers."""
+
+    CHANNEL = TwrcParams.physically_degraded(P1=4.0, P2=2.0, PR=8.0, NR=1.0,
+                                             N1p=1.0, N2p=0.5)
+    PARAMS = {
+        "TwrcParams": (CHANNEL, "P1"),
+        "AwgnParams": (AwgnParams(P=1.0, N=0.1), "N"),
+        "DegradedRelayParams": (DegradedRelayParams(
+            P=2.0, PR=4.0, NR=0.02, N=0.02, alpha=0.5, B=25, R=1.16,
+            RR=1.16), "alpha"),
+        "TwrcSimParams": (TwrcSimParams(channel=CHANNEL, R1=0.8, R2=0.8,
+                                        R=3.0, B=10), "R"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    def test_parameter_records_frozen_and_hashable(self, name):
+        record, field = self.PARAMS[name]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, 1.0)
+        twin = dataclasses.replace(record)
+        assert twin == record and hash(twin) == hash(record)
+        assert len({record, twin}) == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0,
+                                     -1e-300])
+    @pytest.mark.parametrize("user", ["R1", "R2"])
+    def test_rate_point_rejects_bad_rates(self, bad, user):
+        values = {"R1": 0.5, "R2": 0.25, user: bad}
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            RatePoint(**values)
+
+    def test_rate_point_value_semantics(self):
+        rp = RatePoint(R1=0.5, R2=0.25)
+        assert rp == RatePoint(0.5, 0.25) and rp != RatePoint(0.5, 0.5)
+        assert [f.name for f in dataclasses.fields(rp)] == ["R1", "R2"]
+        assert dataclasses.replace(rp, R2=1.0) == RatePoint(0.5, 1.0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            dataclasses.replace(rp, R1=math.nan)
+
+    def test_gap_report_value_semantics(self):
+        rep = gap_report(self.CHANNEL, 1)
+        twin = gap_report(self.CHANNEL, 1)
+        assert rep == twin and rep is not twin
+        assert [f.name for f in dataclasses.fields(GapReport)] == [
+            "achievable", "outer", "gap1", "gap2", "scenario", "params"]
+        assert dataclasses.replace(rep) == rep
+        assert dataclasses.replace(rep, gap1=rep.gap1 + 1.0) != rep
+        assert dataclasses.astuple(rep)[2:5] == (rep.gap1, rep.gap2, 1)
+
+
+# sha256 of `gaps` outputs (1,000 draws on [0.01, 100]) per scenario and
+# seed, and of `regions` outputs per degradation mode, taken before the
+# rate records became plain dataclasses: record and helper changes must
+# leave every output byte as it was.
+GAPS_PINNED = {
+    (1, 0): {"gaps.csv": "2e509d93a91a250d7d01a2292f96903b"
+                         "faafa9504cb75613cf33afa3d32e50ee",
+             "gaps.svg": "c9d27b594319475a9b2cb8057f1f72b6"
+                         "81f137c6c229ed009ba9e5b3771b2bd6"},
+    (1, 3): {"gaps.csv": "3d9098c70aaed402d4f84e1d27247791"
+                         "ef4f26c102e8f0a78b62d59f3ce4edf0",
+             "gaps.svg": "83d88ebce0b6789734a49b1cf8953f0a"
+                         "8270a098e72aaae206a84775b14d3056"},
+    (2, 0): {"gaps.csv": "4bd52e122952c94cab85a2f40b4a479c"
+                         "2389b353da3d38445f4739722bd7feb0",
+             "gaps.svg": "1acd17191906773e4baaf0a61e7d9ec4"
+                         "9fbf88d520a98d449b765eb802fd51f3"},
+    (2, 3): {"gaps.csv": "f5e9eb50e46eb6b3c2cbe4703e64e8c7"
+                         "1407a1e4719c863838dfe1bfe11b793b",
+             "gaps.svg": "6adf8c8a39fa46c183e3fb071583f88d"
+                         "ab1acda27977adda6fd6c8e528913e09"},
+}
+REGIONS_PINNED = {
+    "physical": ("N1p = 1.0\nN2p = 0.5\n",
+                 {"regions.csv": "35a2caaebc0a48347daf2b6c72b3d249"
+                                 "d617172e1507c6365066f1b04241c65c",
+                  "regions.svg": "9c29996036de0d59ec06261a18d9c63b"
+                                 "2c04c01627119de3cc7a77bc1dae8bfd"}),
+    "stochastic": ("N1 = 2.0\nN2 = 1.5\n",
+                   {"regions.csv": "107b2cc67abe75fcb5efe81e35291c02"
+                                   "ebecc4f121bb015c66d796451b7ef7cd",
+                    "regions.svg": "5518314040a0da98345fa054fbf09c36"
+                                   "e917ef6773c2249ad0d9bef2589f9674"}),
+}
+
+
+def _assert_pinned(tmp_path, command, body, seed, digests):
+    config = tmp_path / "pinned.ini"
+    config.write_text(body)
+    assert main([command, "--config", str(config), "--seed", str(seed),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    for name, digest in digests.items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, name
+
+
+@pytest.mark.parametrize("scenario,seed", sorted(GAPS_PINNED))
+def test_gaps_outputs_pinned(tmp_path, scenario, seed):
+    _assert_pinned(tmp_path, "gaps",
+                   f"[gaps]\nscenario = {scenario}\ndraws = 1000\n"
+                   "lo = 0.01\nhi = 100.0\n", seed,
+                   GAPS_PINNED[scenario, seed])
+
+
+@pytest.mark.parametrize("mode", sorted(REGIONS_PINNED))
+def test_regions_outputs_pinned(tmp_path, mode):
+    noises, digests = REGIONS_PINNED[mode]
+    _assert_pinned(tmp_path, "regions",
+                   f"[regions]\nmode = {mode}\nP1 = 4.0\nP2 = 2.0\n"
+                   "PR = 8.0\nNR = 1.0\n" + noises, 0, digests)

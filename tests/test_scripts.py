@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import latrelay
 from latrelay.cli import main
 from latrelay.rates import (
@@ -80,3 +82,14 @@ def test_ab_inprocess_runs_one_checkout_against_itself():
     assert lines[1].endswith(" ms/op") and lines[2].endswith(" ms/op")
     assert lines[3].startswith("paired median B/A ")
     assert " of 2 blocks, A in " in lines[3]
+    # one round of p2p_n2 is its four noise levels
+    assert lines[4] == "outputs equal in 8 of 8 operations"
+
+
+@pytest.mark.parametrize("workload,ops", [("p2p_n8", 8), ("block_markov", 2),
+                                          ("gap_batch", 100)])
+def test_ab_inprocess_compares_outputs_of_every_workload(workload, ops):
+    lines = _run_script("ab_inprocess.py", str(ROOT), str(ROOT),
+                        "--workload", workload, "--blocks", "2",
+                        "--rounds", "1")
+    assert lines[-1] == f"outputs equal in {ops} of {ops} operations"
