@@ -16,6 +16,7 @@ whole. The script prints each side's median time per operation over the
 blocks, the median over blocks of the ratio B / A, the number of blocks
 each side was faster in, and the number of operations whose outputs the
 two sides agree on, compared by value (``output_key``) after the timing.
+It exits 1 when any operation's outputs differ, and 0 otherwise.
 
 Interleaved blocks in one process see the same machine state, so the
 sign of a few-percent difference shows through noise that moves whole
@@ -166,7 +167,7 @@ def main(argv=None) -> int:
           f"({(res['ratio'] - 1) * 100:+.1f} %); B faster in "
           f"{res['b_wins']} of {args.blocks} blocks, A in {res['a_wins']}")
     print(f"outputs equal in {res['equal']} of {res['ops']} operations")
-    return 0
+    return 0 if res["equal"] == res["ops"] else 1
 
 
 if __name__ == "__main__":

@@ -190,15 +190,24 @@ class NestedListDecoder:
 
     The list of y' is the |L| = V_s/V_c fine points in y' + V_s, one in
     each coset of Lambda_s in Lambda_c: the nearest point to y' of that
-    coset. In units of gamma, coset ``reps[g]`` + Lambda_s is the union of
-    the cosets cw + pZ^n over the codewords cw of ``reps[g]`` + C_s. So a
-    decode is one coset scan of all p^(k_c) fine codewords, grouped by
-    list coset, built once here. A list of one is the fine lattice's own
-    nearest point, with its rank-n rounding and cached scan.
+    coset. ``reps[g]`` names coset g; the decoder answers in message
+    indices of ``codebook``, the :class:`~latrelay.lattice.Codebook` of
+    (coarse, fine), which it owns. Set-up builds what one of three cases
+    needs:
 
-    The decoder owns ``codebook``, the :class:`~latrelay.lattice.Codebook`
-    of (coarse, fine). A decode answers in message indices from its one
-    class table: the scan's winning columns, or a list of one's point.
+    - Lambda_s = Lambda (equal ranks; the nesting makes them one
+      lattice): the list is the whole codebook for every y', each
+      member in the coset of its own codebook point. ``reps`` is
+      ``codebook.points``, and a decode repeats the constant list
+      1..|L| once per row. No scan table is built.
+    - Lambda_s = Lambda_c, a list of one: the fine lattice's own nearest
+      point, with its rank-n rounding and cached scan, named by the
+      class of its pivot residues.
+    - Otherwise one coset scan of all p^(k_c) fine codewords, grouped by
+      list coset: in units of gamma, ``reps[g]`` + Lambda_s is the union
+      of the cosets cw + pZ^n over the codewords cw of ``reps[g]`` +
+      C_s. Each column's class is read once here, so a decode takes the
+      winning columns' classes.
     """
 
     def __init__(self, coarse: ConstructionALattice, mid: ConstructionALattice,
@@ -209,14 +218,25 @@ class NestedListDecoder:
         self.mid = mid
         self.fine = fine
         self.codebook = Codebook(coarse, fine)
-        self.reps = enumerate_codebook(mid, fine)
+        self._whole: Optional[np.ndarray] = None
+        self._scan: Optional[_ScanTable] = None
+        if mid.k == coarse.k:   # Lambda_s = Lambda: the whole codebook
+            self.reps = self.codebook.points
+            # The constant list as one row; repeat then ravel tiles it
+            # faster than np.tile.
+            self._whole = np.arange(1, len(self.reps) + 1,
+                                    dtype=np.int64)[None]
+        else:
+            self.reps = enumerate_codebook(mid, fine)
+            if len(self.reps) > 1:   # one scan, grouped by list coset
+                shifts = (np.rint(self.reps / fine.gamma).astype(np.int64)
+                          % fine.p)
+                self._scan = _ScanTable(fine.p, mid.rows, shifts)
+                # A column's entries, codeword + p j, have its codeword's
+                # residues.
+                self._scan.classes = self.codebook.classes(self._scan.cols)
+                self._scan.classes.setflags(write=False)
         self.list_size = len(self.reps)
-        if self.list_size > 1:   # one scan, grouped by list coset
-            shifts = np.rint(self.reps / fine.gamma).astype(np.int64) % fine.p
-            self._scan = _ScanTable(fine.p, mid.rows, shifts)
-            # A column's entries, codeword + p j, have its codeword's residues.
-            self._scan.classes = self.codebook.classes(self._scan.cols)
-            self._scan.classes.setflags(write=False)
 
     def decode_many(self, Y_prime: np.ndarray) -> np.ndarray:
         """Lists for a batch of observations (m, n), as an (m, size) array
@@ -233,12 +253,16 @@ class NestedListDecoder:
     def _lists(self, Y: np.ndarray) -> np.ndarray:
         """:meth:`decode_many` of a checked float batch (m, n), as one
         flat array of m * size indices."""
+        if self._whole is not None:
+            return self._whole.repeat(len(Y), 0).ravel()
         gamma = self.fine.scalars[0]
-        if self.list_size > 1:
+        if self._scan is not None:
             return _coset_scan(Y / gamma, self._scan)
-        # Lambda_s = Lambda_c: the list is Q_c(y').
-        words = np.rint(self.fine.nearest_many(Y) / gamma).astype(np.int64)
-        return self.codebook.classes(words)
+        # Lambda_s = Lambda_c: the list is Q_c(y'). Its integer coordinates
+        # are reduced mod p while still floats, so any finite y' fits int64.
+        words = np.rint(self.fine.nearest_many(Y) / gamma)
+        words %= self.fine.scalars[1]
+        return self.codebook.classes(words.astype(np.int64))
 
     def decode(self, y_prime: np.ndarray,
                truth: Optional[np.ndarray] = None) -> ListDecodeResult:

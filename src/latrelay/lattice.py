@@ -498,23 +498,9 @@ class Codebook:
 
     def __init__(self, coarse: ConstructionALattice,
                  fine: ConstructionALattice):
-        if not is_sublattice(coarse, fine):
-            raise NotNested("coarse lattice is not a sublattice of fine lattice")
-        p, k, gamma = fine.p, fine.k, fine.gamma
-        if p ** k > DEFAULT_ENUM_BUDGET:
-            raise EnumerationBudgetExceeded(
-                f"{p ** k} codewords exceed budget {DEFAULT_ENUM_BUDGET}")
-        basis = coarse.rows
-        for row in fine.rows:
-            if not gf.in_rowspan_many(basis, row[None], p)[0]:
-                basis = np.vstack([basis, row])
-        words = gf.all_codewords(basis[coarse.k:], p)
-        points = coarse.mod_many(coarse.gamma * words.astype(float))
-        keys = np.rint(points / coarse.gamma)
-        order = np.lexsort(keys[:, ::-1].T)
-        self.points, self._keys = points[order], keys[order]
-        self.points.setflags(write=False)
-        self.p, self.gamma = p, gamma
+        basis, self.points, self._keys, order = _sorted_points(coarse, fine)
+        p, k = fine.p, fine.k
+        self.p, self.gamma = p, fine.gamma
         self._gamma = fine.scalars[0]   # gamma as a 0-d array
         self._pivot_coords = np.array(gf.rref(fine.rows, p)[1], dtype=np.intp)
         self._place_values = p ** np.arange(k - 1, -1, -1)
@@ -556,7 +542,35 @@ class Codebook:
         return np.where(np.logical_and.reduce(hit, axis=1), w, 0)
 
 
+def _sorted_points(coarse: ConstructionALattice,
+                   fine: ConstructionALattice) -> tuple:
+    """What :class:`Codebook` builds before its class table: the fine
+    code's basis (the coarse rows, then the complement), the read-only
+    points sorted by integer coordinates, those coordinates, and the sort
+    order of the complement codewords. Raises NotNested for a pair that is
+    not nested and EnumerationBudgetExceeded when p^k_fine exceeds
+    DEFAULT_ENUM_BUDGET, before anything is enumerated."""
+    if not is_sublattice(coarse, fine):
+        raise NotNested("coarse lattice is not a sublattice of fine lattice")
+    p = fine.p
+    if p ** fine.k > DEFAULT_ENUM_BUDGET:
+        raise EnumerationBudgetExceeded(
+            f"{p ** fine.k} codewords exceed budget {DEFAULT_ENUM_BUDGET}")
+    basis = coarse.rows
+    for row in fine.rows:
+        if not gf.in_rowspan_many(basis, row[None], p)[0]:
+            basis = np.vstack([basis, row])
+    words = gf.all_codewords(basis[coarse.k:], p)
+    points = coarse.mod_many(coarse.gamma * words.astype(float))
+    keys = np.rint(points / coarse.gamma)
+    order = np.lexsort(keys[:, ::-1].T)
+    points = points[order]
+    points.setflags(write=False)
+    return basis, points, keys[order], order
+
+
 def enumerate_codebook(coarse: ConstructionALattice,
                        fine: ConstructionALattice) -> np.ndarray:
-    """The points of the pair's :class:`Codebook`, row w-1 message w."""
-    return Codebook(coarse, fine).points
+    """The points of the pair's :class:`Codebook`, row w-1 message w,
+    read-only, built without its class table."""
+    return _sorted_points(coarse, fine)[1]

@@ -10,7 +10,9 @@ direct form, whose points the kernel's matrix-product scan must reproduce
 bit for bit, and ``shift_rescan_decode`` is the list decode as |L| such
 scans of the list lattice, whose members the grouped scan must reproduce.
 ``message_index_oracle`` finds codebook rows by a dict of their integer
-coordinates, where the library reads a class table. ``integer_lattice``
+coordinates, where the library reads a class table, and
+``grouped_scan_table`` is the grouped scan of a list decode whose list
+the library reads in closed form. ``integer_lattice``
 builds gamma Z^n, and ``recover_t1_from_sum`` / ``recover_t2_from_sum``
 state the TWRC recovery algebra that the engine, which resolves in
 message indices, never runs.
@@ -31,6 +33,7 @@ from latrelay.lattice import (
     DEFAULT_ENUM_BUDGET,
     TOL,
     ConstructionALattice,
+    _ScanTable,
     enumerate_codebook,
     is_sublattice,
 )
@@ -160,6 +163,20 @@ def message_index_oracle(codebook: np.ndarray, points, gamma: float
     return np.array([rows.get(tuple(q), 0) for q in
                      np.rint(np.asarray(points, dtype=float) / gamma).tolist()],
                     dtype=np.int64)
+
+
+def grouped_scan_table(dec: NestedListDecoder) -> _ScanTable:
+    """The coset-scan table of ``dec``'s chain with one group of fine
+    codewords per list coset, each column's entry its codeword's message
+    index in ``dec.codebook``: the table ``NestedListDecoder`` scans for
+    a list of more than one, built here also where Lambda_s = Lambda and
+    the decoder reads the list in closed form."""
+    fine = dec.fine
+    reps = enumerate_codebook(dec.mid, fine)
+    shifts = np.rint(reps / fine.gamma).astype(np.int64) % fine.p
+    table = _ScanTable(fine.p, dec.mid.rows, shifts)
+    table.classes = dec.codebook.classes(table.cols)
+    return table
 
 
 def _codeword_grid(lat: ConstructionALattice):

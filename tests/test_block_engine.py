@@ -36,6 +36,7 @@ from latrelay.lattice import (
     Codebook,
     ConstructionALattice,
     cubic_gamma,
+    enumerate_codebook,
 )
 from latrelay.rates import TwrcParams
 from latrelay.relay import (
@@ -53,6 +54,7 @@ from latrelay.twrc import (
 import block_reference as ref
 from block_reference import df_reference, twrc_reference
 from conftest import (
+    grouped_scan_table,
     message_index_oracle,
     non_prefix_pairs,
     recover_t1_from_sum,
@@ -449,9 +451,22 @@ def test_rank_one_twrc_outputs_pinned(tmp_path, seed):
 # order, each decoder's reps and the classes of its scan's columns. They
 # cover every pair and triple of fixed chains, the non-prefix pairs, the
 # block_markov DF and TWRC set-ups (Lambda_2 of rank 1) and the p2p
-# benchmark chains.
+# benchmark chains. A decoder whose list is the whole codebook (Lambda_s
+# = Lambda) builds no scan; the classes of the columns the scan would
+# have, each list member's p^k_s codewords in a row, are hashed in their
+# place (test_whole_codebook_lists_are_the_scan_classes).
 CODEBOOK_BYTES = ("18238bfba2a2e29ae3d36c765685c93f"
                   "ccff564fe21fbad3739def2a583fd7d0")
+
+# (p, n, gamma) of the fixed chains, of ranks 0 to n, row seed 4.
+DIGEST_CHAINS = ((2, 4, 1.3), (3, 3, 1.0), (5, 2, 0.37), (7, 2, 0.99),
+                 (3, 5, 0.5))
+
+
+def _whole_list_columns(dec):
+    """The constant list of a whole-codebook decoder, each member repeated
+    once per codeword of the list lattice's code."""
+    return np.repeat(dec._whole.ravel(), dec.fine.p ** dec.mid.k)
 
 
 def test_codebook_bytes_pinned():
@@ -470,10 +485,10 @@ def test_codebook_bytes_pinned():
         put_book(dec.codebook, dec.fine)
         put(dec.reps, np.float64)
         if dec.list_size > 1:
-            put(dec._scan.classes, np.int64)
+            put(dec._scan.classes if dec._scan is not None
+                else _whole_list_columns(dec), np.int64)
 
-    for p, n, gamma in ((2, 4, 1.3), (3, 3, 1.0), (5, 2, 0.37), (7, 2, 0.99),
-                        (3, 5, 0.5)):
+    for p, n, gamma in DIGEST_CHAINS:
         ch = build_chain(p, n, list(range(n + 1)), gamma=gamma, seed=4)
         for i, j in itertools.combinations_with_replacement(range(n + 1), 2):
             put_book(Codebook(ch[i], ch[j]), ch[j])
@@ -497,6 +512,32 @@ def test_codebook_bytes_pinned():
         put_decoder(build_chain(3, 8, [0, 4, 6], gamma=gamma,
                                 seed=seed).list_decoder)
     assert h.hexdigest() == CODEBOOK_BYTES
+
+
+def test_whole_codebook_lists_are_the_scan_classes():
+    # Every decoder of the digest's fixed chains and block_markov set-ups
+    # with Lambda_s = Lambda and a list of more than one: the grouped scan
+    # it no longer builds gives each column its group's class, so every
+    # winner, a NaN row's included, is the constant list; and the scan's
+    # coset representatives are the codebook's points.
+    decoders = []
+    for p, n, gamma in DIGEST_CHAINS:
+        ch = build_chain(p, n, list(range(n + 1)), gamma=gamma, seed=4)
+        decoders += [NestedListDecoder(ch[i], ch[i], ch[k])
+                     for i, k in itertools.combinations(range(n + 1), 2)]
+    for seed in (0, 1, 2):
+        df = build_df_codebooks(DegradedRelayParams(**DF_BM), 3, 2, seed=seed)
+        tw = build_twrc_codebooks(_twrc_params(TWRC_BM), 3, 2, seed=seed)
+        decoders += [df.message_chain.list_decoder, tw.dec1, tw.dec2]
+    whole = [dec for dec in decoders
+             if dec.mid.k == dec.coarse.k and dec.list_size > 1]
+    assert len(whole) == 37 + 3   # the chains' pairs i < k, and TWRC's dec2
+    for dec in whole:
+        assert dec._scan is None
+        assert np.array_equal(grouped_scan_table(dec).classes,
+                              _whole_list_columns(dec))
+        assert np.array_equal(enumerate_codebook(dec.mid, dec.fine),
+                              dec.reps)
 
 # --- batch-only protocol maps ---------------------------------------------
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from latrelay import gf
+from latrelay import channel, gf
 from latrelay.chain import build_chain, size_list_lattice
 from latrelay.channel import (
     CHUNK,
@@ -23,11 +23,13 @@ from latrelay.errors import DimensionMismatch, NotACodeword
 from latrelay.lattice import (
     SCAN_ELEMENTS,
     ConstructionALattice,
+    _coset_scan,
     enumerate_codebook,
     second_moment,
 )
 from conftest import (
     _codeword_grid,
+    grouped_scan_table,
     list_decode_q_form,
     message_index_oracle,
     repeat_call_peak,
@@ -291,6 +293,33 @@ class TestGroupedDecode:
         assert gf.rref(ch[2].rows, p)[1] == [1, 2]
         self._check(ch, (200,), p)
 
+    @pytest.mark.parametrize("p, n, ranks, scale", [
+        (3, 2, (0, 2, 2), 1e20), (3, 2, (0, 2, 2), 1e100),
+        (3, 2, (0, 2, 2), 1e300), (3, 3, (1, 2, 2), 1e20),
+        (3, 3, (1, 2, 2), 1e100)])
+    def test_list_of_one_far_rows(self, p, n, ranks, scale):
+        # |y| / gamma far beyond 2^63: the codeword's residues are taken
+        # before its coordinates become integers, so no cast is invalid
+        # (the suite turns a RuntimeWarning into an error). They match
+        # residues of the fine lattice's nearest point taken in Python
+        # ints. Ranks (1, 2, 2) at n = 3 reach the nearest point by a
+        # scan, whose squared distances overflow at 1e300 (see
+        # test_lattice's huge rows), so it stops at 1e100.
+        ch = build_chain(p, n, list(ranks), gamma=2 / 3 ** 0.5, seed=1)
+        dec = ch.list_decoder
+        assert dec.list_size == 1
+        rng = np.random.default_rng(5)
+        Y = np.vstack([np.eye(n)[::-1] * scale + 1.0,
+                       -scale * rng.uniform(0.5, 1.0, size=(4, n))])
+        Q = ch[2].nearest_many(Y) / ch.gamma
+        got = dec.decode_many(Y)
+        one = [dec.decode(y).indices.tolist() for y in Y]
+        residues = np.array([[int(round(q)) % p for q in row]
+                             for row in Q.tolist()])
+        want = dec.codebook.classes(residues)
+        assert np.array_equal(got, want[:, None])
+        assert one == [[w] for w in want.tolist()]
+
     @staticmethod
     def _check(ch, batch_sizes, seed):
         """decode_many and decode against the shift-and-rescan members,
@@ -340,6 +369,88 @@ class TestGroupedDecode:
         for Y in (np.zeros(2), np.zeros((3, 3))):
             with pytest.raises(DimensionMismatch):
                 dec.decode_many(Y)
+
+
+class TestWholeCodebookDecode:
+    """Lambda_s = Lambda: the list is the whole codebook for every
+    observation, read in closed form, against the shift-and-rescan decode
+    and the grouped scan it replaces."""
+
+    # p in {2, 3, 5}, coarse rank 0 and coarse rank >= 1.
+    SHAPES = [(2, 3, (0, 0, 2)), (2, 4, (1, 1, 3)), (3, 2, (0, 0, 2)),
+              (3, 2, (1, 1, 2)), (5, 2, (0, 0, 1)), (5, 3, (1, 1, 3))]
+
+    @staticmethod
+    def _chain(p, n, ranks):
+        return build_chain(p, n, list(ranks), gamma=2 / 3 ** 0.5, seed=1)
+
+    @pytest.mark.parametrize("p, n, ranks", SHAPES)
+    def test_matches_shift_rescan(self, p, n, ranks):
+        # The tie grid and uniform draws, with decode on every tenth row.
+        TestGroupedDecode._check(self._chain(p, n, ranks), (1, 7, 60),
+                                 10 * p + n)
+
+    @pytest.mark.parametrize("p, n, ranks", SHAPES)
+    def test_non_finite_rows_read_the_grouped_scan(self, p, n, ranks):
+        # The rescan's members are NaN there; the grouped scan takes each
+        # group's first coset, whose class is the group's.
+        dec = self._chain(p, n, ranks).list_decoder
+        Y = np.zeros((4, n))
+        Y[0], Y[1, 0], Y[2, -1], Y[3, 0] = np.nan, np.nan, np.nan, np.inf
+        got = dec.decode_many(Y)
+        with np.errstate(invalid="ignore"):   # the scan's inf - inf
+            want = _coset_scan(Y / dec.fine.gamma, grouped_scan_table(dec))
+        assert np.array_equal(got, want.reshape(got.shape))
+        assert np.array_equal(got, np.tile(np.arange(1, dec.list_size + 1),
+                                           (len(Y), 1)))
+        for y, row in zip(Y, got):
+            assert np.array_equal(dec.decode(y).indices, row)
+
+    @pytest.mark.parametrize("p, n, ranks", SHAPES)
+    def test_builds_no_scan_table(self, p, n, ranks, monkeypatch):
+        ch = self._chain(p, n, ranks)
+
+        def refuse(*args):
+            raise AssertionError("the decoder built a scan table")
+
+        monkeypatch.setattr(channel, "_ScanTable", refuse)
+        dec = NestedListDecoder(ch[0], ch[1], ch[2])
+        assert dec._scan is None
+        assert dec.reps is dec.codebook.points
+        assert dec.list_size == len(dec.codebook) == p ** (ranks[2] - ranks[0])
+        assert np.array_equal(dec.reps, enumerate_codebook(ch[1], ch[2]))
+
+    @pytest.mark.parametrize("p, n, ranks", SHAPES)
+    def test_one_row_is_the_batch_row(self, p, n, ranks):
+        dec = self._chain(p, n, ranks).list_decoder
+        for y in np.random.default_rng(p + n).uniform(-p, p, size=(20, n)):
+            assert np.array_equal(dec.decode(y).indices,
+                                  dec.decode_many(y[None])[0])
+
+    @pytest.mark.parametrize("p, n, ranks", SHAPES)
+    def test_rejects_wrong_shape(self, p, n, ranks):
+        dec = self._chain(p, n, ranks).list_decoder
+        for Y in (np.zeros(n), np.zeros((3, n + 1)), np.zeros((2, 1, n))):
+            with pytest.raises(DimensionMismatch):
+                dec.decode_many(Y)
+        for y in (np.zeros((1, n)), np.zeros(n + 1)):
+            with pytest.raises(DimensionMismatch):
+                dec.decode(y)
+
+    @pytest.mark.parametrize("p, n, ranks", SHAPES)
+    def test_results_are_fresh(self, p, n, ranks):
+        dec = self._chain(p, n, ranks).list_decoder
+        rng = np.random.default_rng(2)
+        many = dec.decode_many(rng.uniform(-2, 2, size=(5, n)))
+        one = dec.decode(rng.uniform(-2, 2, size=n)).indices
+        again = dec.decode_many(rng.uniform(-2, 2, size=(5, n)))
+        assert not np.shares_memory(many, again)
+        many[...] = 0
+        one[...] = 0
+        assert np.array_equal(again, np.tile(np.arange(1, dec.list_size + 1),
+                                             (5, 1)))
+        assert np.array_equal(dec.decode(np.zeros(n)).indices,
+                              np.arange(1, dec.list_size + 1))
 
 
 class TestAwgnParams:

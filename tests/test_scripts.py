@@ -3,6 +3,7 @@ small input and prints the lines it documents. The region figure is a
 config section, run through the CLI."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,13 +22,13 @@ from latrelay.rates import (
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_script(name, *args):
+def _run_script(name, *args, returncode=0):
     src = str(Path(latrelay.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name),
                            *args], env=env, capture_output=True, text=True,
                           timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     assert not proc.stderr
     return proc.stdout.splitlines()
 
@@ -84,6 +85,23 @@ def test_ab_inprocess_runs_one_checkout_against_itself():
     assert " of 2 blocks, A in " in lines[3]
     # one round of p2p_n2 is its four noise levels
     assert lines[4] == "outputs equal in 8 of 8 operations"
+
+
+def test_ab_inprocess_exits_1_when_outputs_differ(tmp_path):
+    # Side B is a copy of this checkout's package whose DF and TWRC
+    # message streams have another key, so its block_markov outputs
+    # differ from side A's.
+    shutil.copytree(ROOT / "src" / "latrelay", tmp_path / "src" / "latrelay",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    channel = tmp_path / "src" / "latrelay" / "channel.py"
+    text = channel.read_text()
+    key = '"messages": (0xB10C1, 0xB10C2)'
+    assert text.count(key) == 1
+    channel.write_text(text.replace(key, '"messages": (0xB10C8, 0xB10C2)'))
+    lines = _run_script("ab_inprocess.py", str(ROOT), str(tmp_path),
+                        "--workload", "block_markov", "--blocks", "2",
+                        "--rounds", "1", returncode=1)
+    assert lines[-1] == "outputs equal in 0 of 2 operations"
 
 
 @pytest.mark.parametrize("workload,ops", [("p2p_n8", 8), ("block_markov", 2),
